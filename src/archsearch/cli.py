@@ -235,10 +235,15 @@ def cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     path = Path(args.checkpoint)
     if not path.is_file():
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    state = ctl.load_checkpoint(path)
+    try:
+        state = ctl.load_checkpoint(path)
+    except ValueError as exc:
+        raise ConfigError(f"{args.checkpoint}: {exc}") from exc
     space = state.space
     try:
         evaluator = engine.make_evaluator(

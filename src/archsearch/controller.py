@@ -1,9 +1,9 @@
 """LSTM controller: samples architectures and learns from episode rewards.
 
 One rollout makes one decision per space slot. The input at each step is
-the one-hot encoding of the previous choice (zeros at the first step); the
-LSTM hidden state feeds a per-slot-type linear head whose softmax is
-sampled. Updates follow the episode-reward policy gradient: the gradient
+the token of the previous choice, its global vocabulary index (no input at
+the first step); the LSTM hidden state feeds a per-slot-type linear head
+whose softmax is sampled. Updates follow the episode-reward policy gradient: the gradient
 of the sequence log-probability scaled by the reward, applied as one ADAM
 ascent step per sampled architecture.
 """
@@ -16,17 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn_core import (AdamState, LstmCellParams, LstmStepCache, adam_step,
-                      clip_by_global_norm, global_norm, init_lstm, lstm_backward,
-                      lstm_forward, softmax_probs, softmax_sample)
-from .search_space import (ActionSequence, SearchSpace, build_space, one_hot_input,
+from .nn_core import (GATE_NAMES, AdamState, LstmCellParams, LstmStepCache, ParamBuffer,
+                      adam_step, clip_by_global_norm, global_norm, init_lstm,
+                      lstm_backward, lstm_forward, lstm_shapes, softmax_probs,
+                      softmax_sample)
+from .search_space import (ActionSequence, SearchSpace, build_space, input_token,
                            validate_sequence)
 
 DEFAULT_HIDDEN = {"alexnet": 24, "condensenet": 20, "macro": 64}
 DEFAULT_LR = {"alexnet": 0.03, "condensenet": 0.008, "macro": 0.0075}
 DEFAULT_CLIP_NORM = 5.0
 DEFAULT_BASELINE_DECAY = 0.95
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -49,8 +50,8 @@ class Rollout:
 class ControllerState:
     space: SearchSpace
     hidden_dim: int
-    lstm: LstmCellParams
-    params: dict[str, np.ndarray]  # lstm tensors + head tensors, shared arrays
+    lstm: LstmCellParams  # views into params
+    params: ParamBuffer  # lstm tensors + head tensors in one flat buffer
     adam: AdamState
     rng: np.random.Generator
     clip_norm: float | None = DEFAULT_CLIP_NORM
@@ -75,20 +76,50 @@ def create_controller(space: SearchSpace, seed: int, hidden_dim: int | None = No
     """
     if hidden_dim is None:
         hidden_dim = DEFAULT_HIDDEN.get(space.kind, 32)
+    if hidden_dim < 1:
+        raise ValueError(f"hidden size must be >= 1, got {hidden_dim}")
     if lr is None:
         lr = DEFAULT_LR.get(space.kind, 0.01)
     rng = np.random.default_rng(seed)
-    lstm = init_lstm(space.vocab_size, hidden_dim, rng, scale=init_scale)
-    params = lstm.tensors()
+    params = ParamBuffer(_param_shapes(space, hidden_dim))
+    lstm = LstmCellParams.from_tensors(params)
+    init_lstm(lstm, rng, scale=init_scale)
     for head_type in space.head_types():
-        arity = next(len(s.candidates) for s in space.slots if s.head == head_type)
-        params[f"head.{head_type}.w"] = rng.uniform(-init_scale, init_scale,
-                                                    size=(arity, hidden_dim))
-        params[f"head.{head_type}.b"] = rng.uniform(-init_scale, init_scale, size=arity)
+        for kind in ("w", "b"):
+            tensor = params[f"head.{head_type}.{kind}"]
+            tensor[...] = rng.uniform(-init_scale, init_scale, size=tensor.shape)
     adam = AdamState.for_params(params, lr=lr)
     return ControllerState(space=space, hidden_dim=hidden_dim, lstm=lstm,
                            params=params, adam=adam, rng=rng, clip_norm=clip_norm,
                            use_baseline=use_baseline, baseline_decay=baseline_decay)
+
+
+def _param_shapes(space: SearchSpace, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Every controller tensor: the LSTM cell, then a (w, b) head per slot type."""
+    shapes = lstm_shapes(space.vocab_size, hidden_dim)
+    for head_type in space.head_types():
+        arity = next(len(s.candidates) for s in space.slots if s.head == head_type)
+        shapes[f"head.{head_type}.w"] = (arity, hidden_dim)
+        shapes[f"head.{head_type}.b"] = (arity,)
+    return shapes
+
+
+def _norm_blocks(grads: ParamBuffer) -> dict[str, np.ndarray]:
+    """Views that cut a gradient into the blocks its global norm is summed over.
+
+    Each gate's w, u and b in turn, then the heads. The norm adds one float
+    sum per block, so the blocks and their order fix its rounding, which
+    results.csv records as grad_norm.
+    """
+    cell = LstmCellParams.from_tensors(grads)
+    blocks = {}
+    for gate in GATE_NAMES:
+        for kind, block in zip("wub", cell.gate(gate)):
+            blocks[f"lstm.{kind}_{gate}"] = block
+    for name, tensor in grads.items():
+        if not name.startswith("lstm."):
+            blocks[name] = tensor
+    return blocks
 
 
 def _check_space(state: ControllerState, space: SearchSpace) -> None:
@@ -102,18 +133,18 @@ def sample_sequence(state: ControllerState, space: SearchSpace
     _check_space(state, space)
     h = np.zeros(state.hidden_dim)
     c = np.zeros(state.hidden_dim)
-    x = one_hot_input(space)
+    token = input_token(space)
     actions: list[int] = []
     log_probs: list[float] = []
     steps: list[RolloutStep] = []
     for t, slot in enumerate(space.slots):
-        h, c, cache = lstm_forward(state.lstm, x, h, c)
+        h, c, cache = lstm_forward(state.lstm, token, h, c)
         w, b = state.head(slot.head)
         action, lp, probs = softmax_sample(w @ h + b, state.rng)
         actions.append(action)
         log_probs.append(lp)
         steps.append(RolloutStep(cache=cache, head=slot.head, probs=probs, action=action))
-        x = one_hot_input(space, (t, action))
+        token = input_token(space, (t, action))
     seq = ActionSequence(actions=tuple(actions), log_probs=tuple(log_probs))
     return seq, Rollout(steps=steps, revision=state.revision)
 
@@ -127,38 +158,40 @@ def action_log_prob(state: ControllerState, seq: ActionSequence) -> float:
     validate_sequence(state.space, seq)
     h = np.zeros(state.hidden_dim)
     c = np.zeros(state.hidden_dim)
-    x = one_hot_input(state.space)
+    token = input_token(state.space)
     total = 0.0
     for t, (slot, action) in enumerate(zip(state.space.slots, seq.actions)):
-        h, c, _ = lstm_forward(state.lstm, x, h, c)
+        h, c, _ = lstm_forward(state.lstm, token, h, c)
         w, b = state.head(slot.head)
         probs = softmax_probs(w @ h + b)
         total += float(np.log(probs[action]))
-        x = one_hot_input(state.space, (t, action))
+        token = input_token(state.space, (t, action))
     return total
 
 
 def policy_gradients(state: ControllerState, rollout: Rollout,
-                     scale: float) -> dict[str, np.ndarray]:
+                     scale: float) -> ParamBuffer:
     """Gradient of scale * sum_t log P(a_t) w.r.t. every parameter.
 
     The softmax/log-prob gradient at the chosen action is
     scale * (one_hot(action) - probs); head gradients come directly from
     it, the rest flows through the unrolled LSTM.
     """
-    grads = {name: np.zeros_like(p) for name, p in state.params.items()}
+    grads = state.params.like()
     caches = [step.cache for step in rollout.steps]
     dh_list: list[np.ndarray] = []
     for step in rollout.steps:
         dlogits = -step.probs * scale
         dlogits[step.action] += scale
         w, _ = state.head(step.head)
-        grads[f"head.{step.head}.w"] += np.outer(dlogits, step.cache.h)
-        grads[f"head.{step.head}.b"] += dlogits
+        grad_w, grad_b = grads[f"head.{step.head}.w"], grads[f"head.{step.head}.b"]
+        grad_w += np.outer(dlogits, step.cache.h)
+        grad_b += dlogits
         dh_list.append(w.T @ dlogits)
-    lstm_grads, _ = lstm_backward(state.lstm, caches, dh_list)
-    for name, g in lstm_grads.items():
-        grads[name] += g
+    lstm_grads = lstm_backward(state.lstm, caches, dh_list)
+    for name, g in lstm_grads.tensors().items():
+        total = grads[name]
+        total += g
     return grads
 
 
@@ -187,16 +220,15 @@ def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
         if rollout.revision != state.revision:
             raise ValueError("stale rollout: controller parameters changed since sampling")
 
-    grads = {name: np.zeros_like(p) for name, p in state.params.items()}
+    grads = state.params.like()
     for rollout, reward in zip(rollouts, rewards):
         scale = reward - state.baseline if state.use_baseline else reward
-        sample = policy_gradients(state, rollout, scale / len(rollouts))
-        for name, g in sample.items():
-            grads[name] += g
+        grads.flat += policy_gradients(state, rollout, scale / len(rollouts)).flat
+    blocks = _norm_blocks(grads)
     if state.clip_norm is not None:
-        norm = clip_by_global_norm(grads, state.clip_norm)
+        norm = clip_by_global_norm(blocks, state.clip_norm)
     else:
-        norm = global_norm(grads)
+        norm = global_norm(blocks)
     adam_step(state.params, grads, state.adam)
     state.revision += 1
     if state.use_baseline:
@@ -235,28 +267,53 @@ def save_checkpoint(state: ControllerState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ControllerState:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
-        arrays = {key: np.array(data[key]) for key in data.files if key != "meta"}
+    """Read a snapshot written by `save_checkpoint`.
 
-    space = build_space(meta["space_kind"])
-    state = create_controller(space, seed=0, hidden_dim=meta["hidden_dim"],
-                              lr=meta["adam"]["lr"], clip_norm=meta["clip_norm"],
-                              use_baseline=meta["use_baseline"],
-                              baseline_decay=meta["baseline_decay"])
-    for name, p in state.params.items():
-        p[...] = arrays[f"param/{name}"]
-        state.adam.m[name][...] = arrays[f"adam_m/{name}"]
-        state.adam.v[name][...] = arrays[f"adam_v/{name}"]
-    state.adam.beta1 = meta["adam"]["beta1"]
-    state.adam.beta2 = meta["adam"]["beta2"]
-    state.adam.eps = meta["adam"]["eps"]
-    state.adam.t = meta["adam"]["t"]
-    state.baseline = meta["baseline"]
-    state.revision = meta["revision"]
-    rng_state = meta["rng_state"]
-    # JSON turns the inner state ints into plain ints, which numpy accepts
-    state.rng.bit_generator.state = rng_state
+    Raises ValueError on another format version, and, naming the array, on
+    a missing or extra array or one of the wrong shape or dtype: numpy
+    would otherwise broadcast a wrong-shaped array into place silently.
+    """
+    with np.load(path) as data:
+        if "meta" not in data.files:
+            raise ValueError("checkpoint has no meta record")
+        meta = json.loads(bytes(data["meta"]).decode())
+        version = meta.get("version") if isinstance(meta, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version: {version}")
+        arrays = {key: data[key] for key in data.files if key != "meta"}
+
+    try:
+        state = create_controller(build_space(meta["space_kind"]), seed=0,
+                                  hidden_dim=meta["hidden_dim"], lr=meta["adam"]["lr"],
+                                  clip_norm=meta["clip_norm"],
+                                  use_baseline=meta["use_baseline"],
+                                  baseline_decay=meta["baseline_decay"])
+        state.adam.beta1 = meta["adam"]["beta1"]
+        state.adam.beta2 = meta["adam"]["beta2"]
+        state.adam.eps = meta["adam"]["eps"]
+        state.adam.t = meta["adam"]["t"]
+        state.baseline = meta["baseline"]
+        state.revision = meta["revision"]
+        # JSON turns the inner state ints into plain ints, which numpy accepts
+        state.rng.bit_generator.state = meta["rng_state"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"checkpoint meta record is malformed: {exc!r}") from exc
+
+    buffers = {"param": state.params, "adam_m": state.adam.m, "adam_v": state.adam.v}
+    expected = {f"{kind}/{name}": tensor
+                for kind, buf in buffers.items() for name, tensor in buf.items()}
+    missing = sorted(expected.keys() - arrays.keys())
+    if missing:
+        raise ValueError(f"checkpoint lacks array {missing[0]!r}")
+    extra = sorted(arrays.keys() - expected.keys())
+    if extra:
+        raise ValueError(f"checkpoint holds unexpected array {extra[0]!r}")
+    for key, tensor in expected.items():
+        array = arrays[key]
+        if array.dtype != np.float64:
+            raise ValueError(f"checkpoint array {key!r} has dtype {array.dtype}, not float64")
+        if array.shape != tensor.shape:
+            raise ValueError(f"checkpoint array {key!r} has shape {array.shape}, "
+                             f"expected {tensor.shape}")
+        tensor[...] = array
     return state

@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError("n_iterations must be >= 1")
         if self.lr is not None and self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ValueError("controller.hidden must be >= 1")
         if self.evaluator_kind not in ("surrogate", "lookup"):
             raise ValueError(f"unknown evaluator kind: {self.evaluator_kind!r}")
         if self.window < 1:

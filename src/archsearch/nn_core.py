@@ -1,14 +1,21 @@
 """Minimal numeric kernel: one LSTM cell with exact BPTT, softmax sampling, ADAM.
 
 Everything runs in float64 numpy so analytic gradients can be checked against
-central finite differences to tight tolerances. Parameters are passed around
-as flat ``{name: ndarray}`` dicts, which keeps the optimizer and the gradient
-checks generic.
+central finite differences to tight tolerances. A parameter set is a
+`ParamBuffer`: one flat array holding every tensor back to back, with a
+named view per tensor, so the optimizer updates all of it in one vector
+expression while the model code reads and writes tensors by name.
+
+The LSTM's input at each step is a token, the index of a single one-hot
+entry (or none at all), so the input product is a column lookup and its
+gradient a column add.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,179 +24,212 @@ INIT_SCALE = 0.08  # uniform init range, keeps early softmax near-uniform
 GATE_NAMES = ("i", "f", "o", "g")
 
 
+class ParamBuffer(Mapping):
+    """Named float64 tensors stored back to back in one flat array.
+
+    ``flat`` owns the memory and each tensor is a reshaped view of its
+    slice, so an in-place write through either is seen by both. Tensors
+    keep the insertion order of ``shapes``.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]) -> None:
+        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        self.flat = np.zeros(sum(math.prod(s) for s in self.shapes.values()))
+        self._views: dict[str, np.ndarray] = {}
+        start = 0
+        for name, shape in self.shapes.items():
+            stop = start + math.prod(shape)
+            self._views[name] = self.flat[start:stop].reshape(shape)
+            start = stop
+
+    def like(self) -> "ParamBuffer":
+        """A zero buffer with the same layout."""
+        return ParamBuffer(self.shapes)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
+    # give the same values as evaluating each sign on its own subset
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 @dataclass
 class LstmCellParams:
-    """Weights of a single LSTM cell.
+    """Weights of a single LSTM cell, the four gates fused.
 
-    Gate order is input (i), forget (f), output (o), candidate (g). ``w_*``
-    act on the input vector, ``u_*`` on the previous hidden state.
+    ``w`` [4H, D] acts on the input token, ``u`` [4H, H] on the previous
+    hidden state, ``b`` is [4H]. Row block k (rows k*H to (k+1)*H) belongs
+    to gate ``GATE_NAMES[k]``: input (i), forget (f), output (o), candidate
+    (g), as in cuDNN-style LSTMs.
     """
 
-    input_dim: int
-    hidden_dim: int
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        d_in, d_h = self.input_dim, self.hidden_dim
-        for gate in GATE_NAMES:
-            if getattr(self, f"w_{gate}").shape != (d_h, d_in):
-                raise ValueError(f"w_{gate} must have shape ({d_h}, {d_in})")
-            if getattr(self, f"u_{gate}").shape != (d_h, d_h):
-                raise ValueError(f"u_{gate} must have shape ({d_h}, {d_h})")
-            if getattr(self, f"b_{gate}").shape != (d_h,):
-                raise ValueError(f"b_{gate} must have shape ({d_h},)")
+        if self.u.ndim != 2 or self.u.shape[0] != 4 * self.u.shape[1]:
+            raise ValueError(f"u must have shape (4H, H), got {self.u.shape}")
+        four_h = self.u.shape[0]
+        if self.w.ndim != 2 or self.w.shape[0] != four_h:
+            raise ValueError(f"w must have shape ({four_h}, D), got {self.w.shape}")
+        if self.b.shape != (four_h,):
+            raise ValueError(f"b must have shape ({four_h},), got {self.b.shape}")
+
+    @property
+    def input_dim(self) -> int:
+        return self.w.shape[1]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.u.shape[1]
+
+    def gate(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views (w, u, b) of one gate's row block."""
+        n = self.hidden_dim
+        k = GATE_NAMES.index(name)
+        rows = slice(k * n, (k + 1) * n)
+        return self.w[rows], self.u[rows], self.b[rows]
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of all weights (shared references)."""
-        out: dict[str, np.ndarray] = {}
-        for gate in GATE_NAMES:
-            for kind in ("w", "u", "b"):
-                name = f"{kind}_{gate}"
-                out[f"lstm.{name}"] = getattr(self, name)
-        return out
+        return {"lstm.w": self.w, "lstm.u": self.u, "lstm.b": self.b}
+
+    @classmethod
+    def from_tensors(cls, tensors: Mapping[str, np.ndarray]) -> "LstmCellParams":
+        """The cell whose weights are the arrays named as in ``tensors()``."""
+        return cls(tensors["lstm.w"], tensors["lstm.u"], tensors["lstm.b"])
 
 
-def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator,
-              scale: float = INIT_SCALE) -> LstmCellParams:
-    """LSTM cell with all weights drawn uniformly from [-scale, scale]."""
-
-    def u(*shape: int) -> np.ndarray:
-        return rng.uniform(-scale, scale, size=shape)
-
-    kw = {}
-    for gate in GATE_NAMES:
-        kw[f"w_{gate}"] = u(hidden_dim, input_dim)
-        kw[f"u_{gate}"] = u(hidden_dim, hidden_dim)
-        kw[f"b_{gate}"] = u(hidden_dim)
-    return LstmCellParams(input_dim=input_dim, hidden_dim=hidden_dim, **kw)
+def lstm_shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Tensor shapes of an LSTM cell, under the names of ``tensors()``."""
+    four_h = 4 * hidden_dim
+    return {"lstm.w": (four_h, input_dim), "lstm.u": (four_h, hidden_dim),
+            "lstm.b": (four_h,)}
 
 
 def zero_lstm(input_dim: int, hidden_dim: int) -> LstmCellParams:
-    kw = {}
+    shapes = lstm_shapes(input_dim, hidden_dim)
+    return LstmCellParams(*(np.zeros(shape) for shape in shapes.values()))
+
+
+def init_lstm(params: LstmCellParams, rng: np.random.Generator,
+              scale: float = INIT_SCALE) -> None:
+    """Fill a cell in place with weights drawn uniformly from [-scale, scale].
+
+    Draws gate by gate, w then u then b, each in its per-gate shape.
+    """
     for gate in GATE_NAMES:
-        kw[f"w_{gate}"] = np.zeros((hidden_dim, input_dim))
-        kw[f"u_{gate}"] = np.zeros((hidden_dim, hidden_dim))
-        kw[f"b_{gate}"] = np.zeros(hidden_dim)
-    return LstmCellParams(input_dim=input_dim, hidden_dim=hidden_dim, **kw)
+        for block in params.gate(gate):
+            block[...] = rng.uniform(-scale, scale, size=block.shape)
 
 
 @dataclass
 class LstmStepCache:
     """Everything from one forward step needed for exact backprop."""
 
-    x: np.ndarray
+    token: int | None
     h_prev: np.ndarray
     c_prev: np.ndarray
-    pre_i: np.ndarray
-    pre_f: np.ndarray
-    pre_o: np.ndarray
-    pre_g: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray  # activations i, f, o, g back to back, as the rows of w
+    tanh_c: np.ndarray
     c: np.ndarray
     h: np.ndarray
 
 
-def lstm_forward(params: LstmCellParams, x: np.ndarray, h_prev: np.ndarray,
+def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
                  c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    """One LSTM step.
+    """One LSTM step on input token ``token`` (None: an all-zero input).
 
     i, f, o are sigmoid gates, g the tanh candidate:
         c = f * c_prev + i * g
         h = o * tanh(c)
     """
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"input must have shape ({params.input_dim},), got {x.shape}")
-    if h_prev.shape != (params.hidden_dim,) or c_prev.shape != (params.hidden_dim,):
-        raise ValueError(f"state must have shape ({params.hidden_dim},)")
+    n = params.hidden_dim
+    if token is not None and not 0 <= token < params.input_dim:
+        raise ValueError(f"input token must lie in [0, {params.input_dim}), got {token}")
+    if h_prev.shape != (n,) or c_prev.shape != (n,):
+        raise ValueError(f"state must have shape ({n},)")
 
-    pre_i = params.w_i @ x + params.u_i @ h_prev + params.b_i
-    pre_f = params.w_f @ x + params.u_f @ h_prev + params.b_f
-    pre_o = params.w_o @ x + params.u_o @ h_prev + params.b_o
-    pre_g = params.w_g @ x + params.u_g @ h_prev + params.b_g
-    i = sigmoid(pre_i)
-    f = sigmoid(pre_f)
-    o = sigmoid(pre_o)
-    g = np.tanh(pre_g)
+    pre = params.u @ h_prev
+    if token is not None:
+        pre += params.w[:, token]
+    pre += params.b
+    gates = np.empty(4 * n)
+    gates[:3 * n] = sigmoid(pre[:3 * n])
+    np.tanh(pre[3 * n:], out=gates[3 * n:])
+    i, f, o, g = gates[:n], gates[n:2 * n], gates[2 * n:3 * n], gates[3 * n:]
     c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    cache = LstmStepCache(x=x, h_prev=h_prev, c_prev=c_prev,
-                          pre_i=pre_i, pre_f=pre_f, pre_o=pre_o, pre_g=pre_g,
-                          i=i, f=f, o=o, g=g, c=c, h=h)
+    tanh_c = np.tanh(c)
+    h = o * tanh_c
+    cache = LstmStepCache(token=token, h_prev=h_prev, c_prev=c_prev, gates=gates,
+                          tanh_c=tanh_c, c=c, h=h)
     return h, c, cache
 
 
-def lstm_zero_grads(params: LstmCellParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
-
-
 def lstm_backward(params: LstmCellParams, caches: list[LstmStepCache],
-                  output_grads: list[np.ndarray]) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
+                  output_grads: list[np.ndarray]) -> LstmCellParams:
     """Backprop through time over a full forward pass.
 
-    ``output_grads[t]`` is dLoss/dh_t. Returns accumulated parameter
-    gradients (same keys as ``params.tensors()``) and per-step input
+    ``output_grads[t]`` is dLoss/dh_t. Returns the accumulated parameter
     gradients. No truncation: gradients are exact.
     """
     if len(caches) != len(output_grads):
         raise ValueError("need one output gradient per cached step")
+    n = params.hidden_dim
     for t, cache in enumerate(caches):
-        if cache.x.shape != (params.input_dim,) or cache.h.shape != (params.hidden_dim,):
+        if cache.h.shape != (n,) or (cache.token is not None
+                                     and not 0 <= cache.token < params.input_dim):
             raise ValueError(f"cache at step {t} does not match params dimensions")
 
-    grads = lstm_zero_grads(params)
-    d_inputs: list[np.ndarray] = [np.zeros(0)] * len(caches)
-    dh_next = np.zeros(params.hidden_dim)
-    dc_next = np.zeros(params.hidden_dim)
+    grads = zero_lstm(params.input_dim, n)
+    u_i, u_f, u_o, u_g = (params.gate(gate)[1].T for gate in GATE_NAMES)
+    dh_next = np.zeros(n)
+    dc_next = np.zeros(n)
 
     for t in range(len(caches) - 1, -1, -1):
         cc = caches[t]
+        gates = cc.gates
+        i, f, o, g = gates[:n], gates[n:2 * n], gates[2 * n:3 * n], gates[3 * n:]
         dh = output_grads[t] + dh_next
-        tanh_c = np.tanh(cc.c)
-        dc = dc_next + dh * cc.o * (1.0 - tanh_c * tanh_c)
+        dc = dc_next + dh * o * (1.0 - cc.tanh_c * cc.tanh_c)
 
-        d_pre = {
-            "o": dh * tanh_c * cc.o * (1.0 - cc.o),
-            "i": dc * cc.g * cc.i * (1.0 - cc.i),
-            "f": dc * cc.c_prev * cc.f * (1.0 - cc.f),
-            "g": dc * cc.i * (1.0 - cc.g * cc.g),
-        }
+        # gradient at the pre-activations, in the gate rows of w; a sigmoid
+        # gate a takes ((x * y) * a) * (1 - a), multiplied in that order
+        d_pre = np.empty(4 * n)
+        np.multiply(dc, g, out=d_pre[:n])
+        np.multiply(dc, cc.c_prev, out=d_pre[n:2 * n])
+        np.multiply(dh, cc.tanh_c, out=d_pre[2 * n:3 * n])
+        sig = d_pre[:3 * n]
+        sig *= gates[:3 * n]
+        sig *= 1.0 - gates[:3 * n]
+        np.multiply(dc * i, 1.0 - g * g, out=d_pre[3 * n:])
+        d_i, d_f, d_o, d_g = d_pre[:n], d_pre[n:2 * n], d_pre[2 * n:3 * n], d_pre[3 * n:]
 
-        dx = np.zeros(params.input_dim)
-        dh_next = np.zeros(params.hidden_dim)
-        for gate, dp in d_pre.items():
-            grads[f"lstm.w_{gate}"] += np.outer(dp, cc.x)
-            grads[f"lstm.u_{gate}"] += np.outer(dp, cc.h_prev)
-            grads[f"lstm.b_{gate}"] += dp
-            dx += getattr(params, f"w_{gate}").T @ dp
-            dh_next += getattr(params, f"u_{gate}").T @ dp
-        d_inputs[t] = dx
-        dc_next = dc * cc.f
+        if cc.token is not None:
+            grads.w[:, cc.token] += d_pre
+        grads.u += np.outer(d_pre, cc.h_prev)
+        grads.b += d_pre
+        # four per-gate products added in this order: one fused u.T @ d_pre
+        # sums in another order and rounds differently
+        dh_next = u_o @ d_o
+        dh_next += u_i @ d_i
+        dh_next += u_f @ d_f
+        dh_next += u_g @ d_g
+        dc_next = dc * f
 
-    return grads, d_inputs
+    return grads
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -217,15 +257,15 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator
 
 @dataclass
 class AdamState:
-    """ADAM moment accumulators for a named parameter set (ascent convention)."""
+    """ADAM moment accumulators for a parameter buffer (ascent convention)."""
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: ParamBuffer | None = None
+    v: ParamBuffer | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
@@ -234,48 +274,39 @@ class AdamState:
             raise ValueError("timestep must be >= 0")
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float, **kw) -> "AdamState":
-        state = cls(lr=lr, **kw)
-        state.m = {k: np.zeros_like(p) for k, p in params.items()}
-        state.v = {k: np.zeros_like(p) for k, p in params.items()}
-        return state
+    def for_params(cls, params: ParamBuffer, lr: float, **kw) -> "AdamState":
+        return cls(lr=lr, m=params.like(), v=params.like(), **kw)
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState) -> None:
-    """One bias-corrected ADAM step, in place.
+def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None:
+    """One bias-corrected ADAM step, in place, over the whole flat buffer.
 
     Gradient ascent: callers pass reward gradients and the update is added,
     so params move toward higher reward.
     """
-    if set(grads) != set(params):
-        raise ValueError("gradient keys do not match parameter keys")
+    if grads.shapes != params.shapes:
+        raise ValueError("gradient layout does not match parameter layout")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1 ** state.t
     correct2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p += state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params.flat += state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    """L2 norm over all entries of all tensors."""
+def global_norm(grads: Mapping[str, np.ndarray]) -> float:
+    """L2 norm over all entries of all tensors, summed tensor by tensor."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     return float(np.sqrt(total))
 
 
-def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_by_global_norm(grads: Mapping[str, np.ndarray], max_norm: float) -> float:
     """Scale grads in place so their global norm is at most max_norm.
 
     Returns the norm before clipping.

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 ALEXNET_FILTERS = (8, 16, 32, 48, 64)
 ALEXNET_KERNEL = (3, 5, 7, 9)
 CONDENSENET_STAGES = (6, 8, 10, 12, 14)
@@ -210,22 +208,22 @@ def encode(space: SearchSpace, arch: Architecture) -> ActionSequence:
     return ActionSequence(actions=tuple(actions))
 
 
-def one_hot_input(space: SearchSpace,
-                  previous: tuple[int, int] | None = None) -> np.ndarray:
-    """Controller input vector for the next step.
+def input_token(space: SearchSpace,
+                previous: tuple[int, int] | None = None) -> int | None:
+    """Controller input token for the next step.
 
-    Zero vector before the first decision; afterwards a single 1.0 at the
-    global candidate position of the previous (slot, action) choice.
+    None before the first decision; afterwards the global candidate
+    position (vocabulary index) of the previous (slot, action) choice,
+    the place of the single 1.0 in a one-hot input.
     """
-    vec = np.zeros(space.vocab_size)
-    if previous is not None:
-        slot_index, action = previous
-        if not 0 <= slot_index < len(space.slots):
-            raise ValueError(f"slot index {slot_index} out of range")
-        if not 0 <= action < len(space.slots[slot_index].candidates):
-            raise ValueError(f"action {action} out of range for slot {slot_index}")
-        vec[space.vocab_offsets[slot_index] + action] = 1.0
-    return vec
+    if previous is None:
+        return None
+    slot_index, action = previous
+    if not 0 <= slot_index < len(space.slots):
+        raise ValueError(f"slot index {slot_index} out of range")
+    if not 0 <= action < len(space.slots[slot_index].candidates):
+        raise ValueError(f"action {action} out of range for slot {slot_index}")
+    return space.vocab_offsets[slot_index] + action
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ import numpy as np
 
 
 def scalar_lstm_step(params, x, h_prev, c_prev):
-    """One LSTM step computed scalar by scalar with math.* only."""
+    """One LSTM step computed scalar by scalar with math.* only.
+
+    ``x`` is a dense input vector: the one-hot row of a token, or zeros.
+    """
     n = params.hidden_dim
 
     def gate(w, u, b, squash):
@@ -31,10 +34,10 @@ def scalar_lstm_step(params, x, h_prev, c_prev):
         return out
 
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
-    i = gate(params.w_i, params.u_i, params.b_i, sig)
-    f = gate(params.w_f, params.u_f, params.b_f, sig)
-    o = gate(params.w_o, params.u_o, params.b_o, sig)
-    g = gate(params.w_g, params.u_g, params.b_g, math.tanh)
+    i = gate(*params.gate("i"), sig)
+    f = gate(*params.gate("f"), sig)
+    o = gate(*params.gate("o"), sig)
+    g = gate(*params.gate("g"), math.tanh)
     c = [f[r] * c_prev[r] + i[r] * g[r] for r in range(n)]
     h = [o[r] * math.tanh(c[r]) for r in range(n)]
     return np.array(h), np.array(c)

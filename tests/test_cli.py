@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from archsearch.cli import main
@@ -47,6 +48,20 @@ class TestSearchCommand:
         args = search_args(out)
         args[args.index("--iterations") + 1] = "0"
         assert run_cli(*args) == 2
+
+    @pytest.mark.parametrize("hidden", ["0", "-3"])
+    def test_nonpositive_hidden_exits_2(self, tmp_path, capsys, hidden):
+        out = tmp_path / "h"
+        assert run_cli(*search_args(out), "--hidden", hidden) == 2
+        assert "controller.hidden" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonpositive_hidden_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("space = condensenet\nreward.kind = mixed\nreward.alpha = 0.5\n"
+                       "run.iterations = 5\ncontroller.hidden = 0\n")
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "controller.hidden" in capsys.readouterr().err
 
     def test_missing_reward_exits_2(self, tmp_path, capsys):
         assert run_cli("search", "--space", "condensenet",
@@ -254,3 +269,39 @@ class TestSampleCommand:
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert run_cli("sample", "--checkpoint", str(tmp_path / "none.npz")) == 2
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_n_exits_2(self, tmp_path, capsys, n):
+        out = tmp_path / "run"
+        assert run_cli(*search_args(out)) == 0
+        samples_dir = tmp_path / "samples"
+        assert run_cli("sample", "--checkpoint", str(out / "checkpoint.npz"),
+                       "--n", n, "--out", str(samples_dir)) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not samples_dir.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("param/lstm.u", np.zeros(1)),          # would broadcast into every entry
+        ("adam_m/lstm.w", None),                # missing moment
+        ("meta", "version 1"),
+    ])
+    def test_bad_checkpoint_exits_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "run"
+        assert run_cli(*search_args(out)) == 0
+        path = out / "checkpoint.npz"
+        with np.load(path) as data:
+            contents = {k: data[k] for k in data.files}
+        if key == "meta":
+            meta = json.loads(bytes(contents["meta"]).decode())
+            meta["version"] = 1
+            contents["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        elif value is None:
+            del contents[key]
+        else:
+            contents[key] = value
+        np.savez(path, **contents)
+        capsys.readouterr()
+        assert run_cli("sample", "--checkpoint", str(path), "--n", "3",
+                       "--out", str(tmp_path / "s")) == 2
+        err = capsys.readouterr().err
+        assert ("version" if key == "meta" else key) in err

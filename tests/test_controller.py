@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -225,6 +226,8 @@ class TestCheckpoint:
 
         for name, arr in state.params.items():
             np.testing.assert_array_equal(arr, restored.params[name])
+        np.testing.assert_array_equal(restored.adam.m.flat, state.adam.m.flat)
+        np.testing.assert_array_equal(restored.adam.v.flat, state.adam.v.flat)
         assert restored.adam.t == state.adam.t
 
         # both copies continue bit-identically, rng state included
@@ -235,18 +238,60 @@ class TestCheckpoint:
             assert a.log_probs == b.log_probs
 
     def test_version_gate(self, tmp_path):
-        space = build_space("alexnet")
-        state = ctl.create_controller(space, seed=0)
-        path = tmp_path / "c.npz"
-        ctl.save_checkpoint(state, path)
-        import json
+        for version in (1, 99):
+            path = saved_checkpoint(tmp_path)
+            rewrite(path, lambda contents: set_version(contents, version))
+            with pytest.raises(ValueError, match="version"):
+                ctl.load_checkpoint(path)
 
-        import numpy as np
-        with np.load(path) as data:
-            contents = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(contents["meta"]).decode())
-        meta["version"] = 99
-        contents["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **contents)
-        with pytest.raises(ValueError, match="version"):
+    @pytest.mark.parametrize("key, edit, message", [
+        ("param/lstm.u", lambda a: a[:1, 0], "shape"),
+        ("adam_m/head.stage.w", lambda a: a.T, "shape"),
+        ("adam_v/lstm.b", lambda a: a.astype(np.float32), "dtype"),
+        ("param/head.growth.b", lambda a: a.astype(np.int64), "dtype"),
+    ])
+    def test_bad_array_rejected_by_name(self, tmp_path, key, edit, message):
+        path = saved_checkpoint(tmp_path)
+        rewrite(path, lambda contents: contents.__setitem__(key, edit(contents[key])))
+        with pytest.raises(ValueError, match=message) as exc:
             ctl.load_checkpoint(path)
+        assert key in str(exc.value)
+
+    def test_missing_array_rejected_by_name(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite(path, lambda contents: contents.pop("adam_v/lstm.w"))
+        with pytest.raises(ValueError, match="lacks array 'adam_v/lstm.w'"):
+            ctl.load_checkpoint(path)
+
+    def test_extra_array_rejected_by_name(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite(path, lambda contents: contents.__setitem__("param/lstm.w_i", np.zeros(3)))
+        with pytest.raises(ValueError, match="unexpected array 'param/lstm.w_i'"):
+            ctl.load_checkpoint(path)
+
+
+def saved_checkpoint(tmp_path):
+    state = ctl.create_controller(build_space("condensenet"), seed=0)
+    path = tmp_path / "c.npz"
+    ctl.save_checkpoint(state, path)
+    return path
+
+
+def rewrite(path, edit):
+    """Load every record of a checkpoint, let ``edit`` change them, save again."""
+    with np.load(path) as data:
+        contents = {k: data[k] for k in data.files}
+    edit(contents)
+    np.savez(path, **contents)
+
+
+def set_version(contents, version):
+    meta = json.loads(bytes(contents["meta"]).decode())
+    meta["version"] = version
+    contents["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    if version == 1:  # version 1 stored the LSTM one tensor per gate
+        for prefix in ("param", "adam_m", "adam_v"):
+            for kind in "wub":
+                blocks = np.array_split(contents.pop(f"{prefix}/lstm.{kind}"), 4)
+                for gate, block in zip("ifog", blocks):
+                    contents[f"{prefix}/lstm.{kind}_{gate}"] = block

@@ -5,7 +5,7 @@ from archsearch.search_space import (ActionSequence, AlexNetArch, CondenseNetArc
                                      MACRO_OPS, MacroArch, arch_from_compact,
                                      arch_from_dict, arch_from_text, arch_to_compact,
                                      arch_to_dict, arch_to_text, build_space, decode,
-                                     encode, one_hot_input)
+                                     encode, input_token)
 
 # every CondenseNet-family row used in the results table fixture
 TABLE_ARCHS = [
@@ -140,39 +140,42 @@ class TestEncode:
 
 
 class TestOneHotInput:
+    """`input_token` gives the position of the one-hot input's single 1.0."""
+
     def test_absent_choice_gives_zeros(self):
         space = build_space("alexnet")
-        vec = one_hot_input(space)
-        assert vec.shape == (26,)
-        assert np.all(vec == 0.0)
+        assert space.vocab_size == 26
+        assert input_token(space) is None
 
     def test_slot0_action2(self):
         space = build_space("alexnet")
-        vec = one_hot_input(space, (0, 2))
-        assert vec[2] == 1.0 and vec.sum() == 1.0
+        assert input_token(space, (0, 2)) == 2
 
     def test_slot1_action0_offset(self):
         # five filter candidates precede the first height candidate
         space = build_space("alexnet")
-        vec = one_hot_input(space, (1, 0))
-        assert vec[5] == 1.0 and vec.sum() == 1.0
+        assert input_token(space, (1, 0)) == 5
 
     @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro"])
     def test_l0_norm_is_zero_or_one(self, kind):
         space = build_space(kind)
         rng = np.random.default_rng(2)
-        assert np.count_nonzero(one_hot_input(space)) == 0
+        assert input_token(space) is None
+        seen = {}
         for _ in range(50):
             slot = int(rng.integers(len(space.slots)))
             action = int(rng.integers(len(space.slots[slot].candidates)))
-            assert np.count_nonzero(one_hot_input(space, (slot, action))) == 1
+            token = input_token(space, (slot, action))
+            start = space.vocab_offsets[slot]
+            assert start <= token < start + len(space.slots[slot].candidates)
+            assert seen.setdefault(token, (slot, action)) == (slot, action)
 
     def test_invalid_choice_rejected(self):
         space = build_space("alexnet")
         with pytest.raises(ValueError):
-            one_hot_input(space, (6, 0))
+            input_token(space, (6, 0))
         with pytest.raises(ValueError):
-            one_hot_input(space, (0, 5))
+            input_token(space, (0, 5))
 
 
 class TestMacroArchInvariants:
