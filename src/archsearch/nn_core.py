@@ -144,7 +144,6 @@ class LstmStepCache:
     c_prev: np.ndarray
     gates: np.ndarray  # activations i, f, o, g back to back, as the rows of w
     tanh_c: np.ndarray
-    c: np.ndarray
     h: np.ndarray
 
 
@@ -174,7 +173,7 @@ def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
     tanh_c = np.tanh(c)
     h = o * tanh_c
     cache = LstmStepCache(token=token, h_prev=h_prev, c_prev=c_prev, gates=gates,
-                          tanh_c=tanh_c, c=c, h=h)
+                          tanh_c=tanh_c, h=h)
     return h, c, cache
 
 
