@@ -166,8 +166,14 @@ def _write_run_artifacts(out_dir: Path, cfg: engine.RunConfig,
 
 def cmd_search(args: argparse.Namespace) -> int:
     cfg, out_dir = _build_run_config(args)
+    state = None
+    if cfg.resume_path is not None:
+        try:
+            state = engine.load_resume(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.resume_path}: {exc}") from exc
     started = time.perf_counter()
-    result = engine.run_search(cfg)
+    result = engine.run_search(cfg, controller=state)
     elapsed = time.perf_counter() - started
     _write_run_artifacts(out_dir, cfg, result)
     best = result.best

@@ -11,7 +11,8 @@ ascent step per sampled architecture.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,14 @@ class ControllerState:
     baseline_decay: float = DEFAULT_BASELINE_DECAY
     baseline: float = 0.0
     revision: int = 0
+    # the update's gradient workspace, same layout as params, and the
+    # blocks its global norm is summed over; rewritten by every update
+    grads: ParamBuffer = field(init=False, repr=False)
+    grad_blocks: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.grads = self.params.like()
+        self.grad_blocks = _norm_blocks(self.grads)
 
     def head(self, head_type: str) -> tuple[np.ndarray, np.ndarray]:
         return self.params[f"head.{head_type}.w"], self.params[f"head.{head_type}.b"]
@@ -169,15 +178,24 @@ def action_log_prob(state: ControllerState, seq: ActionSequence) -> float:
     return total
 
 
-def policy_gradients(state: ControllerState, rollout: Rollout,
-                     scale: float) -> ParamBuffer:
+def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
+                     out: ParamBuffer | None = None) -> ParamBuffer:
     """Gradient of scale * sum_t log P(a_t) w.r.t. every parameter.
 
     The softmax/log-prob gradient at the chosen action is
     scale * (one_hot(action) - probs); head gradients come directly from
-    it, the rest flows through the unrolled LSTM.
+    it, the rest flows through the unrolled LSTM. Written over every
+    tensor of ``out`` when given, else into a new buffer.
     """
-    grads = state.params.like()
+    if out is None:
+        grads = state.params.like()
+    elif out.shapes != state.params.shapes:
+        raise ValueError("gradient layout does not match parameter layout")
+    else:
+        grads = out
+        for name, tensor in grads.items():
+            if not name.startswith("lstm."):  # lstm_backward clears its own
+                tensor.fill(0.0)
     caches = [step.cache for step in rollout.steps]
     dh_list: list[np.ndarray] = []
     for step in rollout.steps:
@@ -188,10 +206,7 @@ def policy_gradients(state: ControllerState, rollout: Rollout,
         grad_w += np.outer(dlogits, step.cache.h)
         grad_b += dlogits
         dh_list.append(w.T @ dlogits)
-    lstm_grads = lstm_backward(state.lstm, caches, dh_list)
-    for name, g in lstm_grads.tensors().items():
-        total = grads[name]
-        total += g
+    lstm_backward(state.lstm, caches, dh_list, out=LstmCellParams.from_tensors(grads))
     return grads
 
 
@@ -220,15 +235,21 @@ def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
         if rollout.revision != state.revision:
             raise ValueError("stale rollout: controller parameters changed since sampling")
 
-    grads = state.params.like()
-    for rollout, reward in zip(rollouts, rewards):
+    # the first rollout goes straight into the workspace; each further one
+    # into a second buffer that is then added, one rollout at a time
+    grads = state.grads
+    rest = state.params.like() if len(rollouts) > 1 else None
+    for k, (rollout, reward) in enumerate(zip(rollouts, rewards)):
         scale = reward - state.baseline if state.use_baseline else reward
-        grads.flat += policy_gradients(state, rollout, scale / len(rollouts)).flat
-    blocks = _norm_blocks(grads)
+        if k == 0:
+            policy_gradients(state, rollout, scale / len(rollouts), out=grads)
+        else:
+            grads.flat += policy_gradients(state, rollout, scale / len(rollouts),
+                                           out=rest).flat
     if state.clip_norm is not None:
-        norm = clip_by_global_norm(blocks, state.clip_norm)
+        norm = clip_by_global_norm(state.grad_blocks, state.clip_norm)
     else:
-        norm = global_norm(blocks)
+        norm = global_norm(state.grad_blocks)
     adam_step(state.params, grads, state.adam)
     state.revision += 1
     if state.use_baseline:
@@ -269,18 +290,22 @@ def save_checkpoint(state: ControllerState, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ControllerState:
     """Read a snapshot written by `save_checkpoint`.
 
-    Raises ValueError on another format version, and, naming the array, on
-    a missing or extra array or one of the wrong shape or dtype: numpy
-    would otherwise broadcast a wrong-shaped array into place silently.
+    Raises ValueError on a file that is not a readable numpy archive (an
+    empty or truncated file), on another format version, and, naming the
+    array, on a missing or extra array or one of the wrong shape or dtype:
+    numpy would otherwise broadcast a wrong-shaped array into place silently.
     """
-    with np.load(path) as data:
-        if "meta" not in data.files:
-            raise ValueError("checkpoint has no meta record")
-        meta = json.loads(bytes(data["meta"]).decode())
-        version = meta.get("version") if isinstance(meta, dict) else None
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {version}")
-        arrays = {key: data[key] for key in data.files if key != "meta"}
+    try:
+        with np.load(path) as data:
+            if "meta" not in data.files:
+                raise ValueError("checkpoint has no meta record")
+            meta = json.loads(bytes(data["meta"]).decode())
+            version = meta.get("version") if isinstance(meta, dict) else None
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version: {version}")
+            arrays = {key: data[key] for key in data.files if key != "meta"}
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"checkpoint is not a readable numpy archive: {exc}") from exc
 
     try:
         state = create_controller(build_space(meta["space_kind"]), seed=0,

@@ -146,20 +146,29 @@ def _pareto_point(record: IterationRecord) -> ParetoPoint:
                        arch=record.arch, iteration=record.iteration)
 
 
-def _run(cfg: RunConfig, sample_random: bool) -> SearchResult:
+def load_resume(cfg: RunConfig) -> ctl.ControllerState:
+    """The controller saved at ``cfg.resume_path``, checked against the run's space.
+
+    Raises ValueError on a malformed checkpoint or one of another space.
+    """
+    state = ctl.load_checkpoint(cfg.resume_path)
+    if state.space.kind != cfg.space_kind:
+        raise ValueError(
+            f"checkpoint holds a {state.space.kind} controller, "
+            f"run is configured for {cfg.space_kind}")
+    return state
+
+
+def _run(cfg: RunConfig, sample_random: bool,
+         state: ctl.ControllerState | None = None) -> SearchResult:
     space = build_space(cfg.space_kind)
     evaluator = build_evaluator(cfg)
-    state = None
     rng = None
     if sample_random:
         rng = np.random.default_rng(cfg.seed)
-    elif cfg.resume_path is not None:
-        state = ctl.load_checkpoint(cfg.resume_path)
-        if state.space.kind != cfg.space_kind:
-            raise ValueError(
-                f"checkpoint holds a {state.space.kind} controller, "
-                f"run is configured for {cfg.space_kind}")
-    else:
+    elif state is None and cfg.resume_path is not None:
+        state = load_resume(cfg)
+    elif state is None:
         state = ctl.create_controller(space, seed=cfg.seed, hidden_dim=cfg.hidden_dim,
                                       lr=cfg.lr, clip_norm=cfg.clip_norm,
                                       use_baseline=cfg.use_baseline)
@@ -209,9 +218,15 @@ def _run(cfg: RunConfig, sample_random: bool) -> SearchResult:
                         controller=state)
 
 
-def run_search(cfg: RunConfig) -> SearchResult:
-    """Policy-gradient search over the configured space (one update per sample)."""
-    return _run(cfg, sample_random=False)
+def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None
+               ) -> SearchResult:
+    """Policy-gradient search over the configured space (one update per sample).
+
+    ``controller`` is the state to continue from, as `load_resume` returns
+    it; without it the run loads ``cfg.resume_path`` if set, else starts a
+    fresh controller.
+    """
+    return _run(cfg, sample_random=False, state=controller)
 
 
 def run_random(cfg: RunConfig) -> SearchResult:

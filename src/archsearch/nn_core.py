@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,11 +178,13 @@ def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
 
 
 def lstm_backward(params: LstmCellParams, caches: list[LstmStepCache],
-                  output_grads: list[np.ndarray]) -> LstmCellParams:
+                  output_grads: list[np.ndarray],
+                  out: LstmCellParams | None = None) -> LstmCellParams:
     """Backprop through time over a full forward pass.
 
     ``output_grads[t]`` is dLoss/dh_t. Returns the accumulated parameter
-    gradients. No truncation: gradients are exact.
+    gradients, written over ``out`` when given (its old contents are never
+    read), else into a new cell. No truncation: gradients are exact.
     """
     if len(caches) != len(output_grads):
         raise ValueError("need one output gradient per cached step")
@@ -192,7 +194,14 @@ def lstm_backward(params: LstmCellParams, caches: list[LstmStepCache],
                                      and not 0 <= cache.token < params.input_dim):
             raise ValueError(f"cache at step {t} does not match params dimensions")
 
-    grads = zero_lstm(params.input_dim, n)
+    if out is None:
+        grads = zero_lstm(params.input_dim, n)
+    elif out.w.shape != params.w.shape or out.u.shape != params.u.shape:
+        raise ValueError("gradient cell does not match params dimensions")
+    else:
+        grads = out
+        for tensor in grads.tensors().values():
+            tensor.fill(0.0)
     u_i, u_f, u_o, u_g = (params.gate(gate)[1].T for gate in GATE_NAMES)
     dh_next = np.zeros(n)
     dc_next = np.zeros(n)
@@ -235,9 +244,11 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max subtraction)."""
     if logits.size == 0:
         raise ValueError("softmax of empty logits")
-    shifted = logits - np.max(logits)
+    # the ndarray methods run the same reductions as np.max/np.sum without
+    # the dispatch of the module-level wrappers
+    shifted = logits - logits.max()
     exps = np.exp(shifted)
-    return exps / np.sum(exps)
+    return exps / exps.sum()
 
 
 def softmax_sample(logits: np.ndarray, rng: np.random.Generator
@@ -249,14 +260,19 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator
     """
     probs = softmax_probs(logits)
     u = rng.random()
-    index = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    index = int(probs.cumsum().searchsorted(u, side="right"))
     index = min(index, len(probs) - 1)  # guard against cumsum rounding below 1
     return index, float(np.log(probs[index])), probs
 
 
 @dataclass
 class AdamState:
-    """ADAM moment accumulators for a parameter buffer (ascent convention)."""
+    """ADAM moment accumulators for a parameter buffer (ascent convention).
+
+    ``scratch`` holds the step's temporaries, two rows as long as the
+    buffer; `adam_step` allocates it on first use and overwrites it on
+    every step, so its contents carry nothing between steps.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -265,6 +281,7 @@ class AdamState:
     t: int = 0
     m: ParamBuffer | None = None
     v: ParamBuffer | None = None
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
@@ -290,11 +307,27 @@ def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None
     correct1 = 1.0 - b1 ** state.t
     correct2 = 1.0 - b2 ** state.t
     g, m, v = grads.flat, state.m.flat, state.v.flat
+    if state.scratch is None or state.scratch.shape != (2, g.size):
+        state.scratch = np.empty((2, g.size))
+    s, d = state.scratch
+    # the same operations in the same order as
+    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
+    #   params += (lr * (m / c1)) / (sqrt(v / c2) + eps)
+    # computed into the scratch rows instead of fresh temporaries
     m *= b1
-    m += (1.0 - b1) * g
+    np.multiply(1.0 - b1, g, out=s)
+    m += s
     v *= b2
-    v += (1.0 - b2) * g * g
-    params.flat += state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+    np.multiply(1.0 - b2, g, out=s)
+    s *= g
+    v += s
+    np.divide(m, correct1, out=s)
+    np.multiply(state.lr, s, out=s)
+    np.divide(v, correct2, out=d)
+    np.sqrt(d, out=d)
+    d += state.eps
+    s /= d
+    params.flat += s
 
 
 def global_norm(grads: Mapping[str, np.ndarray]) -> float:

@@ -15,6 +15,7 @@ maximum and clamped into [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 REWARD_KINDS = ("mixed", "power_constraint", "accuracy_constraint", "mac_constraint")
@@ -58,6 +59,12 @@ class RewardSpec:
     def __post_init__(self) -> None:
         if self.kind not in REWARD_KINDS:
             raise ValueError(f"unknown reward kind: {self.kind!r}")
+        # a nan threshold fails every strict comparison, so a run would
+        # report every sample as a violation instead of failing
+        for name in ("alpha", "threshold", "energy_norm_max", "violation_reward"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "mixed":
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
                 raise ValueError("mixed reward needs alpha in [0, 1]")

@@ -100,6 +100,39 @@ def adam_reference(theta0: float, grads: list[float], lr: float,
     return theta
 
 
+def adam_step_reference(params, grads, state) -> None:
+    """One ADAM ascent step on flat buffers, every temporary a fresh array.
+
+    The same expression as `nn_core.adam_step`, written without ``out=``
+    and scratch memory, so the two must agree byte for byte.
+    """
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    correct1 = 1.0 - b1 ** state.t
+    correct2 = 1.0 - b2 ** state.t
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params.flat += state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+
+
+def softmax_sample_reference(logits, rng):
+    """Inverse-CDF softmax sampling through numpy's module-level functions.
+
+    The formula `nn_core.softmax_sample` computes with ndarray methods:
+    returns (index, log prob of index, probs).
+    """
+    shifted = logits - np.max(logits)
+    exps = np.exp(shifted)
+    probs = exps / np.sum(exps)
+    u = rng.random()
+    index = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    index = min(index, len(probs) - 1)
+    return index, float(np.log(probs[index])), probs
+
+
 def brute_force_front(points):
     """O(n^2) non-dominated filter; duplicates keep the smallest iteration."""
     def dominated(p, q):

@@ -81,6 +81,28 @@ class TestSearchCommand:
         for name in ("results.csv", "summary.json", "stats.csv", "front.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--threshold", "nan", "threshold"),
+        ("--threshold", "inf", "threshold"),
+        ("--energy-norm", "inf", "energy_norm_max"),
+        ("--energy-norm", "nan", "energy_norm_max"),
+        ("--violation-reward", "nan", "violation_reward"),
+    ])
+    def test_non_finite_reward_setting_exits_2(self, tmp_path, capsys, flag, value,
+                                               named):
+        out = tmp_path / "nf"
+        assert run_cli(*search_args(out), flag, value) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_violation_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("space = macro\nreward.kind = mac_constraint\n"
+                       "reward.threshold = 0.31\nreward.violation = nan\n"
+                       "run.iterations = 5\n")
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "violation_reward" in capsys.readouterr().err
+
     def test_lookup_evaluator_with_fallback(self, tmp_path):
         out = tmp_path / "lk"
         code = run_cli(*search_args(out), "--evaluator", "lookup", "--fallback", "on")
@@ -255,6 +277,28 @@ class TestResumeFlag:
         assert run_cli(*search_args(out), "--resume",
                        str(tmp_path / "ghost.npz")) == 2
 
+    def test_empty_checkpoint_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.npz"
+        path.write_bytes(b"")
+        out = tmp_path / "r"
+        assert run_cli(*search_args(out), "--resume", str(path)) == 2
+        assert run_cli("sample", "--checkpoint", str(path), "--n", "3",
+                       "--out", str(tmp_path / "s")) == 2
+        assert capsys.readouterr().err.count("not a readable numpy archive") == 2
+        assert not out.exists()
+
+    def test_resume_from_other_space_exits_2(self, tmp_path, capsys):
+        first = tmp_path / "alex"
+        assert run_cli("search", "--space", "alexnet", "--reward", "mixed",
+                       "--alpha", "0.5", "--iterations", "2",
+                       "--out", str(first)) == 0
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert run_cli(*search_args(out), "--resume",
+                       str(first / "checkpoint.npz")) == 2
+        assert "alexnet controller" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSampleCommand:
     def test_samples_from_checkpoint(self, tmp_path, capsys):
@@ -299,3 +343,8 @@ class TestSampleCommand:
         assert run_cli("sample", "--checkpoint", str(path), "--n", "3",
                        "--out", str(tmp_path / "s")) == 2
         assert named in capsys.readouterr().err
+        # search --resume checks the same file before the run starts
+        resumed = tmp_path / "resumed"
+        assert run_cli(*search_args(resumed), "--resume", str(path)) == 2
+        assert named in capsys.readouterr().err
+        assert not resumed.exists()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from archsearch import controller as ctl
+from archsearch.nn_core import adam_step, clip_by_global_norm
 from archsearch.search_space import DecisionSlot, SearchSpace, build_space
 
 from oracles import central_diff_grads, max_rel_error
@@ -175,6 +176,51 @@ class TestReinforceUpdate:
             ctl.reinforce_update_batch(state, [], [])
 
 
+class TestGradientWorkspace:
+    """Updates reuse one gradient buffer; nothing may carry over between them."""
+
+    @pytest.mark.parametrize("kind", ["macro", "condensenet"])
+    def test_out_buffer_is_fully_overwritten(self, kind):
+        space = build_space(kind)
+        state = ctl.create_controller(space, seed=5)
+        _, rollout = ctl.sample_sequence(state, space)
+        fresh = ctl.policy_gradients(state, rollout, 0.7)
+        out = state.params.like()
+        out.flat.fill(np.nan)
+        assert ctl.policy_gradients(state, rollout, 0.7, out=out) is out
+        assert out.flat.tobytes() == fresh.flat.tobytes()
+
+    def test_out_buffer_of_another_layout_rejected(self):
+        space = build_space("condensenet")
+        state = ctl.create_controller(space, seed=5)
+        _, rollout = ctl.sample_sequence(state, space)
+        other = ctl.create_controller(space, seed=5, hidden_dim=7)
+        with pytest.raises(ValueError):
+            ctl.policy_gradients(state, rollout, 0.7, out=other.params.like())
+
+    def test_consecutive_batches_match_fresh_buffers(self):
+        """Two batch-3 macro updates equal the same updates summed into new buffers."""
+        space = build_space("macro")
+        state = ctl.create_controller(space, seed=9)
+        ref = ctl.create_controller(space, seed=9)
+        for rewards in ([0.3, -0.2, 0.9], [0.5, 0.1, -0.4]):
+            rollouts = [ctl.sample_sequence(state, space)[1] for _ in rewards]
+            ref_rollouts = [ctl.sample_sequence(ref, space)[1] for _ in rewards]
+            norm = ctl.reinforce_update_batch(state, rollouts, rewards)
+
+            grads = ref.params.like()
+            for rollout, reward in zip(ref_rollouts, rewards):
+                grads.flat += ctl.policy_gradients(ref, rollout, reward / len(rewards)).flat
+            ref_norm = clip_by_global_norm(ctl._norm_blocks(grads), ref.clip_norm)
+            adam_step(ref.params, grads, ref.adam)
+            ref.revision += 1
+
+            assert repr(norm) == repr(ref_norm)
+            assert state.params.flat.tobytes() == ref.params.flat.tobytes()
+            assert state.adam.m.flat.tobytes() == ref.adam.m.flat.tobytes()
+            assert state.adam.v.flat.tobytes() == ref.adam.v.flat.tobytes()
+
+
 class TestLearningDynamics:
     def test_two_candidate_bandit_saturates(self):
         space = bandit_space(2)
@@ -256,6 +302,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message) as exc:
             ctl.load_checkpoint(path)
         assert key in str(exc.value)
+
+    @pytest.mark.parametrize("cut", [0, 100, -30])
+    def test_unreadable_file_rejected(self, tmp_path, cut):
+        """An empty or cut-off file, as an interrupted write leaves it."""
+        path = saved_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="not a readable numpy archive"):
+            ctl.load_checkpoint(path)
 
     def test_missing_array_rejected_by_name(self, tmp_path):
         path = saved_checkpoint(tmp_path)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archsearch import nn_core as nc
 
-from oracles import adam_reference, central_diff_grads, max_rel_error, scalar_lstm_step
+from oracles import (adam_reference, adam_step_reference, central_diff_grads,
+                     max_rel_error, scalar_lstm_step, softmax_sample_reference)
 
 
 def seeded_lstm(input_dim=3, hidden_dim=2, seed=0, scale=0.5):
@@ -184,6 +187,13 @@ class TestLstmBackward:
         with pytest.raises(ValueError):
             nc.lstm_backward(params, [], [np.zeros(2)])
 
+    def test_out_of_other_dimensions_rejected(self):
+        params = seeded_lstm(3, 2)
+        caches = self.run_forward(params, [None, 2])
+        for out in (nc.zero_lstm(4, 2), nc.zero_lstm(3, 3)):
+            with pytest.raises(ValueError):
+                nc.lstm_backward(params, caches, [np.zeros(2)] * 2, out=out)
+
 
 class TestSoftmaxSample:
     def test_uniform_for_equal_logits(self):
@@ -231,6 +241,22 @@ class TestSoftmaxSample:
         draws1 = [nc.softmax_sample(logits, np.random.default_rng(11))[0] for _ in range(1)]
         draws2 = [nc.softmax_sample(logits, np.random.default_rng(11))[0] for _ in range(1)]
         assert draws1 == draws2
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=8),
+           seed=st.integers(min_value=0, max_value=2**128 - 1))
+    def test_matches_module_function_formula(self, logits, seed):
+        logits = np.array(logits)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):  # extreme logits over/underflow alike
+            index, log_prob, probs = nc.softmax_sample(logits, rng)
+            ref_index, ref_log_prob, ref_probs = softmax_sample_reference(logits, ref_rng)
+        assert index == ref_index
+        assert repr(log_prob) == repr(ref_log_prob)
+        assert repr(probs.tolist()) == repr(ref_probs.tolist())
+        assert rng.random() == ref_rng.random()  # one draw taken by each
 
 
 def buffer(**tensors):
@@ -293,6 +319,27 @@ class TestAdam:
             for ix in np.ndindex(p0.shape):
                 expected = adam_reference(p0[ix], [g[name][ix] for g in steps], lr=0.02)
                 assert params[name][ix] == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("scratch", ["fresh", "nan", "garbage"])
+    def test_bytes_do_not_depend_on_scratch(self, scratch):
+        rng = np.random.default_rng(21)
+        start = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        steps = [{name: rng.normal(size=p.shape) for name, p in start.items()}
+                 for _ in range(3)]
+        params, ref_params = buffer(**start), buffer(**start)
+        state = nc.AdamState.for_params(params, lr=0.03)
+        ref_state = nc.AdamState.for_params(ref_params, lr=0.03)
+        for grads in steps:
+            if scratch == "nan":
+                state.scratch = np.full((2, params.flat.size), np.nan)
+            elif scratch == "garbage":
+                state.scratch = rng.normal(scale=1e300, size=(2, params.flat.size))
+            nc.adam_step(params, buffer(**grads), state)
+            adam_step_reference(ref_params, buffer(**grads), ref_state)
+            assert params.flat.tobytes() == ref_params.flat.tobytes()
+            assert state.m.flat.tobytes() == ref_state.m.flat.tobytes()
+            assert state.v.flat.tobytes() == ref_state.v.flat.tobytes()
+        assert state.t == ref_state.t == 3
 
     def test_ascent_direction(self):
         params = buffer(w=np.array([0.0]))

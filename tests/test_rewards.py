@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from archsearch.rewards import (EvaluationResult, RewardSpec, compute_reward,
@@ -152,6 +154,17 @@ class TestSpecValidation:
             RewardSpec(kind="mixed")
         with pytest.raises(ValueError):
             RewardSpec(kind="mixed", alpha=1.5)
+
+    @pytest.mark.parametrize("kind, field", [
+        ("mixed", "alpha"), ("power_constraint", "threshold"),
+        ("mixed", "energy_norm_max"), ("mac_constraint", "violation_reward"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setting_rejected(self, kind, field, value):
+        settings = {"alpha": 0.5} if kind == "mixed" else {"threshold": 0.5}
+        settings[field] = value
+        with pytest.raises(ValueError):
+            RewardSpec(kind=kind, **settings)
 
     def test_constraints_require_threshold(self):
         for kind in ("power_constraint", "accuracy_constraint", "mac_constraint"):
