@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import controller as ctl
-from . import engine
+from . import engine, textio
 from .cost_model import DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE, macro_mac
 from .rewards import (DEFAULT_ENERGY_NORM_MAX, DEFAULT_VIOLATION_REWARD, REWARD_KINDS,
                       RewardSpec)
@@ -58,19 +58,10 @@ def read_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}, line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}, line {lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
+    try:
+        return textio.read_key_values(p.read_text(), path, keys=CONFIG_KEYS)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_bool(raw: str, what: str) -> bool:

@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import controller as ctl
+from . import textio
 from .evaluators import (Evaluator, LookupEvaluator, UnknownArchitectureError,
                          fixture_lookup_path, load_lookup, make_surrogate)
 from .pareto import ParetoFront, ParetoPoint, front_of
@@ -29,6 +30,11 @@ DEFAULT_WINDOW = 50
 
 RESULTS_HEADER = ("iteration", "actions", "accuracy", "energy", "peak_power",
                   "mac_normalized", "reward", "grad_norm")
+FRONT_HEADER = ("energy", "accuracy", "arch")
+STATS_HEADER = ("window", "start_iteration", "end_iteration", "satisfaction_rate")
+HISTOGRAM_HEADER = ("op", "count")
+LAYER_HISTOGRAM_HEADER = ("layer",) + MACRO_OPS
+SAMPLES_HEADER = ("arch", "accuracy", "energy", "peak_power", "mac_normalized")
 
 
 @dataclass(frozen=True)
@@ -288,36 +294,20 @@ def fmt_float(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _parse_opt(token: str) -> float | None:
+def _opt_float(token: str) -> float | None:
     return None if token == "" else float(token)
 
 
-def serialize_actions(seq: ActionSequence) -> str:
-    return ":".join(str(a) for a in seq.actions)
-
-
-def parse_actions(token: str) -> tuple[int, ...]:
-    # empty is allowed: hand-written analysis rows may carry scores only
-    if not token:
-        return ()
-    return tuple(int(t) for t in token.split(":"))
+def _score_fields(ev: EvaluationResult) -> list[str]:
+    return [fmt_float(ev.accuracy), fmt_float(ev.energy_joules),
+            fmt_float(ev.peak_power_watts), fmt_float(ev.mac_normalized)]
 
 
 def write_results_csv(path: str | Path, records: list[IterationRecord]) -> None:
-    lines = [",".join(RESULTS_HEADER)]
-    for r in records:
-        ev = r.result
-        lines.append(",".join([
-            str(r.iteration),
-            serialize_actions(r.seq),
-            fmt_float(ev.accuracy),
-            fmt_float(ev.energy_joules),
-            fmt_float(ev.peak_power_watts),
-            fmt_float(ev.mac_normalized),
-            fmt_float(r.reward),
-            fmt_float(r.grad_norm),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    textio.write_table(path, RESULTS_HEADER, (
+        [str(r.iteration), ":".join(str(a) for a in r.seq.actions),
+         *_score_fields(r.result), fmt_float(r.reward), fmt_float(r.grad_norm)]
+        for r in records))
 
 
 @dataclass(frozen=True)
@@ -332,136 +322,78 @@ class ResultRow:
     grad_norm: float
 
 
+def _result_row(iteration: str, actions: str, accuracy: str, energy: str, peak_power: str,
+                mac_normalized: str, reward: str, grad_norm: str) -> ResultRow:
+    # empty actions are allowed: hand-written analysis rows may carry scores only
+    return ResultRow(int(iteration), tuple(int(a) for a in actions.split(":") if actions),
+                     float(accuracy), _opt_float(energy), _opt_float(peak_power),
+                     _opt_float(mac_normalized), float(reward), float(grad_norm))
+
+
 def read_results_csv(path: str | Path) -> list[ResultRow]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or tuple(lines[0].split(",")) != RESULTS_HEADER:
-        raise ValueError(f"{path}: not a results file (bad header)")
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != len(RESULTS_HEADER):
-            raise ValueError(f"{path}, line {lineno}: expected {len(RESULTS_HEADER)} fields")
-        rows.append(ResultRow(
-            iteration=int(parts[0]),
-            actions=parse_actions(parts[1]),
-            accuracy=float(parts[2]),
-            energy=_parse_opt(parts[3]),
-            peak_power=_parse_opt(parts[4]),
-            mac_normalized=_parse_opt(parts[5]),
-            reward=float(parts[6]),
-            grad_norm=float(parts[7]),
-        ))
-    return rows
+    return textio.read_table(path, RESULTS_HEADER, _result_row)
 
 
 def write_front_csv(path: str | Path, front: ParetoFront) -> None:
-    lines = ["energy,accuracy,arch"]
-    for p in front.points:
-        token = arch_to_compact(p.arch) if p.arch is not None else ""
-        lines.append(f"{fmt_float(p.energy)},{fmt_float(p.accuracy)},{token}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    textio.write_table(path, FRONT_HEADER, (
+        (fmt_float(p.energy), fmt_float(p.accuracy),
+         arch_to_compact(p.arch) if p.arch is not None else "")
+        for p in front.points))
 
 
 def read_front_csv(path: str | Path) -> ParetoFront:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "energy,accuracy,arch":
-        raise ValueError(f"{path}: not a front file (bad header)")
-    points = []
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        energy, accuracy, token = raw.split(",")
-        arch = arch_from_compact(token) if token else None
-        points.append(ParetoPoint(accuracy=float(accuracy), energy=float(energy),
-                                  arch=arch))
-    front = ParetoFront()
-    front.points = points
-    return front
+    return ParetoFront(textio.read_table(path, FRONT_HEADER, lambda energy, accuracy, arch: (
+        ParetoPoint(accuracy=float(accuracy), energy=float(energy),
+                    arch=arch_from_compact(arch) if arch else None))))
 
 
 def write_stats_csv(path: str | Path, stats: SearchStats) -> None:
-    lines = ["window,start_iteration,end_iteration,satisfaction_rate"]
-    for w, rate in enumerate(stats.windows):
-        start = w * stats.window_size + 1
-        lines.append(f"{w},{start},{start + stats.window_size - 1},{fmt_float(rate)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    size = stats.window_size
+    textio.write_table(path, STATS_HEADER, (
+        (str(w), str(w * size + 1), str(w * size + size), fmt_float(rate))
+        for w, rate in enumerate(stats.windows)))
 
 
 def read_stats_csv(path: str | Path) -> list[float]:
     """Window satisfaction rates back out of a stats file."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "window,start_iteration,end_iteration,satisfaction_rate":
-        raise ValueError(f"{path}: not a stats file (bad header)")
-    return [float(raw.split(",")[3]) for raw in lines[1:] if raw.strip()]
+    return textio.read_table(path, STATS_HEADER, lambda window, start, end, rate: float(rate))
 
 
 def write_histogram_csv(path: str | Path, op_histogram: dict[str, int]) -> None:
-    lines = ["op,count"]
-    lines += [f"{op},{op_histogram[op]}" for op in MACRO_OPS]
-    Path(path).write_text("\n".join(lines) + "\n")
+    textio.write_table(path, HISTOGRAM_HEADER,
+                       ((op, str(op_histogram[op])) for op in MACRO_OPS))
 
 
 def read_histogram_csv(path: str | Path) -> dict[str, int]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "op,count":
-        raise ValueError(f"{path}: not a histogram file (bad header)")
-    out: dict[str, int] = {}
-    for raw in lines[1:]:
-        if raw.strip():
-            op, count = raw.split(",")
-            out[op] = int(count)
-    return out
+    return dict(textio.read_table(path, HISTOGRAM_HEADER, lambda op, count: (op, int(count))))
 
 
 def write_layer_histogram_csv(path: str | Path, layer_histogram: list[list[int]]) -> None:
-    lines = ["layer," + ",".join(MACRO_OPS)]
-    for layer, counts in enumerate(layer_histogram, start=1):
-        lines.append(f"{layer}," + ",".join(str(c) for c in counts))
-    Path(path).write_text("\n".join(lines) + "\n")
+    textio.write_table(path, LAYER_HISTOGRAM_HEADER, (
+        [str(layer)] + [str(c) for c in counts]
+        for layer, counts in enumerate(layer_histogram, start=1)))
 
 
 def read_layer_histogram_csv(path: str | Path) -> list[list[int]]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "layer," + ",".join(MACRO_OPS):
-        raise ValueError(f"{path}: not a layer histogram file (bad header)")
-    return [[int(tok) for tok in raw.split(",")[1:]]
-            for raw in lines[1:] if raw.strip()]
-
-
-SAMPLES_HEADER = ("arch", "accuracy", "energy", "peak_power", "mac_normalized")
+    return textio.read_table(path, LAYER_HISTOGRAM_HEADER,
+                             lambda layer, *counts: [int(c) for c in counts])
 
 
 def write_samples_csv(path: str | Path,
                       samples: list[tuple[Architecture, EvaluationResult]]) -> None:
-    lines = [",".join(SAMPLES_HEADER)]
-    for arch, ev in samples:
-        lines.append(",".join([
-            arch_to_compact(arch),
-            fmt_float(ev.accuracy),
-            fmt_float(ev.energy_joules),
-            fmt_float(ev.peak_power_watts),
-            fmt_float(ev.mac_normalized),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    textio.write_table(path, SAMPLES_HEADER,
+                       ([arch_to_compact(arch), *_score_fields(ev)] for arch, ev in samples))
+
+
+def _sample(arch: str, accuracy: str, energy: str, peak_power: str,
+            mac_normalized: str) -> tuple[Architecture, EvaluationResult]:
+    return arch_from_compact(arch), EvaluationResult(
+        accuracy=float(accuracy), energy_joules=_opt_float(energy),
+        peak_power_watts=_opt_float(peak_power), mac_normalized=_opt_float(mac_normalized))
 
 
 def read_samples_csv(path: str | Path) -> list[tuple[Architecture, EvaluationResult]]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or tuple(lines[0].split(",")) != SAMPLES_HEADER:
-        raise ValueError(f"{path}: not a samples file (bad header)")
-    out = []
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        token, acc, energy, power, mac = raw.split(",")
-        out.append((arch_from_compact(token),
-                    EvaluationResult(accuracy=float(acc),
-                                     energy_joules=_parse_opt(energy),
-                                     peak_power_watts=_parse_opt(power),
-                                     mac_normalized=_parse_opt(mac))))
-    return out
+    return textio.read_table(path, SAMPLES_HEADER, _sample)
 
 
 def summary_dict(cfg: RunConfig, result: SearchResult) -> dict:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cost_model
+from . import cost_model, textio
 from .rewards import EvaluationResult
 from .search_space import AlexNetArch, Architecture, CondenseNetArch, MacroArch, arch_to_compact
 
@@ -122,19 +122,6 @@ class SurrogateEvaluator(Evaluator):
         )
 
 
-def _parse_flat_config(text: str, source: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}, line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
 def load_surrogate_config(space: str, path: str | Path | None = None,
                           seed: int = 0) -> SurrogateConfig:
     """Surrogate constants for a space, from a config file or the shipped fixture.
@@ -148,7 +135,7 @@ def load_surrogate_config(space: str, path: str | Path | None = None,
     else:
         text = Path(path).read_text()
         source = str(path)
-    values = _parse_flat_config(text, source)
+    values = textio.read_key_values(text, source)
     if "version" not in values:
         raise ValueError(f"{source}: missing version key")
 
@@ -207,34 +194,20 @@ class LookupTable:
 def load_lookup(path: str | Path) -> LookupTable:
     """Parse a lookup file: a header line, then one comma-separated row per
     architecture (stages, growths, error %, energy)."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file, expected a header line")
-    header = tuple(tok.strip() for tok in lines[0].split(","))
-    if header != LOOKUP_HEADER:
-        raise ValueError(f"{path}, line 1: expected header {','.join(LOOKUP_HEADER)}")
-
     rows: dict[CondenseNetArch, LookupRow] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = [tok.strip() for tok in raw.split(",")]
-        if len(parts) != 8:
-            raise ValueError(f"{path}, line {lineno}: expected 8 fields, got {len(parts)}")
-        try:
-            stages = tuple(int(v) for v in parts[0:3])
-            growths = tuple(int(v) for v in parts[3:6])
-            row = LookupRow(error_pct=float(parts[6]), energy_j=float(parts[7]))
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+
+    def add_row(*fields: str) -> None:
+        arch = CondenseNetArch(stages=tuple(int(v) for v in fields[0:3]),
+                               growths=tuple(int(v) for v in fields[3:6]))
+        row = LookupRow(error_pct=float(fields[6]), energy_j=float(fields[7]))
         if not 0.0 <= row.error_pct <= 100.0:
-            raise ValueError(f"{path}, line {lineno}: error must be in [0, 100]")
-        arch = CondenseNetArch(stages=stages, growths=growths)
+            raise ValueError("error must be in [0, 100]")
         if arch in rows:
-            raise ValueError(f"{path}, line {lineno}: duplicate architecture {parts[0:6]}")
+            raise ValueError(f"duplicate architecture {list(fields[0:6])}")
         rows[arch] = row
-    return LookupTable(rows, source=str(path))
+
+    textio.read_table(path, LOOKUP_HEADER, add_row)
+    return LookupTable(rows, source=str(Path(path)))
 
 
 def lookup_evaluate(table: LookupTable, arch: Architecture) -> EvaluationResult:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import textio
+
 ALEXNET_FILTERS = (8, 16, 32, 48, 64)
 ALEXNET_KERNEL = (3, 5, 7, 9)
 CONDENSENET_STAGES = (6, 8, 10, 12, 14)
@@ -256,16 +258,7 @@ def arch_to_text(arch: Architecture) -> str:
 
 
 def arch_from_text(text: str) -> Architecture:
-    kv: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-
+    kv = textio.read_key_values(text, "architecture text")
     kind = kv.get("kind")
     if kind == "alexnet":
         layers = tuple(
