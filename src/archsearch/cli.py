@@ -21,6 +21,7 @@ from pathlib import Path
 from . import controller as ctl
 from . import engine, textio
 from .cost_model import DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE, macro_mac
+from .evaluators import Evaluator
 from .rewards import (DEFAULT_ENERGY_NORM_MAX, DEFAULT_VIOLATION_REWARD, REWARD_KINDS,
                       RewardSpec)
 from .search_space import MacroArch, arch_from_text, arch_to_compact, build_space
@@ -83,7 +84,8 @@ def _merged(args: argparse.Namespace) -> dict[str, str]:
     return values
 
 
-def _build_run_config(args: argparse.Namespace) -> tuple[engine.RunConfig, Path]:
+def _build_run_config(args: argparse.Namespace
+                      ) -> tuple[engine.RunConfig, Evaluator, Path]:
     values = _merged(args)
 
     def need(key: str) -> str:
@@ -131,13 +133,19 @@ def _build_run_config(args: argparse.Namespace) -> tuple[engine.RunConfig, Path]
             batch_n=opt_int("run.batch") if "run.batch" in values else 1,
             resume_path=values.get("run.resume"),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError too, with the same message
         raise ConfigError(str(exc)) from exc
-    if cfg.resume_path is not None and not Path(cfg.resume_path).is_file():
-        raise ConfigError(f"resume checkpoint not found: {cfg.resume_path}")
-    return cfg, Path(values.get("out.dir", "out"))
+    if cfg.resume_path is not None:
+        if args.command == "random":
+            raise ConfigError("random search has no controller to resume; "
+                              "run.resume applies to search only")
+        if not Path(cfg.resume_path).is_file():
+            raise ConfigError(f"resume checkpoint not found: {cfg.resume_path}")
+    try:
+        evaluator = engine.build_evaluator(cfg)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"evaluator: {exc}") from exc
+    return cfg, evaluator, Path(values.get("out.dir", "out"))
 
 
 def _write_run_artifacts(out_dir: Path, cfg: engine.RunConfig,
@@ -155,36 +163,28 @@ def _write_run_artifacts(out_dir: Path, cfg: engine.RunConfig,
         ctl.save_checkpoint(result.controller, out_dir / "checkpoint.npz")
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    cfg, out_dir = _build_run_config(args)
+def cmd_run(args: argparse.Namespace) -> int:
+    """``search`` and ``random``: one run of the configured length, then its files."""
+    cfg, evaluator, out_dir = _build_run_config(args)
     state = None
-    if cfg.resume_path is not None:
+    if cfg.resume_path is not None:  # search only: _build_run_config refuses it for random
         try:
             state = engine.load_resume(cfg)
         except ValueError as exc:
             raise ConfigError(f"{cfg.resume_path}: {exc}") from exc
     started = time.perf_counter()
-    result = engine.run_search(cfg, controller=state)
+    if args.command == "search":
+        result = engine.run_search(cfg, controller=state, evaluator=evaluator)
+    else:
+        result = engine.run_random(cfg, evaluator=evaluator)
     elapsed = time.perf_counter() - started
     _write_run_artifacts(out_dir, cfg, result)
     best = result.best
     print(f"best iteration {best.iteration}: {arch_to_compact(best.arch)} "
           f"reward={best.reward!r} accuracy={best.result.accuracy!r}")
     print(f"{cfg.n_iterations} iterations in {elapsed:.2f}s (informational)")
-    print(f"wrote {out_dir}/results.csv, summary.json, stats.csv, front.csv, checkpoint.npz")
-    return 0
-
-
-def cmd_random(args: argparse.Namespace) -> int:
-    cfg, out_dir = _build_run_config(args)
-    started = time.perf_counter()
-    result = engine.run_random(cfg)
-    elapsed = time.perf_counter() - started
-    _write_run_artifacts(out_dir, cfg, result)
-    best = result.best
-    print(f"best iteration {best.iteration}: {arch_to_compact(best.arch)} "
-          f"reward={best.reward!r} accuracy={best.result.accuracy!r}")
-    print(f"{cfg.n_iterations} iterations in {elapsed:.2f}s (informational)")
+    if result.controller is not None:
+        print(f"wrote {out_dir}/results.csv, summary.json, stats.csv, front.csv, checkpoint.npz")
     return 0
 
 
@@ -198,7 +198,11 @@ def cmd_mac(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.arch}: {exc}") from exc
     if not isinstance(arch, MacroArch):
         raise ConfigError("MAC reports are defined for macro architectures only")
-    report = macro_mac(arch, channels=args.channels, input_size=args.input_size)
+    try:
+        report = macro_mac(arch, channels=args.channels, input_size=args.input_size)
+    except ValueError as exc:
+        raise ConfigError(f"--channels {args.channels}, --input-size {args.input_size}: "
+                          f"{exc}") from exc
     if args.json:
         print(json.dumps({
             "total_mac": report.total_mac,
@@ -217,13 +221,9 @@ def cmd_mac(args: argparse.Namespace) -> int:
 def cmd_pareto(args: argparse.Namespace) -> int:
     try:
         rows = engine.read_results_csv(args.results)
+        front = engine.rebuild_front(rows, build_space(args.space))
     except FileNotFoundError as exc:
         raise ConfigError(f"results file not found: {args.results}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        space = build_space(args.space)
-        front = engine.rebuild_front(rows, space)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     engine.write_front_csv(args.out, front)
@@ -249,10 +249,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
             seed=args.seed if args.seed is not None else 0,
             lookup_path=args.fixture,
             surrogate_path=args.surrogate_config,
-            lookup_fallback=_parse_bool(args.fallback, "fallback") if args.fallback else False,
+            lookup_fallback=args.fallback == "on",
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"evaluator: {exc}") from exc
     samples = engine.sample_trained_controller(state, space, evaluator, n=args.n)
 
     out_dir = Path(args.out)
@@ -301,11 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="run the policy-gradient search")
     add_run_flags(p_search)
-    p_search.set_defaults(func=cmd_search)
+    p_search.set_defaults(func=cmd_run)
 
     p_random = sub.add_parser("random", help="run the uniform random baseline")
     add_run_flags(p_random)
-    p_random.set_defaults(func=cmd_random)
+    p_random.set_defaults(func=cmd_run)
 
     p_mac = sub.add_parser("mac", help="MAC cost report for a macro architecture file")
     p_mac.add_argument("--arch", required=True, help="architecture file (key=value form)")

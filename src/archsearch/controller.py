@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textio
 from .nn_core import (GATE_NAMES, AdamState, LstmCellParams, LstmStepCache, ParamBuffer,
                       adam_step, clip_by_global_norm, global_norm, init_lstm,
                       lstm_backward, lstm_forward, lstm_shapes, softmax_probs,
@@ -210,18 +211,6 @@ def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
     return grads
 
 
-def reinforce_update(state: ControllerState, seq: ActionSequence,
-                     rollout: Rollout, reward: float) -> float:
-    """One policy-gradient ascent step from a sampled sequence and its reward.
-
-    Returns the global L2 norm of the gradient (before clipping) for
-    logging. Refuses rollouts recorded under older parameters.
-    """
-    if len(rollout.steps) != len(seq.actions):
-        raise ValueError("rollout does not match sequence length")
-    return reinforce_update_batch(state, [rollout], [reward])
-
-
 def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
                            rewards: list[float]) -> float:
     """Policy-gradient step averaged over a batch of sampled sequences.
@@ -283,8 +272,9 @@ def save_checkpoint(state: ControllerState, path: str | Path) -> None:
         arrays[f"param/{name}"] = p
         arrays[f"adam_m/{name}"] = state.adam.m[name]
         arrays[f"adam_v/{name}"] = state.adam.v[name]
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
+    with textio.atomic_file(path) as f:  # a file object: savez adds no .npz suffix
+        np.savez(f, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **arrays)
 
 
 def load_checkpoint(path: str | Path) -> ControllerState:
@@ -299,7 +289,10 @@ def load_checkpoint(path: str | Path) -> ControllerState:
         with np.load(path) as data:
             if "meta" not in data.files:
                 raise ValueError("checkpoint has no meta record")
-            meta = json.loads(bytes(data["meta"]).decode())
+            try:
+                meta = json.loads(bytes(data["meta"]).decode())
+            except ValueError as exc:  # also UnicodeDecodeError
+                raise ValueError(f"checkpoint meta record is not JSON: {exc}") from exc
             version = meta.get("version") if isinstance(meta, dict) else None
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version: {version}")

@@ -68,9 +68,15 @@ class RunConfig:
             raise ValueError("window must be >= 1")
         if self.batch_n < 1:
             raise ValueError("batch_n must be >= 1")
+        if self.reward.kind == "mac_constraint" and self.space_kind != "macro":
+            raise ValueError(f"mac_constraint needs the macro space, not {self.space_kind}: "
+                             "only macro architectures have a MAC count")
+        if self.reward.kind == "power_constraint" and self.evaluator_kind != "surrogate":
+            raise ValueError("power_constraint needs the surrogate evaluator: "
+                             "lookup rows carry no peak power")
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "space": self.space_kind,
             "reward": {"kind": self.reward.kind, "alpha": self.reward.alpha,
                        "threshold": self.reward.threshold,
@@ -89,7 +95,6 @@ class RunConfig:
             "batch_n": self.batch_n,
             "resume_path": self.resume_path,
         }
-        return out
 
 
 @dataclass
@@ -131,6 +136,9 @@ def make_evaluator(space_kind: str, evaluator_kind: str = "surrogate", seed: int
         return make_surrogate(space_kind, seed=seed, config_path=surrogate_path)
     if evaluator_kind != "lookup":
         raise ValueError(f"unknown evaluator kind: {evaluator_kind!r}")
+    if space_kind != "condensenet":
+        raise ValueError(f"the lookup evaluator needs the condensenet space, not {space_kind}: "
+                         "its table holds condensenet architectures")
     table = load_lookup(lookup_path or fixture_lookup_path())
     fallback = None
     if lookup_fallback:
@@ -165,10 +173,11 @@ def load_resume(cfg: RunConfig) -> ctl.ControllerState:
     return state
 
 
-def _run(cfg: RunConfig, sample_random: bool,
-         state: ctl.ControllerState | None = None) -> SearchResult:
+def _run(cfg: RunConfig, sample_random: bool, state: ctl.ControllerState | None,
+         evaluator: Evaluator | None) -> SearchResult:
     space = build_space(cfg.space_kind)
-    evaluator = build_evaluator(cfg)
+    if evaluator is None:
+        evaluator = build_evaluator(cfg)
     rng = None
     if sample_random:
         rng = np.random.default_rng(cfg.seed)
@@ -185,11 +194,8 @@ def _run(cfg: RunConfig, sample_random: bool,
     pending: list[tuple[ctl.Rollout, float, IterationRecord]] = []
     for i in range(1, cfg.n_iterations + 1):
         if sample_random:
-            actions = tuple(int(rng.integers(len(slot.candidates)))
-                            for slot in space.slots)
-            log_probs = tuple(-float(np.log(len(slot.candidates)))
-                              for slot in space.slots)
-            seq = ActionSequence(actions=actions, log_probs=log_probs)
+            seq = ActionSequence(actions=tuple(int(rng.integers(len(slot.candidates)))
+                                               for slot in space.slots))
             rollout = None
         else:
             seq, rollout = ctl.sample_sequence(state, space)
@@ -224,20 +230,20 @@ def _run(cfg: RunConfig, sample_random: bool,
                         controller=state)
 
 
-def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None
-               ) -> SearchResult:
+def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None,
+               evaluator: Evaluator | None = None) -> SearchResult:
     """Policy-gradient search over the configured space (one update per sample).
 
     ``controller`` is the state to continue from, as `load_resume` returns
     it; without it the run loads ``cfg.resume_path`` if set, else starts a
-    fresh controller.
+    fresh controller. ``evaluator`` defaults to `build_evaluator(cfg)`.
     """
-    return _run(cfg, sample_random=False, state=controller)
+    return _run(cfg, sample_random=False, state=controller, evaluator=evaluator)
 
 
-def run_random(cfg: RunConfig) -> SearchResult:
+def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResult:
     """Uniform random search through the identical evaluation pipeline."""
-    return _run(cfg, sample_random=True)
+    return _run(cfg, sample_random=True, state=None, evaluator=evaluator)
 
 
 def compute_stats(records: list[IterationRecord], spec: RewardSpec,
@@ -294,7 +300,7 @@ def fmt_float(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _opt_float(token: str) -> float | None:
+def _parse_opt(token: str) -> float | None:
     return None if token == "" else float(token)
 
 
@@ -326,8 +332,8 @@ def _result_row(iteration: str, actions: str, accuracy: str, energy: str, peak_p
                 mac_normalized: str, reward: str, grad_norm: str) -> ResultRow:
     # empty actions are allowed: hand-written analysis rows may carry scores only
     return ResultRow(int(iteration), tuple(int(a) for a in actions.split(":") if actions),
-                     float(accuracy), _opt_float(energy), _opt_float(peak_power),
-                     _opt_float(mac_normalized), float(reward), float(grad_norm))
+                     float(accuracy), _parse_opt(energy), _parse_opt(peak_power),
+                     _parse_opt(mac_normalized), float(reward), float(grad_norm))
 
 
 def read_results_csv(path: str | Path) -> list[ResultRow]:
@@ -354,9 +360,15 @@ def write_stats_csv(path: str | Path, stats: SearchStats) -> None:
         for w, rate in enumerate(stats.windows)))
 
 
+def _window_rate(window: str, start: str, end: str, rate: str) -> float:
+    if not window.isdigit() or not start.isdigit() or not end.isdigit():
+        raise ValueError(f"window bounds must be integers, got {window}, {start}, {end}")
+    return float(rate)
+
+
 def read_stats_csv(path: str | Path) -> list[float]:
     """Window satisfaction rates back out of a stats file."""
-    return textio.read_table(path, STATS_HEADER, lambda window, start, end, rate: float(rate))
+    return textio.read_table(path, STATS_HEADER, _window_rate)
 
 
 def write_histogram_csv(path: str | Path, op_histogram: dict[str, int]) -> None:
@@ -364,8 +376,14 @@ def write_histogram_csv(path: str | Path, op_histogram: dict[str, int]) -> None:
                        ((op, str(op_histogram[op])) for op in MACRO_OPS))
 
 
+def _op_count(op: str, count: str) -> tuple[str, int]:
+    if op not in MACRO_OPS:
+        raise ValueError(f"unknown macro op {op!r}")
+    return op, int(count)
+
+
 def read_histogram_csv(path: str | Path) -> dict[str, int]:
-    return dict(textio.read_table(path, HISTOGRAM_HEADER, lambda op, count: (op, int(count))))
+    return dict(textio.read_table(path, HISTOGRAM_HEADER, _op_count))
 
 
 def write_layer_histogram_csv(path: str | Path, layer_histogram: list[list[int]]) -> None:
@@ -375,8 +393,9 @@ def write_layer_histogram_csv(path: str | Path, layer_histogram: list[list[int]]
 
 
 def read_layer_histogram_csv(path: str | Path) -> list[list[int]]:
-    return textio.read_table(path, LAYER_HISTOGRAM_HEADER,
-                             lambda layer, *counts: [int(c) for c in counts])
+    """Per-layer op counts; the layer number column must be an integer too."""
+    return [counts[1:] for counts in textio.read_table(
+        path, LAYER_HISTOGRAM_HEADER, lambda *fields: [int(f) for f in fields])]
 
 
 def write_samples_csv(path: str | Path,
@@ -388,8 +407,8 @@ def write_samples_csv(path: str | Path,
 def _sample(arch: str, accuracy: str, energy: str, peak_power: str,
             mac_normalized: str) -> tuple[Architecture, EvaluationResult]:
     return arch_from_compact(arch), EvaluationResult(
-        accuracy=float(accuracy), energy_joules=_opt_float(energy),
-        peak_power_watts=_opt_float(peak_power), mac_normalized=_opt_float(mac_normalized))
+        accuracy=float(accuracy), energy_joules=_parse_opt(energy),
+        peak_power_watts=_parse_opt(peak_power), mac_normalized=_parse_opt(mac_normalized))
 
 
 def read_samples_csv(path: str | Path) -> list[tuple[Architecture, EvaluationResult]]:
@@ -426,8 +445,8 @@ def summary_dict(cfg: RunConfig, result: SearchResult) -> dict:
 
 
 def write_summary_json(path: str | Path, cfg: RunConfig, result: SearchResult) -> None:
-    Path(path).write_text(json.dumps(summary_dict(cfg, result), indent=2,
-                                     sort_keys=True) + "\n")
+    textio.write_text(path, json.dumps(summary_dict(cfg, result), indent=2,
+                                       sort_keys=True) + "\n")
 
 
 def rebuild_front(rows: list[ResultRow], space: SearchSpace) -> ParetoFront:

@@ -139,17 +139,19 @@ def load_surrogate_config(space: str, path: str | Path | None = None,
     if "version" not in values:
         raise ValueError(f"{source}: missing version key")
 
-    def get(name: str) -> float:
+    def get(name: str, default: str | None = None) -> float:
         key = f"{space}.{name}"
-        if key not in values:
+        if key not in values and default is None:
             raise ValueError(f"{source}: missing key {key}")
-        return float(values[key])
+        try:
+            return float(values.get(key, default))
+        except ValueError as exc:
+            raise ValueError(f"{source}: {key}: {exc}") from None
 
     return SurrogateConfig(
         space=space, a_max=get("a_max"), kappa=get("kappa"),
         e0=get("e0"), e1=get("e1"), p0=get("p0"), p1=get("p1"),
-        sigma=get("sigma"), seed=seed,
-        capacity_weight=float(values.get(f"{space}.capacity_weight", "1.0")),
+        sigma=get("sigma"), seed=seed, capacity_weight=get("capacity_weight", "1.0"),
     )
 
 
@@ -210,13 +212,6 @@ def load_lookup(path: str | Path) -> LookupTable:
     return LookupTable(rows, source=str(Path(path)))
 
 
-def lookup_evaluate(table: LookupTable, arch: Architecture) -> EvaluationResult:
-    """Table row as an evaluation: accuracy = 1 - error/100, energy as stored."""
-    row = table.get(arch)
-    return EvaluationResult(accuracy=1.0 - row.error_pct / 100.0,
-                            energy_joules=row.energy_j)
-
-
 class LookupEvaluator(Evaluator):
     """Table-backed evaluator, optionally falling back for unknown rows."""
 
@@ -228,12 +223,15 @@ class LookupEvaluator(Evaluator):
             self.descriptor += f"+{fallback.descriptor}"
 
     def evaluate(self, arch: Architecture) -> EvaluationResult:
+        """Table row as an evaluation: accuracy = 1 - error/100, energy as stored."""
         try:
-            return lookup_evaluate(self.table, arch)
+            row = self.table.get(arch)
         except UnknownArchitectureError:
             if self.fallback is None:
                 raise
             return self.fallback.evaluate(arch)
+        return EvaluationResult(accuracy=1.0 - row.error_pct / 100.0,
+                                energy_joules=row.energy_j)
 
 
 def fixture_lookup_path() -> Path:

@@ -85,17 +85,33 @@ class ActionSequence:
         return float(sum(self.log_probs))
 
 
+def _check_ints(what: str, values: tuple, length: int) -> None:
+    if (not isinstance(values, tuple) or len(values) != length
+            or not all(type(v) is int and v > 0 for v in values)):
+        raise ValueError(f"{what} must be a tuple of {length} positive ints, got {values!r}")
+
+
 @dataclass(frozen=True)
 class AlexNetArch:
     """Two conv layers, each (num_filters, filter_height, filter_width)."""
 
     layers: tuple[tuple[int, int, int], tuple[int, int, int]]
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.layers, tuple) or len(self.layers) != 2:
+            raise ValueError(f"alexnet arch needs 2 layers, got {self.layers!r}")
+        for layer in self.layers:
+            _check_ints("alexnet layer (filters, height, width)", layer, 3)
+
 
 @dataclass(frozen=True)
 class CondenseNetArch:
     stages: tuple[int, int, int]
     growths: tuple[int, int, int]
+
+    def __post_init__(self) -> None:
+        _check_ints("condensenet stages", self.stages, 3)
+        _check_ints("condensenet growths", self.growths, 3)
 
 
 @dataclass(frozen=True)
@@ -113,6 +129,9 @@ class MacroArch:
     def __post_init__(self) -> None:
         if len(self.ops) != MACRO_LAYERS or len(self.skips) != MACRO_LAYERS:
             raise ValueError(f"macro arch needs {MACRO_LAYERS} layers")
+        for i, op in enumerate(self.ops):
+            if op not in MACRO_OPS:
+                raise ValueError(f"layer {i} has unknown op {op!r}")
         for i, sk in enumerate(self.skips):
             if any(j < 0 or j >= i for j in sk):
                 raise ValueError(f"layer {i} skip inputs must come from layers 0..{i - 1}")

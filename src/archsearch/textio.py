@@ -1,10 +1,13 @@
 """The two on-disk text formats: flat ``key = value`` settings, and tables of
-one header line plus one comma-separated row per line (no quoting)."""
+one header line plus one comma-separated row per line (no quoting). Every
+artifact file is written through `atomic_file`."""
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Sequence, TypeVar
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -28,10 +31,30 @@ def read_key_values(text: str, source: str,
     return values
 
 
+@contextmanager
+def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """A new file in ``path``'s directory, renamed over ``path`` when the block
+    succeeds; on a failure midway it is removed and ``path`` stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with atomic_file(path) as f:
+        f.write(text.encode())
+
+
 def write_table(path: str | Path, header: Sequence[str],
                 rows: Iterable[Sequence[str]]) -> None:
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_table(path: str | Path, header: Sequence[str],

@@ -13,7 +13,7 @@ import pytest
 from archsearch import controller as ctl
 from archsearch import engine, rewards
 from archsearch.cli import main
-from archsearch.evaluators import fixture_lookup_path, load_lookup, lookup_evaluate
+from archsearch.evaluators import LookupEvaluator, fixture_lookup_path, load_lookup
 from archsearch.pareto import ParetoFront, ParetoPoint, dominates, front_of
 from archsearch.rewards import EvaluationResult, RewardSpec, compute_reward
 from archsearch.search_space import CondenseNetArch, build_space
@@ -93,7 +93,7 @@ def test_criterion_3_results_table_round_trip():
     table = load_lookup(fixture_lookup_path())
     rows_ok = len(table) == 10
     for stages, growths, err, energy in TABLE_ROWS:
-        result = lookup_evaluate(table, CondenseNetArch(stages, growths))
+        result = LookupEvaluator(table).evaluate(CondenseNetArch(stages, growths))
         rows_ok = rows_ok and result.accuracy == 1.0 - err / 100.0
         rows_ok = rows_ok and result.energy_joules == energy
 

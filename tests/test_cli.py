@@ -5,7 +5,7 @@ import pytest
 
 from archsearch.cli import main
 from archsearch.engine import read_front_csv, read_results_csv
-from archsearch.evaluators import fixture_lookup_path, load_lookup
+from archsearch.evaluators import LOOKUP_HEADER, fixture_lookup_path, load_lookup
 from archsearch.search_space import arch_to_text, build_space, encode, MacroArch
 
 NO_SKIPS = ((),) * 12
@@ -18,6 +18,13 @@ def run_cli(*argv):
 def search_args(out_dir, *extra):
     return ["search", "--space", "condensenet", "--reward", "power_constraint",
             "--threshold", "70", "--iterations", "25", "--seed", "1",
+            "--out", str(out_dir), *extra]
+
+
+def lookup_args(out_dir, *extra):
+    # lookup rows carry no peak power, so these runs use the mixed reward
+    return ["search", "--space", "condensenet", "--reward", "mixed", "--alpha", "0.5",
+            "--evaluator", "lookup", "--iterations", "25", "--seed", "1",
             "--out", str(out_dir), *extra]
 
 
@@ -105,12 +112,12 @@ class TestSearchCommand:
 
     def test_lookup_evaluator_with_fallback(self, tmp_path):
         out = tmp_path / "lk"
-        code = run_cli(*search_args(out), "--evaluator", "lookup", "--fallback", "on")
+        code = run_cli(*lookup_args(out), "--fallback", "on")
         assert code == 0
 
     def test_lookup_without_fallback_fails_at_runtime(self, tmp_path, capsys):
         out = tmp_path / "lk2"
-        code = run_cli(*search_args(out), "--evaluator", "lookup")
+        code = run_cli(*lookup_args(out))
         assert code == 1
         assert "iteration" in capsys.readouterr().err
 
@@ -330,6 +337,8 @@ class TestSampleCommand:
         ("adam_m/lstm.w", lambda contents: contents.pop("adam_m/lstm.w")),
         ("version", lambda contents: contents.__setitem__("meta", np.frombuffer(
             json.dumps({"version": 1}).encode(), dtype=np.uint8))),
+        ("meta record is not JSON", lambda contents: contents.__setitem__(
+            "meta", np.frombuffer(b"\x00garbage", dtype=np.uint8))),
     ])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, named, edit):
         out = tmp_path / "run"
@@ -348,3 +357,104 @@ class TestSampleCommand:
         assert run_cli(*search_args(resumed), "--resume", str(path)) == 2
         assert named in capsys.readouterr().err
         assert not resumed.exists()
+
+
+def macro_checkpoint(tmp_path):
+    out = tmp_path / "macro"
+    assert run_cli("search", "--space", "macro", "--reward", "mixed", "--alpha", "0.5",
+                   "--iterations", "2", "--out", str(out)) == 0
+    return out / "checkpoint.npz"
+
+
+class TestIncompatibleSettings:
+    """Settings a run would ignore or fail on at iteration 1 exit 2 up front."""
+
+    def test_random_refuses_resume(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run_cli(*search_args(first)) == 0
+        out = tmp_path / "r"
+        args = ["random", *search_args(out)[1:], "--resume", str(first / "checkpoint.npz")]
+        assert run_cli(*args) == 2
+        assert "search only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mac_constraint_needs_macro_space(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert run_cli("search", "--space", "alexnet", "--reward", "mac_constraint",
+                       "--threshold", "0.3", "--iterations", "5", "--out", str(out)) == 2
+        assert "macro space" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_power_constraint_needs_surrogate(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert run_cli(*search_args(out), "--evaluator", "lookup", "--fallback", "on") == 2
+        assert "peak power" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lookup_needs_condensenet_space(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert run_cli("random", "--space", "macro", "--reward", "mixed", "--alpha", "0.5",
+                       "--evaluator", "lookup", "--iterations", "5", "--out", str(out)) == 2
+        assert "condensenet space" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_lookup_needs_condensenet_space(self, tmp_path, capsys):
+        checkpoint = macro_checkpoint(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "s"
+        assert run_cli("sample", "--checkpoint", str(checkpoint), "--n", "3",
+                       "--evaluator", "lookup", "--out", str(out)) == 2
+        assert "condensenet space" in capsys.readouterr().err
+        assert not out.exists()
+
+
+BAD_SURROGATE = "version = 1\n" + "\n".join(
+    f"condensenet.{k} = {'abc' if k == 'kappa' else '1.0'}"
+    for k in ("a_max", "kappa", "e0", "e1", "p0", "p1", "sigma"))
+
+
+class TestBadInputFiles:
+    """Missing or malformed input files and flags exit 2 and name the cause."""
+
+    @pytest.mark.parametrize("flag, content, named", [
+        ("--fixture", None, "ghost.txt"),
+        ("--fixture", "stage1,stage2\n", "expected header"),
+        ("--fixture", ",".join(LOOKUP_HEADER) + "\n6,6,6,4,4,x,5.0,30.0\n", "line 2"),
+        ("--surrogate-config", None, "ghost.txt"),
+        ("--surrogate-config", "condensenet.a_max = 0.9\n", "missing version"),
+        ("--surrogate-config", BAD_SURROGATE, "condensenet.kappa"),
+    ], ids=["fixture-missing", "fixture-header", "fixture-row", "surrogate-missing",
+            "surrogate-version", "surrogate-value"])
+    def test_run_and_sample_exit_2(self, tmp_path, capsys, flag, content, named):
+        path = tmp_path / "ghost.txt"
+        if content is not None:
+            path.write_text(content)
+        extra = [flag, str(path), "--fallback", "on"]
+        out = tmp_path / "run"
+        assert run_cli(*lookup_args(out), *extra) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        first = tmp_path / "first"
+        assert run_cli(*lookup_args(first), "--fallback", "on") == 0
+        capsys.readouterr()
+        samples = tmp_path / "samples"
+        assert run_cli("sample", "--checkpoint", str(first / "checkpoint.npz"), "--n", "3",
+                       "--evaluator", "lookup", *extra, "--out", str(samples)) == 2
+        assert named in capsys.readouterr().err
+        assert not samples.exists()
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("space = condensenet\nreward.kind mixed\n")
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "line 2: expected 'key = value'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--channels", "0"], "--channels 0"),
+        (["--input-size", "2"], "--input-size 2"),
+    ])
+    def test_mac_geometry_flags_exit_2(self, tmp_path, capsys, flags, named):
+        path = tmp_path / "arch.txt"
+        path.write_text(arch_to_text(MacroArch(ops=("conv3x3",) * 12, skips=NO_SKIPS)))
+        assert run_cli("mac", "--arch", str(path), *flags) == 2
+        assert named in capsys.readouterr().err

@@ -82,7 +82,7 @@ class TestReinforceUpdate:
         state = ctl.create_controller(space, seed=1)
         before = snapshot(state)
         seq, rollout = ctl.sample_sequence(state, space)
-        norm = ctl.reinforce_update(state, seq, rollout, reward=0.0)
+        norm = ctl.reinforce_update_batch(state, [rollout], [0.0])
         assert norm == 0.0
         for name, arr in state.params.items():
             np.testing.assert_array_equal(arr, before[name])
@@ -92,7 +92,7 @@ class TestReinforceUpdate:
         state = ctl.create_controller(space, seed=2)
         seq, rollout = ctl.sample_sequence(state, space)
         before = ctl.action_log_prob(state, seq)
-        ctl.reinforce_update(state, seq, rollout, reward=1.0)
+        ctl.reinforce_update_batch(state, [rollout], [1.0])
         assert ctl.action_log_prob(state, seq) > before
 
     def test_negative_reward_lowers_sequence_log_prob(self):
@@ -100,7 +100,7 @@ class TestReinforceUpdate:
         state = ctl.create_controller(space, seed=2)
         seq, rollout = ctl.sample_sequence(state, space)
         before = ctl.action_log_prob(state, seq)
-        ctl.reinforce_update(state, seq, rollout, reward=-1.0)
+        ctl.reinforce_update_batch(state, [rollout], [-1.0])
         assert ctl.action_log_prob(state, seq) < before
 
     def test_gradient_scales_linearly_in_reward(self):
@@ -116,10 +116,10 @@ class TestReinforceUpdate:
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=5)
         seq, rollout = ctl.sample_sequence(state, space)
-        ctl.reinforce_update(state, seq, rollout, reward=0.5)
-        seq2, _ = ctl.sample_sequence(state, space)
+        ctl.reinforce_update_batch(state, [rollout], [0.5])
+        ctl.sample_sequence(state, space)
         with pytest.raises(ValueError, match="stale"):
-            ctl.reinforce_update(state, seq2, rollout, reward=0.5)
+            ctl.reinforce_update_batch(state, [rollout], [0.5])
 
     def test_gradient_matches_finite_differences(self):
         space = build_space("condensenet")
@@ -135,7 +135,7 @@ class TestReinforceUpdate:
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=7, clip_norm=1e-6)
         seq, rollout = ctl.sample_sequence(state, space)
-        norm = ctl.reinforce_update(state, seq, rollout, reward=5.0)
+        norm = ctl.reinforce_update_batch(state, [rollout], [5.0])
         assert norm > 1e-6  # raw norm, not the clipped one
 
     def test_batch_of_one_equals_plain_update(self):
@@ -145,7 +145,10 @@ class TestReinforceUpdate:
         seq, rollout_a = ctl.sample_sequence(a, space)
         seq_b, rollout_b = ctl.sample_sequence(b, space)
         assert seq.actions == seq_b.actions
-        ctl.reinforce_update(a, seq, rollout_a, reward=0.8)
+        # the plain update: one rollout's gradient, clipped, one ADAM step
+        grads = ctl.policy_gradients(a, rollout_a, 0.8)
+        clip_by_global_norm(ctl._norm_blocks(grads), a.clip_norm)
+        adam_step(a.params, grads, a.adam)
         ctl.reinforce_update_batch(b, [rollout_b], [0.8])
         for name, arr in a.params.items():
             np.testing.assert_array_equal(arr, b.params[name])
@@ -228,7 +231,7 @@ class TestLearningDynamics:
         for _ in range(500):
             seq, rollout = ctl.sample_sequence(state, space)
             reward = 1.0 if seq.actions[0] == 1 else 0.0
-            ctl.reinforce_update(state, seq, rollout, reward)
+            ctl.reinforce_update_batch(state, [rollout], [reward])
         hits = sum(ctl.sample_sequence(state, space)[0].actions[0] == 1
                    for _ in range(1000))
         assert hits / 1000 > 0.95
@@ -239,8 +242,8 @@ class TestLearningDynamics:
         target = (1, 2)
         for _ in range(2000):
             seq, rollout = ctl.sample_sequence(state, space)
-            ctl.reinforce_update(state, seq, rollout,
-                                 reward=1.0 if seq.actions == target else 0.0)
+            ctl.reinforce_update_batch(state, [rollout],
+                                       [1.0 if seq.actions == target else 0.0])
         hits = sum(ctl.sample_sequence(state, space)[0].actions == target
                    for _ in range(1000))
         assert hits / 1000 > 0.9
@@ -252,7 +255,7 @@ class TestLearningDynamics:
         for _ in range(500):
             seq, rollout = ctl.sample_sequence(state, space)
             reward = 1.0 if seq.actions[0] == 0 else 0.0
-            ctl.reinforce_update(state, seq, rollout, reward)
+            ctl.reinforce_update_batch(state, [rollout], [reward])
         hits = sum(ctl.sample_sequence(state, space)[0].actions[0] == 0
                    for _ in range(1000))
         assert hits / 1000 > 0.95
@@ -265,7 +268,7 @@ class TestCheckpoint:
         state = ctl.create_controller(space, seed=8)
         for _ in range(10):
             seq, rollout = ctl.sample_sequence(state, space)
-            ctl.reinforce_update(state, seq, rollout, reward=0.3)
+            ctl.reinforce_update_batch(state, [rollout], [0.3])
         path = tmp_path / "controller.npz"
         ctl.save_checkpoint(state, path)
         restored = ctl.load_checkpoint(path)

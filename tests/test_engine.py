@@ -74,7 +74,8 @@ class TestRunSearch:
                [(p.accuracy, p.energy) for p in rebuilt.points]
 
     def test_lookup_miss_carries_iteration_context(self):
-        cfg = power_cfg(evaluator_kind="lookup", n_iterations=5)
+        cfg = power_cfg(evaluator_kind="lookup", n_iterations=5,
+                        reward=RewardSpec(kind="mixed", alpha=0.5))
         with pytest.raises(UnknownArchitectureError, match="iteration 1"):
             engine.run_search(cfg)
 

@@ -5,7 +5,7 @@ import pytest
 
 from archsearch.evaluators import (LookupEvaluator, SurrogateConfig,
                                    UnknownArchitectureError, fixture_lookup_path,
-                                   load_lookup, load_surrogate_config, lookup_evaluate,
+                                   load_lookup, load_surrogate_config,
                                    make_surrogate)
 from archsearch.search_space import (ActionSequence, AlexNetArch, CondenseNetArch,
                                      MacroArch, build_space, decode)
@@ -30,14 +30,14 @@ class TestLookupTable:
         ((14, 14, 12), (4, 16, 32), 0.944, 34.88),
     ])
     def test_rows_reproduce_measured_values(self, table, stages, growths, accuracy, energy):
-        result = lookup_evaluate(table, condensenet(stages, growths))
+        result = LookupEvaluator(table).evaluate(condensenet(stages, growths))
         assert result.accuracy == pytest.approx(accuracy, abs=1e-12)
         assert result.energy_joules == energy
         assert result.peak_power_watts is None
 
     def test_missing_arch_raises_not_found(self, table):
         with pytest.raises(UnknownArchitectureError):
-            lookup_evaluate(table, condensenet((6, 6, 6), (4, 4, 4)))
+            LookupEvaluator(table).evaluate(condensenet((6, 6, 6), (4, 4, 4)))
 
     def test_empty_data_section_is_valid(self, tmp_path):
         p = tmp_path / "empty.csv"

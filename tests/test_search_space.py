@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from archsearch.search_space import (ActionSequence, AlexNetArch, CondenseNetArch,
                                      MACRO_OPS, MacroArch, arch_from_compact,
                                      arch_from_dict, arch_from_text, arch_to_compact,
                                      arch_to_dict, arch_to_text, build_space, decode,
                                      encode, input_token)
+
+from strategies import architectures
 
 # every CondenseNet-family row used in the results table fixture
 TABLE_ARCHS = [
@@ -188,6 +191,58 @@ class TestMacroArchInvariants:
         with pytest.raises(ValueError):
             MacroArch(ops=("conv3x3",) * 12,
                       skips=((), (), (1, 0)) + ((),) * 9)
+
+
+class TestArchitectureShape:
+    @pytest.mark.parametrize("make", [
+        lambda: CondenseNetArch((6, 6), (4, 4)),
+        lambda: CondenseNetArch((6, 6, 6, 6), (4, 4, 4)),
+        lambda: CondenseNetArch((6, 0, 6), (4, 4, 4)),
+        lambda: CondenseNetArch((6, 6, 6), (4, 4.0, 4)),
+        lambda: CondenseNetArch([6, 6, 6], (4, 4, 4)),
+        lambda: AlexNetArch(((8, 3, 3),)),
+        lambda: AlexNetArch(((8, 3, 3), (8, 3))),
+        lambda: AlexNetArch(((8, 3, 3), (8, 3, -5))),
+        lambda: MacroArch(ops=("conv3x3",) * 11 + ("conv7x7",), skips=((),) * 12),
+        lambda: MacroArch(ops=("conv3x3",) * 11, skips=((),) * 11),
+    ], ids=["cn-2-stages", "cn-4-stages", "cn-zero", "cn-float", "cn-list",
+            "alex-1-layer", "alex-short-layer", "alex-negative",
+            "macro-unknown-op", "macro-11-layers"])
+    def test_malformed_architecture_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("token", [
+        "st6.6+gr4.4",                      # two stages
+        "st6.6.6+gr4.4.4.4",                # four growths
+        "+".join(["bogus"] * 12),           # twelve unknown ops
+        "8x3x3+8x3x0",                      # zero kernel width
+    ])
+    def test_malformed_compact_token_rejected(self, token):
+        with pytest.raises(ValueError):
+            arch_from_compact(token)
+
+    def test_malformed_text_and_dict_rejected(self):
+        with pytest.raises(ValueError):
+            arch_from_text("kind = condensenet\n" + "\n".join(
+                f"block{i}.stage = 6\nblock{i}.growth = -4" for i in (1, 2, 3)))
+        with pytest.raises(ValueError):
+            arch_from_dict({"kind": "macro", "ops": ["pool"] * 12, "skips": [[]] * 12})
+
+
+class TestSerializationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(arch=architectures())
+    def test_every_form_round_trips(self, arch):
+        assert arch_from_text(arch_to_text(arch)) == arch
+        assert arch_from_compact(arch_to_compact(arch)) == arch
+        assert arch_from_dict(arch_to_dict(arch)) == arch
+
+    @settings(max_examples=200, deadline=None)
+    @given(arch=architectures())
+    def test_encode_inverts_decode(self, arch):
+        space = build_space(arch_to_dict(arch)["kind"])
+        assert decode(space, encode(space, arch)) == arch
 
 
 class TestSerialization:

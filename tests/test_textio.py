@@ -1,0 +1,270 @@
+"""The shared text formats: key = value settings, tables and atomic writes,
+plus round trips of every table writer/reader pair."""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from archsearch import controller as ctl
+from archsearch import engine, textio
+from archsearch.evaluators import LOOKUP_HEADER, load_lookup
+from archsearch.pareto import ParetoFront, ParetoPoint
+from archsearch.rewards import EvaluationResult
+from archsearch.search_space import (MACRO_LAYERS, MACRO_OPS, ActionSequence,
+                                     CondenseNetArch, build_space)
+
+from strategies import architectures
+
+
+class TestReadKeyValues:
+    def test_blanks_comments_and_spaces(self):
+        text = "# head\n\n  a = 1 \nb=two words\n  # indented comment\nc =\n"
+        assert textio.read_key_values(text, "s.cfg") == {"a": "1", "b": "two words", "c": ""}
+
+    def test_later_line_wins(self):
+        assert textio.read_key_values("a = 1\na = 2\n", "s.cfg") == {"a": "2"}
+
+    def test_line_without_equals_names_source_and_line(self):
+        with pytest.raises(ValueError, match=r"s\.cfg, line 2: expected 'key = value'"):
+            textio.read_key_values("a = 1\njunk\n", "s.cfg")
+
+    def test_unknown_key_names_line(self):
+        with pytest.raises(ValueError, match=r"s\.cfg, line 3: unknown key 'z'"):
+            textio.read_key_values("a = 1\n\nz = 2\n", "s.cfg", keys={"a"})
+
+
+class TestTable:
+    def test_writer_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        textio.write_table(path, ("a", "b"), [("1", "x"), ["2", ""]])
+        assert path.read_bytes() == b"a,b\n1,x\n2,\n"
+        textio.write_table(path, ("a", "b"), [])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_reader_skips_blank_lines_and_strips_fields(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(" a , b\n1, x\n\n   \n2 ,y \n")
+        assert textio.read_table(path, ("a", "b"), lambda a, b: (int(a), b)) == \
+            [(1, "x"), (2, "y")]
+
+    @pytest.mark.parametrize("text", ["", "a\n", "b,a\n1,2\n", "a,b,c\n"])
+    def test_bad_header(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"t\.csv, line 1: expected header a,b"):
+            textio.read_table(path, ("a", "b"), lambda a, b: a)
+
+    @pytest.mark.parametrize("row", ["1", "1,2,3"])
+    def test_field_count_names_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b\n1,2\n\n{row}\n")
+        with pytest.raises(ValueError, match=r"t\.csv, line 4: expected 2 fields"):
+            textio.read_table(path, ("a", "b"), lambda a, b: a)
+
+    def test_converter_error_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\nx,3\n")
+        with pytest.raises(ValueError, match=r"t\.csv, line 3: invalid literal"):
+            textio.read_table(path, ("a", "b"), lambda a, b: int(a) + int(b))
+
+
+class TestAtomicFile:
+    def test_failure_midway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError):
+            with textio.atomic_file(path) as f:
+                f.write(b"half of the new")
+                raise RuntimeError("disk full")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+    def test_success_replaces(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_bytes(b"old\n")
+        textio.write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+    def test_failed_writer_leaves_old_artifact(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"old\n")
+
+        def rows():
+            yield ["1"] * len(engine.RESULTS_HEADER)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            textio.write_table(path, engine.RESULTS_HEADER, rows())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+    def test_failed_checkpoint_save_leaves_old_file(self, tmp_path, monkeypatch):
+        state = ctl.create_controller(build_space("condensenet"), seed=0)
+        path = tmp_path / "checkpoint.npz"
+        ctl.save_checkpoint(state, path)
+        before = path.read_bytes()
+
+        def savez(file, **arrays):
+            file.write(b"PK partial archive")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(ctl.np, "savez", savez)
+        with pytest.raises(OSError):
+            ctl.save_checkpoint(state, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+
+    def test_checkpoint_path_kept_without_npz_suffix(self, tmp_path):
+        state = ctl.create_controller(build_space("condensenet"), seed=0)
+        path = tmp_path / "controller.ckpt"
+        ctl.save_checkpoint(state, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["controller.ckpt"]
+        assert ctl.load_checkpoint(path).hidden_dim == state.hidden_dim
+
+
+# ---------------------------------------------------------------------------
+# Every table writer/reader pair round-trips, and a corrupted row is named.
+
+unit = st.floats(0.0, 1.0)
+nonneg = st.floats(0.0, 1e6, allow_subnormal=True)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+counts = st.integers(0, 10**6)
+
+
+@st.composite
+def scores(draw):
+    return EvaluationResult(accuracy=draw(unit), energy_joules=draw(st.none() | nonneg),
+                            peak_power_watts=draw(st.none() | nonneg),
+                            mac_normalized=draw(st.none() | unit))
+
+
+@st.composite
+def records(draw):
+    n = draw(st.integers(0, 6))
+    out = []
+    for i in range(1, n + 1):
+        actions = tuple(draw(st.lists(st.integers(0, 9), max_size=8)))
+        out.append(engine.IterationRecord(
+            iteration=i, seq=ActionSequence(actions=actions),
+            arch=None, result=draw(scores()), reward=draw(finite),
+            grad_norm=draw(nonneg), best_reward=0.0))
+    return out
+
+
+def check_results(path, recs):
+    engine.write_results_csv(path, recs)
+    rows = engine.read_results_csv(path)
+    assert [(r.iteration, r.actions, r.accuracy, r.energy, r.peak_power, r.mac_normalized,
+             r.reward, r.grad_norm) for r in rows] == \
+        [(r.iteration, r.seq.actions, r.result.accuracy, r.result.energy_joules,
+          r.result.peak_power_watts, r.result.mac_normalized, r.reward, r.grad_norm)
+         for r in recs]
+
+
+def check_front(path, points):
+    engine.write_front_csv(path, ParetoFront(points))
+    assert [(p.accuracy, p.energy, p.arch) for p in engine.read_front_csv(path).points] == \
+        [(p.accuracy, p.energy, p.arch) for p in points]
+
+
+def check_stats(path, windows):
+    engine.write_stats_csv(path, engine.SearchStats(window_size=7, windows=windows))
+    assert engine.read_stats_csv(path) == windows
+
+
+def check_histogram(path, values):
+    histogram = dict(zip(MACRO_OPS, values))
+    engine.write_histogram_csv(path, histogram)
+    assert engine.read_histogram_csv(path) == histogram
+
+
+def check_layers(path, layers):
+    engine.write_layer_histogram_csv(path, layers)
+    assert engine.read_layer_histogram_csv(path) == layers
+
+
+def check_samples(path, samples):
+    engine.write_samples_csv(path, samples)
+    assert engine.read_samples_csv(path) == samples
+
+
+def check_lookup(path, rows):
+    textio.write_table(path, LOOKUP_HEADER, (
+        [str(v) for v in arch.stages + arch.growths] + [repr(err), repr(energy)]
+        for arch, (err, energy) in rows.items()))
+    table = load_lookup(path)
+    assert {arch: (row.error_pct, row.energy_j) for arch, row in table.rows.items()} == rows
+
+
+condensenet = st.builds(CondenseNetArch, st.tuples(*[st.integers(1, 99)] * 3),
+                        st.tuples(*[st.integers(1, 99)] * 3))
+
+TABLES = {
+    "results": (check_results, records()),
+    "front": (check_front, st.lists(st.builds(
+        ParetoPoint, accuracy=unit, energy=nonneg, arch=st.none() | architectures()),
+        max_size=6)),
+    "stats": (check_stats, st.lists(unit, max_size=6)),
+    "histogram": (check_histogram, st.lists(counts, min_size=6, max_size=6)),
+    "layers": (check_layers, st.lists(st.lists(counts, min_size=6, max_size=6),
+                                      min_size=MACRO_LAYERS, max_size=MACRO_LAYERS)),
+    "samples": (check_samples, st.lists(st.tuples(architectures(), scores()), max_size=6)),
+    "lookup": (check_lookup, st.dictionaries(
+        condensenet, st.tuples(st.floats(0.0, 100.0), nonneg), max_size=6)),
+}
+
+READERS = {"results": engine.read_results_csv, "front": engine.read_front_csv,
+           "stats": engine.read_stats_csv, "histogram": engine.read_histogram_csv,
+           "layers": engine.read_layer_histogram_csv, "samples": engine.read_samples_csv,
+           "lookup": load_lookup}
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_table_round_trips(table_dir, name):
+    check, values = TABLES[name]
+
+    @settings(max_examples=60, deadline=None)
+    @given(values)
+    def round_trip(value):
+        check(table_dir / f"{name}.csv", value)
+
+    round_trip()
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_corrupted_row_names_file_and_line(table_dir, name):
+    check, values = TABLES[name]
+    path = table_dir / f"{name}.corrupt.csv"
+
+    @settings(max_examples=60, deadline=None)
+    @given(values, st.data())
+    def corrupt(value, data):
+        check(path, value)
+        lines = path.read_text().splitlines()
+        if len(lines) < 2:
+            return
+        index = data.draw(st.integers(1, len(lines) - 1), label="row")
+        fields = lines[index].split(",")
+        column = data.draw(st.integers(0, len(fields) - 1), label="field")
+        how = data.draw(st.sampled_from(["garble", "drop", "extra"]), label="how")
+        if how == "garble":
+            fields[column] = "?"
+        elif how == "drop":
+            del fields[column]
+        else:
+            fields.insert(column, "0")
+        lines[index] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {index + 1}: ")):
+            READERS[name](path)
+
+    corrupt()
+
