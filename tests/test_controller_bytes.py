@@ -7,15 +7,21 @@ The SHA-256 of each ``results.csv`` pins every sampled action, reward and
 gradient norm. The log-probability of a fixed sequence under the reloaded
 final controller pins its parameters without depending on their layout.
 Any change to the numeric path that is not bit-identical fails here.
+
+Random searches on all three spaces are pinned the same way, so the
+uniform sampler's draws cannot change either.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archsearch import controller as ctl
 from archsearch.cli import main
-from archsearch.search_space import ActionSequence
+from archsearch.search_space import SPACE_KINDS, ActionSequence, build_space
 
 RUNS = {
     "macro": (
@@ -29,6 +35,25 @@ RUNS = {
          "--batch", "4", "--baseline", "on", "--iterations", "120", "--seed", "1"],
         "51dd0d808d150242d1e0544f8c2e52fb0e50743cd650c59f503d152cf2a7cd2e",
         "-11.32549007090383",
+    ),
+}
+
+
+RANDOM_RUNS = {
+    "alexnet": (
+        ["--space", "alexnet", "--reward", "mixed", "--alpha", "0.5",
+         "--iterations", "300", "--seed", "3"],
+        "8b956c0bdd6c1ddd34dde23941711f9677fff804e5a900f0d9d572abcd779de0",
+    ),
+    "condensenet-batch4": (
+        ["--space", "condensenet", "--reward", "power_constraint", "--threshold", "70",
+         "--batch", "4", "--iterations", "300", "--seed", "5"],
+        "eece877b8a569fa8960caca32361dd601e5320ce4ba7e7632b46de1a4dc1b831",
+    ),
+    "macro": (
+        ["--space", "macro", "--reward", "mac_constraint", "--threshold", "0.31",
+         "--violation-reward", "-1", "--iterations", "200", "--seed", "1"],
+        "6d9043ebd6cfd4fe8cca57eabf7c1bb63b3cb391828a584f58fedb3bb69cb774",
     ),
 }
 
@@ -47,3 +72,27 @@ def test_search_bytes_and_final_policy(name, tmp_path):
     assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == results_sha
     state = ctl.load_checkpoint(out / "checkpoint.npz")
     assert repr(ctl.action_log_prob(state, fixed_sequence(state.space))) == log_prob
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RUNS))
+def test_random_search_bytes(name, tmp_path):
+    args, results_sha = RANDOM_RUNS[name]
+    out = tmp_path / "run"
+    assert main(["random", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == results_sha
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(SPACE_KINDS), seed=st.integers(0, 2**32 - 1),
+       sequences=st.integers(1, 4), warmup=st.integers(0, 5))
+def test_one_draw_per_sequence_equals_one_draw_per_slot(kind, seed, sequences, warmup):
+    """rng.integers(arities) yields the per-slot scalar draws and the same generator state."""
+    arities = [len(slot.candidates) for slot in build_space(kind).slots]
+    whole, per_slot = np.random.default_rng(seed), np.random.default_rng(seed)
+    whole.random(warmup)
+    per_slot.random(warmup)
+    for _ in range(sequences):
+        drawn = whole.integers(arities).tolist()
+        assert drawn == [int(per_slot.integers(n)) for n in arities]
+        assert all(type(a) is int for a in drawn)
+    assert whole.bit_generator.state == per_slot.bit_generator.state
