@@ -137,8 +137,7 @@ def _build_run_config(args: argparse.Namespace
         raise ConfigError(str(exc)) from exc
     if cfg.resume_path is not None:
         if args.command == "random":
-            raise ConfigError("random search has no controller to resume; "
-                              "run.resume applies to search only")
+            raise ConfigError(engine.RANDOM_RESUME_ERROR)
         if not Path(cfg.resume_path).is_file():
             raise ConfigError(f"resume checkpoint not found: {cfg.resume_path}")
     try:
@@ -241,10 +240,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         state = ctl.load_checkpoint(path)
     except ValueError as exc:
         raise ConfigError(f"{args.checkpoint}: {exc}") from exc
-    space = state.space
     try:
         evaluator = engine.make_evaluator(
-            space.kind,
+            state.space.kind,
             evaluator_kind=args.evaluator or "surrogate",
             seed=args.seed if args.seed is not None else 0,
             lookup_path=args.fixture,
@@ -253,12 +251,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
         )
     except (OSError, ValueError) as exc:
         raise ConfigError(f"evaluator: {exc}") from exc
-    samples = engine.sample_trained_controller(state, space, evaluator, n=args.n)
+    samples = engine.sample_trained_controller(state, evaluator, n=args.n)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine.write_samples_csv(out_dir / "samples.csv", samples)
-    if space.kind == "macro":
+    if state.space.kind == "macro":
         ops_hist, layer_hist = engine.histogram_of(a for a, _ in samples)
         engine.write_histogram_csv(out_dir / "ops_histogram.csv", ops_hist)
         engine.write_layer_histogram_csv(out_dir / "layer_ops.csv", layer_hist)

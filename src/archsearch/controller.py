@@ -4,8 +4,8 @@ One rollout makes one decision per space slot. The input at each step is
 the token of the previous choice, its global vocabulary index (no input at
 the first step); the LSTM hidden state feeds a per-slot-type linear head
 whose softmax is sampled. Updates follow the episode-reward policy gradient: the gradient
-of the sequence log-probability scaled by the reward, applied as one ADAM
-ascent step per sampled architecture.
+of the sequence log-probability scaled by the reward, averaged over a batch of
+samples and applied as one ADAM ascent step.
 """
 
 from __future__ import annotations
@@ -132,29 +132,22 @@ def _norm_blocks(grads: ParamBuffer) -> dict[str, np.ndarray]:
     return blocks
 
 
-def _check_space(state: ControllerState, space: SearchSpace) -> None:
-    if space.vocab_size != state.space.vocab_size or len(space) != len(state.space):
-        raise ValueError("controller was built for a different space")
-
-
-def sample_sequence(state: ControllerState, space: SearchSpace
-                    ) -> tuple[ActionSequence, Rollout]:
-    """Sample one architecture, one decision per slot, autoregressively."""
-    _check_space(state, space)
+def sample_sequence(state: ControllerState) -> tuple[ActionSequence, Rollout]:
+    """Sample one architecture of the state's space, one decision per slot, in order."""
     h = np.zeros(state.hidden_dim)
     c = np.zeros(state.hidden_dim)
-    token = input_token(space)
+    token = input_token(state.space)
     actions: list[int] = []
     log_probs: list[float] = []
     steps: list[RolloutStep] = []
-    for t, slot in enumerate(space.slots):
+    for t, slot in enumerate(state.space.slots):
         h, c, cache = lstm_forward(state.lstm, token, h, c)
         w, b = state.head(slot.head)
         action, lp, probs = softmax_sample(w @ h + b, state.rng)
         actions.append(action)
         log_probs.append(lp)
         steps.append(RolloutStep(cache=cache, head=slot.head, probs=probs, action=action))
-        token = input_token(space, (t, action))
+        token = input_token(state.space, (t, action))
     seq = ActionSequence(actions=tuple(actions), log_probs=tuple(log_probs))
     return seq, Rollout(steps=steps, revision=state.revision)
 

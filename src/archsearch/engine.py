@@ -1,9 +1,9 @@
 """The outer search loop and its reporting.
 
 Each iteration samples an architecture from the controller, scores it with
-the configured evaluator, turns the score into a reward, applies one
-policy-gradient update, and records everything. A uniform random search
-shares the same pipeline minus the updates, as the comparison baseline.
+the configured evaluator, turns the score into a reward and records it; each
+batch of samples feeds one policy-gradient update. Uniform random search runs
+the same loop with no updates, as the comparison baseline.
 Runs are fully deterministic functions of their configuration.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .search_space import (ActionSequence, Architecture, MACRO_OPS, MacroArch,
                            arch_to_dict, build_space, decode)
 
 DEFAULT_WINDOW = 50
+RANDOM_RESUME_ERROR = "run.resume is for search only: random search has no controller"
 
 RESULTS_HEADER = ("iteration", "actions", "accuracy", "energy", "peak_power",
                   "mac_normalized", "reward", "grad_norm")
@@ -160,45 +161,35 @@ def _pareto_point(record: IterationRecord) -> ParetoPoint:
                        arch=record.arch, iteration=record.iteration)
 
 
+def _require_space(state: ctl.ControllerState, cfg: RunConfig) -> ctl.ControllerState:
+    if state.space.kind != cfg.space_kind:
+        raise ValueError(f"the {state.space.kind} controller does not fit a run "
+                         f"configured for {cfg.space_kind}")
+    return state
+
+
 def load_resume(cfg: RunConfig) -> ctl.ControllerState:
     """The controller saved at ``cfg.resume_path``, checked against the run's space.
 
     Raises ValueError on a malformed checkpoint or one of another space.
     """
-    state = ctl.load_checkpoint(cfg.resume_path)
-    if state.space.kind != cfg.space_kind:
-        raise ValueError(
-            f"checkpoint holds a {state.space.kind} controller, "
-            f"run is configured for {cfg.space_kind}")
-    return state
+    return _require_space(ctl.load_checkpoint(cfg.resume_path), cfg)
 
 
-def _run(cfg: RunConfig, sample_random: bool, state: ctl.ControllerState | None,
-         evaluator: Evaluator | None) -> SearchResult:
+def _run(cfg: RunConfig, sample: Callable[[], tuple[ActionSequence, ctl.Rollout | None]],
+         update: Callable[[list, list[float]], float],
+         controller: ctl.ControllerState | None, evaluator: Evaluator | None) -> SearchResult:
+    """``sample()`` gives a sequence and its rollout; after every ``cfg.batch_n``
+    samples and the last, ``update(rollouts, rewards)`` gives their grad_norm."""
     space = build_space(cfg.space_kind)
     if evaluator is None:
         evaluator = build_evaluator(cfg)
-    rng = None
-    if sample_random:
-        rng = np.random.default_rng(cfg.seed)
-    elif state is None and cfg.resume_path is not None:
-        state = load_resume(cfg)
-    elif state is None:
-        state = ctl.create_controller(space, seed=cfg.seed, hidden_dim=cfg.hidden_dim,
-                                      lr=cfg.lr, clip_norm=cfg.clip_norm,
-                                      use_baseline=cfg.use_baseline)
-
     records: list[IterationRecord] = []
     front = ParetoFront()
     best: IterationRecord | None = None
-    pending: list[tuple[ctl.Rollout, float, IterationRecord]] = []
+    pending: list[tuple[ctl.Rollout | None, float, IterationRecord]] = []
     for i in range(1, cfg.n_iterations + 1):
-        if sample_random:
-            seq = ActionSequence(actions=tuple(int(rng.integers(len(slot.candidates)))
-                                               for slot in space.slots))
-            rollout = None
-        else:
-            seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = sample()
         arch = decode(space, seq)
         try:
             result = evaluator.evaluate(arch)
@@ -216,34 +207,49 @@ def _run(cfg: RunConfig, sample_random: bool, state: ctl.ControllerState | None,
         if best is None or record.reward > best.reward:  # strict: first max wins
             best = record
 
-        if not sample_random:
-            pending.append((rollout, reward, record))
-            if len(pending) == cfg.batch_n or i == cfg.n_iterations:
-                norm = ctl.reinforce_update_batch(
-                    state, [p[0] for p in pending], [p[1] for p in pending])
-                for _, _, rec in pending:
-                    rec.grad_norm = norm
-                pending = []
+        pending.append((rollout, reward, record))
+        if len(pending) == cfg.batch_n or i == cfg.n_iterations:
+            norm = update([p[0] for p in pending], [p[1] for p in pending])
+            for _, _, rec in pending:
+                rec.grad_norm = norm
+            pending = []
 
     stats = compute_stats(records, cfg.reward, window=cfg.window)
     return SearchResult(best=best, records=records, front=front, stats=stats,
-                        controller=state)
+                        controller=controller)
 
 
 def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None,
                evaluator: Evaluator | None = None) -> SearchResult:
-    """Policy-gradient search over the configured space (one update per sample).
+    """Policy-gradient search over the configured space, one update per batch.
 
     ``controller`` is the state to continue from, as `load_resume` returns
     it; without it the run loads ``cfg.resume_path`` if set, else starts a
     fresh controller. ``evaluator`` defaults to `build_evaluator(cfg)`.
     """
-    return _run(cfg, sample_random=False, state=controller, evaluator=evaluator)
+    if controller is None and cfg.resume_path is not None:
+        controller = load_resume(cfg)
+    elif controller is None:
+        controller = ctl.create_controller(build_space(cfg.space_kind), seed=cfg.seed,
+                                           hidden_dim=cfg.hidden_dim, lr=cfg.lr,
+                                           clip_norm=cfg.clip_norm,
+                                           use_baseline=cfg.use_baseline)
+    else:
+        _require_space(controller, cfg)
+    # looked up at call time, so wrappers installed on the controller module apply
+    return _run(cfg, lambda: ctl.sample_sequence(controller),
+                lambda *batch: ctl.reinforce_update_batch(controller, *batch),
+                controller, evaluator)
 
 
 def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResult:
-    """Uniform random search through the identical evaluation pipeline."""
-    return _run(cfg, sample_random=True, state=None, evaluator=evaluator)
+    """Uniform random search through the same loop, no updates; refuses ``resume_path``."""
+    if cfg.resume_path is not None:
+        raise ValueError(RANDOM_RESUME_ERROR)
+    rng = np.random.default_rng(cfg.seed)
+    arities = [len(slot.candidates) for slot in build_space(cfg.space_kind).slots]
+    return _run(cfg, lambda: (ActionSequence(tuple(rng.integers(arities).tolist())), None),
+                lambda rollouts, rewards: 0.0, None, evaluator)
 
 
 def compute_stats(records: list[IterationRecord], spec: RewardSpec,
@@ -268,14 +274,13 @@ def compute_stats(records: list[IterationRecord], spec: RewardSpec,
     return stats
 
 
-def sample_trained_controller(state: ctl.ControllerState, space: SearchSpace,
-                              evaluator: Evaluator, n: int = 1000
-                              ) -> list[tuple[Architecture, EvaluationResult]]:
+def sample_trained_controller(state: ctl.ControllerState, evaluator: Evaluator,
+                              n: int = 1000) -> list[tuple[Architecture, EvaluationResult]]:
     """n rollouts without updates, for inspecting what a controller learned."""
     out = []
     for _ in range(n):
-        seq, _ = ctl.sample_sequence(state, space)
-        arch = decode(space, seq)
+        seq, _ = ctl.sample_sequence(state)
+        arch = decode(state.space, seq)
         out.append((arch, evaluator.evaluate(arch)))
     return out
 

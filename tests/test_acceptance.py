@@ -58,7 +58,7 @@ def test_criterion_1_gradient_fidelity():
         space = build_space(kind)
         state = ctl.create_controller(space, seed=seed, hidden_dim=hidden,
                                       clip_norm=None)
-        seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = ctl.sample_sequence(state)
         analytic = ctl.policy_gradients(state, rollout, reward)
         numeric = central_diff_grads(
             lambda: ctl.action_log_prob(state, seq) * reward, state.params)
@@ -241,15 +241,13 @@ def test_criterion_7_mac_constrained_macro_search(tmp_path):
     result = engine.run_search(cfg)
     space = build_space("macro")
     evaluator = engine.build_evaluator(cfg)
-    samples = engine.sample_trained_controller(result.controller, space,
-                                               evaluator, n=1000)
+    samples = engine.sample_trained_controller(result.controller, evaluator, n=1000)
     satisfied = float(np.mean([ev.mac_normalized < 0.31 for _, ev in samples]))
     trained_share, layer_hist = cheap_share(samples)
 
     # reference histogram from an untrained controller (near-uniform ops)
     untrained = ctl.create_controller(space, seed=MACRO_SEED)
-    baseline_samples = engine.sample_trained_controller(untrained, space,
-                                                        evaluator, n=1000)
+    baseline_samples = engine.sample_trained_controller(untrained, evaluator, n=1000)
     untrained_share, _ = cheap_share(baseline_samples)
 
     # layer-wise histogram is emitted for inspection, not asserted on shape

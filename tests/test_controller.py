@@ -25,7 +25,7 @@ class TestSampling:
     def test_zero_controller_is_uniform_on_condensenet(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=0, init_scale=0.0)
-        seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = ctl.sample_sequence(state)
         for step in rollout.steps:
             np.testing.assert_allclose(step.probs, 0.2, rtol=1e-15)
         assert seq.total_log_prob == pytest.approx(6.0 * math.log(0.2), rel=1e-12)
@@ -35,42 +35,37 @@ class TestSampling:
         runs = []
         for _ in range(2):
             state = ctl.create_controller(space, seed=11)
-            runs.append([ctl.sample_sequence(state, space)[0].actions
+            runs.append([ctl.sample_sequence(state)[0].actions
                          for _ in range(5)])
         assert runs[0] == runs[1]
 
     def test_sequence_matches_space_arity(self):
         space = build_space("macro")
         state = ctl.create_controller(space, seed=0)
-        seq, _ = ctl.sample_sequence(state, space)
+        seq, _ = ctl.sample_sequence(state)
         assert len(seq.actions) == 78
         for slot, action in zip(space.slots, seq.actions):
             assert 0 <= action < len(slot.candidates)
-
-    def test_wrong_space_rejected(self):
-        state = ctl.create_controller(build_space("alexnet"), seed=0)
-        with pytest.raises(ValueError):
-            ctl.sample_sequence(state, build_space("macro"))
 
 
 class TestActionLogProb:
     def test_zero_controller_value(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=0, init_scale=0.0)
-        seq, _ = ctl.sample_sequence(state, space)
+        seq, _ = ctl.sample_sequence(state)
         assert ctl.action_log_prob(state, seq) == pytest.approx(-9.65663, abs=1e-4)
 
     def test_recompute_matches_sampling_exactly(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=4)
         for _ in range(100):
-            seq, _ = ctl.sample_sequence(state, space)
+            seq, _ = ctl.sample_sequence(state)
             assert abs(ctl.action_log_prob(state, seq) - seq.total_log_prob) < 1e-12
 
     def test_invalid_sequence_rejected(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=0)
-        seq, _ = ctl.sample_sequence(state, space)
+        seq, _ = ctl.sample_sequence(state)
         bad = type(seq)(actions=seq.actions[:-1])
         with pytest.raises(ValueError):
             ctl.action_log_prob(state, bad)
@@ -81,7 +76,7 @@ class TestReinforceUpdate:
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=1)
         before = snapshot(state)
-        seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = ctl.sample_sequence(state)
         norm = ctl.reinforce_update_batch(state, [rollout], [0.0])
         assert norm == 0.0
         for name, arr in state.params.items():
@@ -90,7 +85,7 @@ class TestReinforceUpdate:
     def test_positive_reward_raises_sequence_log_prob(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=2)
-        seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = ctl.sample_sequence(state)
         before = ctl.action_log_prob(state, seq)
         ctl.reinforce_update_batch(state, [rollout], [1.0])
         assert ctl.action_log_prob(state, seq) > before
@@ -98,7 +93,7 @@ class TestReinforceUpdate:
     def test_negative_reward_lowers_sequence_log_prob(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=2)
-        seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = ctl.sample_sequence(state)
         before = ctl.action_log_prob(state, seq)
         ctl.reinforce_update_batch(state, [rollout], [-1.0])
         assert ctl.action_log_prob(state, seq) < before
@@ -106,7 +101,7 @@ class TestReinforceUpdate:
     def test_gradient_scales_linearly_in_reward(self):
         space = build_space("alexnet")
         state = ctl.create_controller(space, seed=3, clip_norm=None)
-        _, rollout = ctl.sample_sequence(state, space)
+        _, rollout = ctl.sample_sequence(state)
         g1 = ctl.policy_gradients(state, rollout, 0.35)
         g2 = ctl.policy_gradients(state, rollout, 0.70)
         for name in g1:
@@ -115,16 +110,16 @@ class TestReinforceUpdate:
     def test_stale_rollout_rejected(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=5)
-        seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = ctl.sample_sequence(state)
         ctl.reinforce_update_batch(state, [rollout], [0.5])
-        ctl.sample_sequence(state, space)
+        ctl.sample_sequence(state)
         with pytest.raises(ValueError, match="stale"):
             ctl.reinforce_update_batch(state, [rollout], [0.5])
 
     def test_gradient_matches_finite_differences(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=6, hidden_dim=3, clip_norm=None)
-        seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = ctl.sample_sequence(state)
         reward = 1.3
         analytic = ctl.policy_gradients(state, rollout, reward)
         numeric = central_diff_grads(
@@ -134,7 +129,7 @@ class TestReinforceUpdate:
     def test_clip_norm_caps_update_but_reports_raw_norm(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=7, clip_norm=1e-6)
-        seq, rollout = ctl.sample_sequence(state, space)
+        seq, rollout = ctl.sample_sequence(state)
         norm = ctl.reinforce_update_batch(state, [rollout], [5.0])
         assert norm > 1e-6  # raw norm, not the clipped one
 
@@ -142,8 +137,8 @@ class TestReinforceUpdate:
         space = build_space("condensenet")
         a = ctl.create_controller(space, seed=12)
         b = ctl.create_controller(space, seed=12)
-        seq, rollout_a = ctl.sample_sequence(a, space)
-        seq_b, rollout_b = ctl.sample_sequence(b, space)
+        seq, rollout_a = ctl.sample_sequence(a)
+        seq_b, rollout_b = ctl.sample_sequence(b)
         assert seq.actions == seq_b.actions
         # the plain update: one rollout's gradient, clipped, one ADAM step
         grads = ctl.policy_gradients(a, rollout_a, 0.8)
@@ -159,7 +154,7 @@ class TestReinforceUpdate:
         rollouts = []
         rewards = [0.4, -1.2, 0.9]
         for _ in rewards:
-            _, rollout = ctl.sample_sequence(state, space)
+            _, rollout = ctl.sample_sequence(state)
             rollouts.append(rollout)
         per_sample = [ctl.policy_gradients(state, ro, rw)
                       for ro, rw in zip(rollouts, rewards)]
@@ -172,7 +167,7 @@ class TestReinforceUpdate:
     def test_batch_rejects_mismatched_rewards(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=14)
-        _, rollout = ctl.sample_sequence(state, space)
+        _, rollout = ctl.sample_sequence(state)
         with pytest.raises(ValueError):
             ctl.reinforce_update_batch(state, [rollout], [0.1, 0.2])
         with pytest.raises(ValueError):
@@ -186,7 +181,7 @@ class TestGradientWorkspace:
     def test_out_buffer_is_fully_overwritten(self, kind):
         space = build_space(kind)
         state = ctl.create_controller(space, seed=5)
-        _, rollout = ctl.sample_sequence(state, space)
+        _, rollout = ctl.sample_sequence(state)
         fresh = ctl.policy_gradients(state, rollout, 0.7)
         out = state.params.like()
         out.flat.fill(np.nan)
@@ -196,7 +191,7 @@ class TestGradientWorkspace:
     def test_out_buffer_of_another_layout_rejected(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=5)
-        _, rollout = ctl.sample_sequence(state, space)
+        _, rollout = ctl.sample_sequence(state)
         other = ctl.create_controller(space, seed=5, hidden_dim=7)
         with pytest.raises(ValueError):
             ctl.policy_gradients(state, rollout, 0.7, out=other.params.like())
@@ -207,8 +202,8 @@ class TestGradientWorkspace:
         state = ctl.create_controller(space, seed=9)
         ref = ctl.create_controller(space, seed=9)
         for rewards in ([0.3, -0.2, 0.9], [0.5, 0.1, -0.4]):
-            rollouts = [ctl.sample_sequence(state, space)[1] for _ in rewards]
-            ref_rollouts = [ctl.sample_sequence(ref, space)[1] for _ in rewards]
+            rollouts = [ctl.sample_sequence(state)[1] for _ in rewards]
+            ref_rollouts = [ctl.sample_sequence(ref)[1] for _ in rewards]
             norm = ctl.reinforce_update_batch(state, rollouts, rewards)
 
             grads = ref.params.like()
@@ -229,10 +224,10 @@ class TestLearningDynamics:
         space = bandit_space(2)
         state = ctl.create_controller(space, seed=3, hidden_dim=4, lr=0.05)
         for _ in range(500):
-            seq, rollout = ctl.sample_sequence(state, space)
+            seq, rollout = ctl.sample_sequence(state)
             reward = 1.0 if seq.actions[0] == 1 else 0.0
             ctl.reinforce_update_batch(state, [rollout], [reward])
-        hits = sum(ctl.sample_sequence(state, space)[0].actions[0] == 1
+        hits = sum(ctl.sample_sequence(state)[0].actions[0] == 1
                    for _ in range(1000))
         assert hits / 1000 > 0.95
 
@@ -241,10 +236,10 @@ class TestLearningDynamics:
         state = ctl.create_controller(space, seed=5, hidden_dim=6, lr=0.05)
         target = (1, 2)
         for _ in range(2000):
-            seq, rollout = ctl.sample_sequence(state, space)
+            seq, rollout = ctl.sample_sequence(state)
             ctl.reinforce_update_batch(state, [rollout],
                                        [1.0 if seq.actions == target else 0.0])
-        hits = sum(ctl.sample_sequence(state, space)[0].actions == target
+        hits = sum(ctl.sample_sequence(state)[0].actions == target
                    for _ in range(1000))
         assert hits / 1000 > 0.9
 
@@ -253,10 +248,10 @@ class TestLearningDynamics:
         state = ctl.create_controller(space, seed=9, hidden_dim=4, lr=0.05,
                                       use_baseline=True)
         for _ in range(500):
-            seq, rollout = ctl.sample_sequence(state, space)
+            seq, rollout = ctl.sample_sequence(state)
             reward = 1.0 if seq.actions[0] == 0 else 0.0
             ctl.reinforce_update_batch(state, [rollout], [reward])
-        hits = sum(ctl.sample_sequence(state, space)[0].actions[0] == 0
+        hits = sum(ctl.sample_sequence(state)[0].actions[0] == 0
                    for _ in range(1000))
         assert hits / 1000 > 0.95
         assert 0.0 < state.baseline <= 1.0
@@ -267,7 +262,7 @@ class TestCheckpoint:
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=8)
         for _ in range(10):
-            seq, rollout = ctl.sample_sequence(state, space)
+            seq, rollout = ctl.sample_sequence(state)
             ctl.reinforce_update_batch(state, [rollout], [0.3])
         path = tmp_path / "controller.npz"
         ctl.save_checkpoint(state, path)
@@ -281,8 +276,8 @@ class TestCheckpoint:
 
         # both copies continue bit-identically, rng state included
         for _ in range(5):
-            a, _ = ctl.sample_sequence(state, space)
-            b, _ = ctl.sample_sequence(restored, space)
+            a, _ = ctl.sample_sequence(state)
+            b, _ = ctl.sample_sequence(restored)
             assert a.actions == b.actions
             assert a.log_probs == b.log_probs
 

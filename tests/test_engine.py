@@ -126,6 +126,29 @@ class TestRunSearch:
             engine.run_search(power_cfg(space_kind="alexnet", n_iterations=5,
                                         resume_path=str(ckpt)))
 
+    def test_given_controller_of_other_space_rejected(self):
+        state = create_controller(build_space("alexnet"), seed=0)
+        with pytest.raises(ValueError, match="alexnet controller"):
+            engine.run_search(power_cfg(n_iterations=5), controller=state)
+
+    def test_controller_hooks_looked_up_per_call(self, monkeypatch):
+        # bench/spans.py times the loop by replacing these module attributes
+        from archsearch import controller as ctl
+
+        calls = {"sample": 0, "update": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ctl, "sample_sequence", counted("sample", ctl.sample_sequence))
+        monkeypatch.setattr(ctl, "reinforce_update_batch",
+                            counted("update", ctl.reinforce_update_batch))
+        engine.run_search(power_cfg(n_iterations=5, batch_n=2))
+        assert calls == {"sample": 5, "update": 3}
+
     def test_batched_updates_share_grad_norm(self):
         result = engine.run_search(power_cfg(n_iterations=10, batch_n=4))
         norms = [r.grad_norm for r in result.records]
@@ -175,6 +198,10 @@ class TestRunRandom:
         result = engine.run_random(power_cfg(n_iterations=10))
         assert result.controller is None
         assert all(r.grad_norm == 0.0 for r in result.records)
+
+    def test_refuses_resume_path(self):
+        with pytest.raises(ValueError, match="search only"):
+            engine.run_random(power_cfg(n_iterations=2, resume_path="nope.npz"))
 
 
 class TestComputeStats:
@@ -233,7 +260,7 @@ class TestSampleTrainedController:
         space = build_space("macro")
         state = create_controller(space, seed=0, init_scale=0.0)
         evaluator = engine.make_evaluator("macro")
-        samples = engine.sample_trained_controller(state, space, evaluator, n=300)
+        samples = engine.sample_trained_controller(state, evaluator, n=300)
         ops_hist, _ = engine.histogram_of(a for a, _ in samples)
         total = sum(ops_hist.values())
         for op in MACRO_OPS:
@@ -245,7 +272,7 @@ class TestSampleTrainedController:
         archs = []
         for _ in range(2):
             state = create_controller(space, seed=21)
-            samples = engine.sample_trained_controller(state, space, evaluator, n=20)
+            samples = engine.sample_trained_controller(state, evaluator, n=20)
             archs.append([a for a, _ in samples])
         assert archs[0] == archs[1]
 
@@ -320,7 +347,7 @@ class TestFileEmission:
         space = build_space("condensenet")
         state = create_controller(space, seed=6)
         evaluator = engine.make_evaluator("condensenet")
-        samples = engine.sample_trained_controller(state, space, evaluator, n=10)
+        samples = engine.sample_trained_controller(state, evaluator, n=10)
         path = tmp_path / "samples.csv"
         engine.write_samples_csv(path, samples)
         assert engine.read_samples_csv(path) == samples
