@@ -66,11 +66,12 @@ class SurrogateConfig:
     capacity_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        for name in ("a_max", "kappa", "e0", "e1", "p0", "p1", "capacity_weight"):
+        # every message starts with the field name: load_surrogate_config relies on it
+        for name in ("a_max", "kappa", "e0", "e1", "p0", "p1", "sigma", "capacity_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.sigma < 0:
+            raise ValueError("sigma must be >= 0")
 
 
 def _capacities(arch: Architecture) -> tuple[float, float, float | None]:
@@ -140,19 +141,21 @@ def load_surrogate_config(space: str, path: str | Path | None = None,
         raise ValueError(f"{source}: missing version key")
 
     def get(name: str, default: str | None = None) -> float:
-        key = f"{space}.{name}"
-        if key not in values and default is None:
-            raise ValueError(f"{source}: missing key {key}")
+        if f"{space}.{name}" not in values and default is None:
+            raise ValueError(f"{name} is missing")
         try:
-            return float(values.get(key, default))
+            return float(values.get(f"{space}.{name}", default))
         except ValueError as exc:
-            raise ValueError(f"{source}: {key}: {exc}") from None
+            raise ValueError(f"{name}: {exc}") from None
 
-    return SurrogateConfig(
-        space=space, a_max=get("a_max"), kappa=get("kappa"),
-        e0=get("e0"), e1=get("e1"), p0=get("p0"), p1=get("p1"),
-        sigma=get("sigma"), seed=seed, capacity_weight=get("capacity_weight", "1.0"),
-    )
+    try:
+        return SurrogateConfig(
+            space=space, a_max=get("a_max"), kappa=get("kappa"),
+            e0=get("e0"), e1=get("e1"), p0=get("p0"), p1=get("p1"),
+            sigma=get("sigma"), seed=seed, capacity_weight=get("capacity_weight", "1.0"),
+        )
+    except ValueError as exc:  # its message starts with the field name
+        raise ValueError(f"{source}: {space}.{exc}") from None
 
 
 def make_surrogate(space: str, seed: int = 0, sigma: float | None = None,

@@ -408,9 +408,11 @@ class TestIncompatibleSettings:
         assert not out.exists()
 
 
-BAD_SURROGATE = "version = 1\n" + "\n".join(
-    f"condensenet.{k} = {'abc' if k == 'kappa' else '1.0'}"
-    for k in ("a_max", "kappa", "e0", "e1", "p0", "p1", "sigma"))
+def surrogate_file(**values):
+    """A condensenet surrogate constants file, 1.0 for every key not given."""
+    return "version = 1\n" + "\n".join(
+        f"condensenet.{k} = {values.get(k, '1.0')}"
+        for k in ("a_max", "kappa", "e0", "e1", "p0", "p1", "sigma"))
 
 
 class TestBadInputFiles:
@@ -422,9 +424,16 @@ class TestBadInputFiles:
         ("--fixture", ",".join(LOOKUP_HEADER) + "\n6,6,6,4,4,x,5.0,30.0\n", "line 2"),
         ("--surrogate-config", None, "ghost.txt"),
         ("--surrogate-config", "condensenet.a_max = 0.9\n", "missing version"),
-        ("--surrogate-config", BAD_SURROGATE, "condensenet.kappa"),
+        ("--surrogate-config", surrogate_file(kappa="abc"), "condensenet.kappa"),
+        ("--surrogate-config", surrogate_file(sigma="-1"),
+         "ghost.txt: condensenet.sigma must be >= 0"),
+        ("--surrogate-config", surrogate_file(kappa="inf"),
+         "ghost.txt: condensenet.kappa must be finite"),
+        ("--surrogate-config", surrogate_file(sigma="nan"),
+         "ghost.txt: condensenet.sigma must be finite"),
     ], ids=["fixture-missing", "fixture-header", "fixture-row", "surrogate-missing",
-            "surrogate-version", "surrogate-value"])
+            "surrogate-version", "surrogate-value", "surrogate-range", "surrogate-nonfinite",
+            "surrogate-nan-sigma"])
     def test_run_and_sample_exit_2(self, tmp_path, capsys, flag, content, named):
         path = tmp_path / "ghost.txt"
         if content is not None:

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from archsearch.rewards import (EvaluationResult, RewardSpec, compute_reward,
+from archsearch.rewards import (REWARD_KINDS, EvaluationResult, RewardSpec, compute_reward,
                                 normalize_energy)
 
 
@@ -178,3 +180,56 @@ class TestSpecValidation:
             EvaluationResult(accuracy=0.5, energy_joules=-1.0)
         with pytest.raises(ValueError):
             EvaluationResult(accuracy=0.5, mac_normalized=1.4)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+unit = st.floats(0.0, 1.0)
+nonnegative = st.floats(0.0, allow_infinity=False)
+
+
+@st.composite
+def reward_specs(draw):
+    kind = draw(st.sampled_from(REWARD_KINDS))
+    return RewardSpec(kind=kind, alpha=draw(unit) if kind == "mixed" else None,
+                      threshold=None if kind == "mixed" else draw(finite),
+                      energy_norm_max=draw(st.floats(0.0, exclude_min=True,
+                                                     allow_infinity=False)),
+                      violation_reward=draw(finite))
+
+
+class TestRewardProperties:
+    """Invariants over every reward kind and any setting, not pinned examples."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=reward_specs(), accuracies=st.lists(unit, min_size=2, max_size=2),
+           energy=nonnegative, power=nonnegative, mac=unit)
+    def test_never_falls_when_accuracy_rises(self, spec, accuracies, energy, power, mac):
+        low, high = sorted(accuracies)
+        assert (compute_reward(spec, ev(low, energy=energy, power=power, mac=mac))
+                <= compute_reward(spec, ev(high, energy=energy, power=power, mac=mac)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=reward_specs(), energies=st.lists(nonnegative, min_size=2, max_size=2),
+           accuracy=unit, power=nonnegative, mac=unit)
+    def test_never_rises_when_energy_rises(self, spec, energies, accuracy, power, mac):
+        low, high = sorted(energies)
+        assert (compute_reward(spec, ev(accuracy, energy=low, power=power, mac=mac))
+                >= compute_reward(spec, ev(accuracy, energy=high, power=power, mac=mac)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["power_constraint", "accuracy_constraint",
+                                 "mac_constraint"]), data=st.data())
+    def test_satisfies_is_strict_at_drawn_threshold(self, kind, data):
+        """At the threshold a constraint fails; one float past it, it holds."""
+        if kind == "power_constraint":
+            threshold = data.draw(st.floats(0.0, allow_infinity=False, exclude_min=True))
+            at, past = ev(0.5, power=threshold), ev(0.5, power=math.nextafter(threshold, 0.0))
+        elif kind == "mac_constraint":
+            threshold = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+            at, past = ev(0.5, mac=threshold), ev(0.5, mac=math.nextafter(threshold, 0.0))
+        else:
+            threshold = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+            at, past = ev(threshold), ev(math.nextafter(threshold, 1.0))
+        spec = RewardSpec(kind=kind, threshold=threshold)
+        assert not spec.satisfies(at)
+        assert spec.satisfies(past)
