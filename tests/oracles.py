@@ -154,6 +154,42 @@ def brute_force_front(points):
     return kept
 
 
+def linear_front_insert(points, p):
+    """Insert p into a front held as a list, by a full scan and a re-sort.
+
+    The scan-every-point front update, kept as the reference for the
+    bisected one: mutates ``points`` in place and returns the outcome,
+    "added", "dominated" or "tie-replaced".
+    """
+    def dominates(a, b):
+        return (a.accuracy >= b.accuracy and a.energy <= b.energy
+                and (a.accuracy > b.accuracy or a.energy < b.energy))
+
+    survivors = []
+    twin = None
+    for q in points:
+        if dominates(q, p):
+            return "dominated"
+        if q.accuracy == p.accuracy and q.energy == p.energy:
+            twin = q
+        if not dominates(p, q):
+            survivors.append(q)
+
+    if twin is not None:
+        if p.iteration < twin.iteration:
+            survivors = [q for q in survivors if q is not twin]
+            survivors.append(p)
+            survivors.sort(key=lambda q: (q.energy, q.accuracy))
+            points[:] = survivors
+            return "tie-replaced"
+        return "dominated"
+
+    survivors.append(p)
+    survivors.sort(key=lambda q: (q.energy, q.accuracy))
+    points[:] = survivors
+    return "added"
+
+
 # Opcodes that never fire a ``line`` trace event: ``RESUME`` (3.11+) sits
 # alone on a function's ``def`` line. Empty on 3.10, which has no RESUME.
 _SILENT_OPS = {dis.opmap["RESUME"]} if "RESUME" in dis.opmap else set()

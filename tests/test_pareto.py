@@ -1,11 +1,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archsearch.pareto import (ADDED, DOMINATED, TIE_REPLACED, ParetoFront,
                                ParetoPoint, dominates, front_of)
 
-from oracles import brute_force_front
+from oracles import brute_force_front, linear_front_insert
 
 # the shipped results table as (error %, energy) pairs
 TABLE = {
@@ -106,6 +108,31 @@ class TestInsert:
         expected = brute_force_front(points)
         assert [(p.accuracy, p.energy, p.iteration) for p in front.points] == \
                [(p.accuracy, p.energy, p.iteration) for p in expected]
+
+
+# a coarse grid: equal energies, equal accuracies, exact duplicates, and
+# iterations drawn independently of the insertion order
+grid_points = st.lists(
+    st.builds(lambda a, e, i: pt(a / 4.0, float(e), iteration=i),
+              st.integers(0, 4), st.integers(0, 5), st.integers(0, 6)),
+    max_size=40)
+
+
+class TestAgainstLinearScan:
+    @settings(max_examples=400, deadline=None)
+    @given(points=grid_points)
+    def test_same_outcome_and_points_after_every_insert(self, points):
+        front = ParetoFront()
+        reference = []
+        for p in points:
+            assert front.insert(p) == linear_front_insert(reference, p)
+            assert front.points == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=grid_points, data=st.data())
+    def test_front_of_any_permutation_is_brute_force_front(self, points, data):
+        perm = data.draw(st.permutations(points))
+        assert front_of(perm).points == brute_force_front(points)
 
 
 class TestFrontOf:
