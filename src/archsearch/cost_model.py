@@ -8,9 +8,12 @@ only the normalized fraction is a float.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
-from .search_space import MACRO_LAYERS, MACRO_OPS, MacroArch
+from .search_space import MACRO_LAYERS, MacroArch
 
 CONV_OPS = {"conv3x3": 3, "conv5x5": 5}
 SEP_CONV_OPS = {"sep_conv3x3": 3, "sep_conv5x5": 5}
@@ -22,88 +25,72 @@ INPUT_CHANNELS = 3  # RGB input feeds the first layer
 
 
 @dataclass(frozen=True)
-class LayerGeometry:
-    op: str
-    kernel: int
-    c_in: int
-    c_out: int
-    height: int
-    width: int
-
-    def __post_init__(self) -> None:
-        for name in ("kernel", "c_in", "c_out", "height", "width"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.op in POOL_OPS and self.c_in != self.c_out:
-            raise ValueError("pooling keeps the channel count unchanged")
-
-
-@dataclass(frozen=True)
 class MacReport:
     total_mac: int
     per_layer: tuple[tuple[int, int], ...]  # (layer index, mac count)
     normalized: float  # total / most expensive architecture of the space
 
 
-def conv_mac(g: LayerGeometry) -> int:
-    """MACs of a standard convolution: K*K*C_in*H*W*C_out."""
-    if g.op not in CONV_OPS:
-        raise ValueError(f"{g.op!r} is not a standard convolution")
-    return g.kernel * g.kernel * g.c_in * g.height * g.width * g.c_out
+@dataclass(frozen=True)
+class MacTable:
+    """MACs of every op at every macro layer, for one geometry."""
+
+    rows: tuple[Mapping[str, int], ...]  # per layer: op -> MACs
+    layer_max: tuple[int, ...]  # per layer: its most expensive op
+    space_max: int  # every layer at its most expensive op
 
 
-def sep_conv_mac(g: LayerGeometry) -> int:
-    """MACs of a depthwise-separable convolution: C_in*H*W*(K*K + C_out)."""
-    if g.op not in SEP_CONV_OPS:
-        raise ValueError(f"{g.op!r} is not a separable convolution")
-    return g.c_in * g.height * g.width * (g.kernel * g.kernel + g.c_out)
-
-
-def layer_geometry(op: str, layer: int, channels: int = DEFAULT_CHANNELS,
-                   input_size: int = DEFAULT_INPUT_SIZE) -> LayerGeometry:
-    """Geometry of one macro layer.
+@lru_cache(maxsize=64)
+def mac_table(channels: int, input_size: int) -> MacTable:
+    """The MAC table of the macro space at one geometry, built once.
 
     Layers 0..3 run at full resolution, 4..7 at half, 8..11 at quarter
     (stride-2 reductions at layers 4 and 8, same padding otherwise). The
     first layer reads the image, later layers the constant body width.
+    Pooling keeps the channel count and costs nothing.
     """
-    if not 0 <= layer < MACRO_LAYERS:
-        raise ValueError(f"layer must be in 0..{MACRO_LAYERS - 1}")
-    size = input_size >> (layer // 4)
-    c_in = INPUT_CHANNELS if layer == 0 else channels
-    if op in POOL_OPS:
-        # pooling cannot change the channel count
-        return LayerGeometry(op=op, kernel=1, c_in=c_in, c_out=c_in,
-                             height=size, width=size)
-    kernel = CONV_OPS.get(op) or SEP_CONV_OPS.get(op)
-    if kernel is None:
-        raise ValueError(f"unknown operation {op!r}")
-    return LayerGeometry(op=op, kernel=kernel, c_in=c_in, c_out=channels,
-                         height=size, width=size)
+    if channels <= 0:
+        raise ValueError("channels must be positive")
+    if input_size >> ((MACRO_LAYERS - 1) // 4) <= 0:
+        raise ValueError("input_size must be at least 4: the last layers "
+                         "run at a quarter of it")
+    rows = []
+    for layer in range(MACRO_LAYERS):
+        size = input_size >> (layer // 4)
+        c_in = INPUT_CHANNELS if layer == 0 else channels
+        row = dict.fromkeys(POOL_OPS, 0)
+        for op, k in CONV_OPS.items():
+            row[op] = k * k * c_in * size * size * channels
+        for op, k in SEP_CONV_OPS.items():
+            row[op] = c_in * size * size * (k * k + channels)
+        rows.append(MappingProxyType(row))
+    layer_max = tuple(max(row.values()) for row in rows)
+    return MacTable(rows=tuple(rows), layer_max=layer_max, space_max=sum(layer_max))
 
 
 def op_mac(op: str, layer: int, channels: int = DEFAULT_CHANNELS,
            input_size: int = DEFAULT_INPUT_SIZE) -> int:
     """MACs of one operation placed at one macro layer; pooling is free."""
-    g = layer_geometry(op, layer, channels, input_size)
-    if op in CONV_OPS:
-        return conv_mac(g)
-    if op in SEP_CONV_OPS:
-        return sep_conv_mac(g)
-    return 0
+    if not 0 <= layer < MACRO_LAYERS:
+        raise ValueError(f"layer must be in 0..{MACRO_LAYERS - 1}")
+    row = mac_table(channels, input_size).rows[layer]
+    if op not in row:
+        raise ValueError(f"unknown operation {op!r}")
+    return row[op]
 
 
 def max_layer_mac(layer: int, channels: int = DEFAULT_CHANNELS,
                   input_size: int = DEFAULT_INPUT_SIZE) -> int:
     """Cost of the most expensive op available at this layer."""
-    return max(op_mac(op, layer, channels, input_size) for op in MACRO_OPS)
+    if not 0 <= layer < MACRO_LAYERS:
+        raise ValueError(f"layer must be in 0..{MACRO_LAYERS - 1}")
+    return mac_table(channels, input_size).layer_max[layer]
 
 
 def max_space_mac(channels: int = DEFAULT_CHANNELS,
                   input_size: int = DEFAULT_INPUT_SIZE) -> int:
     """Total MACs when every layer picks its most expensive op."""
-    return sum(max_layer_mac(layer, channels, input_size)
-               for layer in range(MACRO_LAYERS))
+    return mac_table(channels, input_size).space_max
 
 
 def macro_mac(arch: MacroArch, channels: int = DEFAULT_CHANNELS,
@@ -114,9 +101,9 @@ def macro_mac(arch: MacroArch, channels: int = DEFAULT_CHANNELS,
     normalized figure divides by the cost of the all-most-expensive-op
     architecture, so it lies in [0, 1] across the whole space.
     """
-    per_layer = tuple(
-        (layer, op_mac(op, layer, channels, input_size))
-        for layer, op in enumerate(arch.ops))
+    table = mac_table(channels, input_size)
+    per_layer = tuple((layer, row[op])
+                      for layer, (row, op) in enumerate(zip(table.rows, arch.ops)))
     total = sum(mac for _, mac in per_layer)
     return MacReport(total_mac=total, per_layer=per_layer,
-                     normalized=total / max_space_mac(channels, input_size))
+                     normalized=total / table.space_max)

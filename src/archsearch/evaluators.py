@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cost_model, textio
+from .cost_model import DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE
 from .rewards import EvaluationResult
 from .search_space import AlexNetArch, Architecture, CondenseNetArch, MacroArch, arch_to_compact
 
@@ -84,8 +85,8 @@ def _capacities(arch: Architecture) -> tuple[float, float, float | None]:
         return float(sum(sizes)), float(max(sizes)), None
     if isinstance(arch, MacroArch):
         report = cost_model.macro_mac(arch)
-        shares = [mac / cost_model.max_layer_mac(layer)
-                  for layer, mac in report.per_layer]
+        layer_max = cost_model.mac_table(DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE).layer_max
+        shares = [mac / layer_max[layer] for layer, mac in report.per_layer]
         return report.normalized, max(shares), report.normalized
     raise ValueError(f"unsupported architecture type: {type(arch).__name__}")
 
@@ -207,6 +208,8 @@ def load_lookup(path: str | Path) -> LookupTable:
         row = LookupRow(error_pct=float(fields[6]), energy_j=float(fields[7]))
         if not 0.0 <= row.error_pct <= 100.0:
             raise ValueError("error must be in [0, 100]")
+        if not (math.isfinite(row.energy_j) and row.energy_j >= 0):
+            raise ValueError(f"energy must be finite and >= 0, got {fields[7]}")
         if arch in rows:
             raise ValueError(f"duplicate architecture {list(fields[0:6])}")
         rows[arch] = row

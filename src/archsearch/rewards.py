@@ -40,10 +40,10 @@ class EvaluationResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy}")
-        if self.energy_joules is not None and self.energy_joules < 0:
-            raise ValueError("energy must be >= 0")
-        if self.peak_power_watts is not None and self.peak_power_watts < 0:
-            raise ValueError("peak power must be >= 0")
+        for name, value in (("energy", self.energy_joules),
+                            ("peak power", self.peak_power_watts)):
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.mac_normalized is not None and not 0.0 <= self.mac_normalized <= 1.0:
             raise ValueError("normalized MAC must be in [0, 1]")
 

@@ -17,7 +17,7 @@ from archsearch.evaluators import LookupEvaluator, fixture_lookup_path, load_loo
 from archsearch.pareto import ParetoFront, ParetoPoint, dominates, front_of
 from archsearch.rewards import EvaluationResult, RewardSpec, compute_reward
 from archsearch.search_space import CondenseNetArch, build_space
-from archsearch.cost_model import LayerGeometry, conv_mac, sep_conv_mac
+from archsearch.cost_model import op_mac
 
 from acceptance_report import report
 from oracles import brute_force_front, central_diff_grads, max_rel_error, missed_lines
@@ -72,16 +72,15 @@ def test_criterion_2_mac_exactness():
     # straight-line oracle over a 240-case geometry grid, exact integers
     cases = 0
     exact = True
-    for k, c_in, c_out, size in itertools.product(
-            (1, 3, 5, 7), (1, 3, 16, 32, 64), (1, 8, 32), (4, 8, 16, 32)):
-        g_conv = LayerGeometry(op="conv3x3", kernel=k, c_in=c_in, c_out=c_out,
-                               height=size, width=size)
-        g_sep = LayerGeometry(op="sep_conv3x3", kernel=k, c_in=c_in, c_out=c_out,
-                              height=size, width=size)
-        expected_conv = k * k * c_in * size * size * c_out
-        expected_sep = c_in * size * size * (k * k + c_out)
-        exact = exact and conv_mac(g_conv) == expected_conv
-        exact = exact and sep_conv_mac(g_sep) == expected_sep
+    for channels, input_size, layer in itertools.product(
+            (1, 3, 16, 32, 64), (4, 8, 16, 32), range(12)):
+        size = input_size // 2 ** (layer // 4)
+        c_in = 3 if layer == 0 else channels
+        for k in (3, 5):
+            conv = op_mac(f"conv{k}x{k}", layer, channels, input_size)
+            sep = op_mac(f"sep_conv{k}x{k}", layer, channels, input_size)
+            exact = exact and conv == k * k * c_in * size * size * channels
+            exact = exact and sep == c_in * size * size * (k * k + channels)
         cases += 1
     size_ok = build_space("macro").size() == 6**12 * 2**66
     rounded_ok = f"{build_space('macro').size():.1e}" == "1.6e+29"

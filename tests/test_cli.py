@@ -263,6 +263,18 @@ class TestParetoCommand:
                        "--out", str(out)) == 0
         assert len(read_front_csv(out)) == 0
 
+    def test_nan_energy_row_exits_2(self, tmp_path, capsys):
+        results = self.table_results_file(tmp_path)
+        lines = results.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[3] = "nan"
+        results.write_text("\n".join(lines[:1] + [",".join(fields)] + lines[2:]) + "\n")
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--results", str(results), "--space", "condensenet",
+                       "--out", str(out)) == 2
+        assert "energy must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_results_exit_2(self, tmp_path):
         results = tmp_path / "bad.csv"
         results.write_text("nope\n")
@@ -422,6 +434,12 @@ class TestBadInputFiles:
         ("--fixture", None, "ghost.txt"),
         ("--fixture", "stage1,stage2\n", "expected header"),
         ("--fixture", ",".join(LOOKUP_HEADER) + "\n6,6,6,4,4,x,5.0,30.0\n", "line 2"),
+        ("--fixture", ",".join(LOOKUP_HEADER) + "\n6,6,6,4,4,4,5.0,nan\n",
+         "ghost.txt, line 2: energy must be finite and >= 0"),
+        ("--fixture", ",".join(LOOKUP_HEADER) + "\n6,6,6,4,4,4,5.0,inf\n",
+         "ghost.txt, line 2: energy must be finite and >= 0"),
+        ("--fixture", ",".join(LOOKUP_HEADER) + "\n6,6,6,4,4,4,5.0,-3\n",
+         "ghost.txt, line 2: energy must be finite and >= 0"),
         ("--surrogate-config", None, "ghost.txt"),
         ("--surrogate-config", "condensenet.a_max = 0.9\n", "missing version"),
         ("--surrogate-config", surrogate_file(kappa="abc"), "condensenet.kappa"),
@@ -431,7 +449,8 @@ class TestBadInputFiles:
          "ghost.txt: condensenet.kappa must be finite"),
         ("--surrogate-config", surrogate_file(sigma="nan"),
          "ghost.txt: condensenet.sigma must be finite"),
-    ], ids=["fixture-missing", "fixture-header", "fixture-row", "surrogate-missing",
+    ], ids=["fixture-missing", "fixture-header", "fixture-row", "fixture-nan-energy",
+            "fixture-inf-energy", "fixture-negative-energy", "surrogate-missing",
             "surrogate-version", "surrogate-value", "surrogate-range", "surrogate-nonfinite",
             "surrogate-nan-sigma"])
     def test_run_and_sample_exit_2(self, tmp_path, capsys, flag, content, named):
@@ -461,6 +480,8 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("flags, named", [
         (["--channels", "0"], "--channels 0"),
         (["--input-size", "2"], "--input-size 2"),
+        (["--input-size", "3"], "--input-size 3"),
+        (["--channels", "-1"], "--channels -1"),
     ])
     def test_mac_geometry_flags_exit_2(self, tmp_path, capsys, flags, named):
         path = tmp_path / "arch.txt"

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archsearch import cost_model as cm
-from archsearch.search_space import MACRO_OPS, MacroArch
+from archsearch.search_space import MACRO_LAYERS, MACRO_OPS, MacroArch
+
+from strategies import architectures
 
 NO_SKIPS = ((),) * 12
 
@@ -11,37 +15,44 @@ def plain_arch(op):
     return MacroArch(ops=(op,) * 12, skips=NO_SKIPS)
 
 
+def formula_mac(op, layer, channels, input_size):
+    """The module docstring's formulas, written out for one macro layer."""
+    size = input_size // 2 ** (layer // 4)
+    c_in = 3 if layer == 0 else channels
+    if op.startswith("conv"):
+        k = int(op[4])
+        return k * k * c_in * size * size * channels
+    if op.startswith("sep_conv"):
+        k = int(op[8])
+        return c_in * size * size * (k * k + channels)
+    return 0
+
+
 class TestConvMac:
     def test_hand_computed_values(self):
-        g = cm.LayerGeometry(op="conv3x3", kernel=3, c_in=3, c_out=16, height=32, width=32)
-        assert cm.conv_mac(g) == 442_368
-        g = cm.LayerGeometry(op="conv5x5", kernel=5, c_in=32, c_out=32, height=16, width=16)
-        assert cm.conv_mac(g) == 6_553_600
-
-    def test_unit_geometry(self):
-        g = cm.LayerGeometry(op="conv3x3", kernel=1, c_in=1, c_out=1, height=1, width=1)
-        assert cm.conv_mac(g) == 1
+        # 3x3 on the 3-channel 32x32 image into 16 channels
+        assert cm.op_mac("conv3x3", 0, channels=16) == 442_368
+        # 5x5 at half resolution, 32 channels in and out
+        assert cm.op_mac("conv5x5", 4) == 6_553_600
 
     def test_wrong_op_rejected(self):
-        g = cm.LayerGeometry(op="sep_conv3x3", kernel=3, c_in=4, c_out=4, height=8, width=8)
-        with pytest.raises(ValueError):
-            cm.conv_mac(g)
+        for op in ("conv7x7", "sep_conv1x1", "identity"):
+            with pytest.raises(ValueError, match="unknown operation"):
+                cm.op_mac(op, 3)
 
     def test_nonpositive_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            cm.LayerGeometry(op="conv3x3", kernel=3, c_in=0, c_out=4, height=8, width=8)
+        for channels, input_size in ((0, 32), (-1, 32), (32, 3), (32, 0), (32, -8)):
+            with pytest.raises(ValueError):
+                cm.op_mac("conv3x3", 0, channels=channels, input_size=input_size)
+        for layer in (-1, 12):
+            with pytest.raises(ValueError, match="layer must be in"):
+                cm.op_mac("conv3x3", layer)
 
 
 class TestSepConvMac:
     def test_hand_computed_value(self):
-        g = cm.LayerGeometry(op="sep_conv3x3", kernel=3, c_in=32, c_out=32,
-                             height=16, width=16)
-        assert cm.sep_conv_mac(g) == 335_872
-
-    def test_unit_geometry(self):
-        g = cm.LayerGeometry(op="sep_conv3x3", kernel=1, c_in=1, c_out=1,
-                             height=1, width=1)
-        assert cm.sep_conv_mac(g) == 2
+        # 3x3 separable at half resolution, 32 channels in and out
+        assert cm.op_mac("sep_conv3x3", 4) == 335_872
 
     def test_cheaper_than_full_conv_across_macro_geometries(self):
         # K*K + C_out < K*K * C_out holds for every geometry the space uses
@@ -111,3 +122,30 @@ class TestMacroMac:
         large = cm.macro_mac(plain_arch("conv3x3"), channels=64)
         assert small.total_mac < large.total_mac
         assert small.normalized == pytest.approx(large.normalized)  # both all-conv3x3
+
+
+class TestMacTable:
+    @settings(max_examples=300, deadline=None)
+    @given(channels=st.integers(1, 256), input_size=st.integers(4, 512),
+           arch=architectures(kinds=("macro",)))
+    def test_table_equals_docstring_formulas(self, channels, input_size, arch):
+        rows = [{op: formula_mac(op, layer, channels, input_size) for op in MACRO_OPS}
+                for layer in range(MACRO_LAYERS)]
+        for layer, row in enumerate(rows):
+            for op, mac in row.items():
+                assert cm.op_mac(op, layer, channels, input_size) == mac
+            assert cm.max_layer_mac(layer, channels, input_size) == max(row.values())
+        space_max = sum(max(row.values()) for row in rows)
+        assert cm.max_space_mac(channels, input_size) == space_max
+
+        report = cm.macro_mac(arch, channels=channels, input_size=input_size)
+        per_layer = [formula_mac(op, layer, channels, input_size)
+                     for layer, op in enumerate(arch.ops)]
+        assert report.per_layer == tuple(enumerate(per_layer))
+        assert report.total_mac == sum(per_layer)
+        assert report.normalized == report.total_mac / space_max
+
+    def test_built_once_per_geometry(self):
+        assert cm.mac_table(16, 64) is cm.mac_table(16, 64)
+        with pytest.raises(TypeError):
+            cm.mac_table(16, 64).rows[0]["conv3x3"] = 0  # shared by every caller: read-only

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,18 @@ def random_points(rng, n, grid=False):
             energy = float(rng.uniform(0.0, 100.0))
         points.append(pt(acc, energy, iteration=i))
     return points
+
+
+class TestPoint:
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, -1.0])
+    def test_energy_must_be_finite_and_nonnegative(self, energy):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            pt(0.5, energy)
+
+    @pytest.mark.parametrize("accuracy", [math.nan, math.inf, -0.1, 1.1])
+    def test_accuracy_must_be_in_unit_interval(self, accuracy):
+        with pytest.raises(ValueError, match="accuracy"):
+            pt(accuracy, 1.0)
 
 
 class TestDominates:

@@ -181,6 +181,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EvaluationResult(accuracy=0.5, mac_normalized=1.4)
 
+    @pytest.mark.parametrize("field", ["energy_joules", "peak_power_watts"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_result_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            EvaluationResult(accuracy=0.5, **{field: value})
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0)
