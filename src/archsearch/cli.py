@@ -6,53 +6,80 @@ architecture file), ``pareto`` (front extraction from a results file) and
 ``sample`` (roll architectures out of a saved controller checkpoint).
 
 Configuration is a flat ``key = value`` file; every key has a matching
-command-line flag and flags win. Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error.
+command-line flag and flags win. Both are declared once, in `SETTINGS`.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import controller as ctl
 from . import engine, textio
 from .cost_model import DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE, macro_mac
 from .evaluators import Evaluator
-from .rewards import (DEFAULT_ENERGY_NORM_MAX, DEFAULT_VIOLATION_REWARD, REWARD_KINDS,
-                      RewardSpec)
-from .search_space import MacroArch, arch_from_text, arch_to_compact, build_space
+from .rewards import REWARD_KINDS, RewardSpec
+from .search_space import (SPACE_KINDS, MacroArch, arch_from_text, arch_to_compact,
+                           build_space)
 
 
 class ConfigError(ValueError):
     """Bad configuration or usage; maps to exit code 2."""
 
 
-# config-file key -> command-line flag destination
-CONFIG_KEYS = {
-    "space": "space",
-    "reward.kind": "reward",
-    "reward.alpha": "alpha",
-    "reward.threshold": "threshold",
-    "reward.energy_norm_max": "energy_norm",
-    "reward.violation": "violation_reward",
-    "evaluator.kind": "evaluator",
-    "evaluator.fixture": "fixture",
-    "evaluator.surrogate": "surrogate_config",
-    "evaluator.fallback": "fallback",
-    "controller.hidden": "hidden",
-    "controller.baseline": "baseline",
-    "adam.lr": "lr",
-    "run.iterations": "iterations",
-    "run.seed": "seed",
-    "run.window": "window",
-    "run.batch": "batch",
-    "run.resume": "resume",
-    "out.dir": "out",
+class Setting(NamedTuple):
+    flag: str
+    field: str  # RewardSpec field for reward.* keys, else RunConfig field (or out_dir)
+    convert: Callable[[str], object]  # one parse for config-file and flag strings
+    help: str
+
+
+def _on_off(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("on", "true", "1", "yes"):
+        return True
+    if lowered in ("off", "false", "0", "no"):
+        return False
+    raise ValueError(f"expected on/off, got {raw!r}")
+
+
+# config-file key -> its flag, field, converter and help; flags win over the file
+SETTINGS = {
+    "space": Setting("--space", "space_kind", str, ", ".join(SPACE_KINDS)),
+    "reward.kind": Setting("--reward", "kind", str, ", ".join(REWARD_KINDS)),
+    "reward.alpha": Setting("--alpha", "alpha", float, "mixed-reward accuracy weight"),
+    "reward.threshold": Setting("--threshold", "threshold", float, "constraint threshold"),
+    "reward.energy_norm_max": Setting("--energy-norm", "energy_norm_max", float,
+                                      "energy normalization maximum (joules)"),
+    "reward.violation": Setting("--violation-reward", "violation_reward", float,
+                                "reward on MAC-constraint violation"),
+    "evaluator.kind": Setting("--evaluator", "evaluator_kind", str, "surrogate or lookup"),
+    "evaluator.fixture": Setting("--fixture", "lookup_path", str,
+                                 "lookup table file (default: shipped table)"),
+    "evaluator.surrogate": Setting("--surrogate-config", "surrogate_path", str,
+                                   "surrogate constants file (default: shipped)"),
+    "evaluator.fallback": Setting("--fallback", "lookup_fallback", _on_off,
+                                  "on/off: surrogate for unknown lookup rows"),
+    "controller.hidden": Setting("--hidden", "hidden_dim", int, "controller hidden units"),
+    "controller.baseline": Setting("--baseline", "use_baseline", _on_off,
+                                   "on/off: subtract a moving-average reward baseline"),
+    "adam.lr": Setting("--lr", "lr", float, "ADAM learning rate"),
+    "run.iterations": Setting("--iterations", "n_iterations", int, "search iterations"),
+    "run.seed": Setting("--seed", "seed", int, "run seed"),
+    "run.window": Setting("--window", "window", int, "satisfaction-rate window size"),
+    "run.batch": Setting("--batch", "batch_n", int, "samples per policy update"),
+    "run.resume": Setting("--resume", "resume_path", str,
+                          "controller checkpoint to continue from"),
+    "out.dir": Setting("--out", "out_dir", str, "output directory"),
 }
+SAMPLE_KEYS = ("run.seed", "evaluator.kind", "evaluator.fixture", "evaluator.surrogate",
+               "evaluator.fallback", "out.dir")
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -60,80 +87,41 @@ def read_config_file(path: str) -> dict[str, str]:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return textio.read_key_values(p.read_text(), path, keys=CONFIG_KEYS)
+        return textio.read_key_values(p.read_text(), path, keys=SETTINGS)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_bool(raw: str, what: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"{what}: expected on/off, got {raw!r}")
-
-
-def _merged(args: argparse.Namespace) -> dict[str, str]:
-    """Config file values with flag overrides applied on top."""
-    values = read_config_file(args.config) if args.config else {}
-    for key, dest in CONFIG_KEYS.items():
-        override = getattr(args, dest, None)
-        if override is not None:
-            values[key] = str(override)
+def _given(args: argparse.Namespace) -> dict[str, object]:
+    """Config key -> converted value of every setting in the config file or a flag."""
+    raw = read_config_file(args.config) if getattr(args, "config", None) else {}
+    raw.update((key, value) for key, value in vars(args).items()
+               if key in SETTINGS and value is not None)
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = SETTINGS[key].convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return values
 
 
 def _build_run_config(args: argparse.Namespace
                       ) -> tuple[engine.RunConfig, Evaluator, Path]:
-    values = _merged(args)
-
-    def need(key: str) -> str:
-        if key not in values:
-            raise ConfigError(f"missing required setting: {key}")
-        return values[key]
-
-    def opt_float(key: str) -> float | None:
-        return float(values[key]) if key in values else None
-
-    def opt_int(key: str) -> int | None:
-        return int(values[key]) if key in values else None
-
-    kind = need("reward.kind")
-    if kind not in REWARD_KINDS:
-        raise ConfigError(f"reward.kind must be one of {', '.join(REWARD_KINDS)}")
+    values = _given(args)
+    required = {f.name for cls in (RewardSpec, engine.RunConfig)
+                for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    missing = [key for key, s in SETTINGS.items() if s.field in required and key not in values]
+    if missing:
+        raise ConfigError(f"missing required setting: {', '.join(missing)}")
+    fields = {SETTINGS[key].field: value for key, value in values.items()
+              if not key.startswith("reward.")}
+    out_dir = Path(fields.pop("out_dir", "out"))
     try:
-        reward = RewardSpec(
-            kind=kind,
-            alpha=opt_float("reward.alpha"),
-            threshold=opt_float("reward.threshold"),
-            energy_norm_max=(float(values["reward.energy_norm_max"])
-                             if "reward.energy_norm_max" in values
-                             else DEFAULT_ENERGY_NORM_MAX),
-            violation_reward=(float(values["reward.violation"])
-                              if "reward.violation" in values
-                              else DEFAULT_VIOLATION_REWARD),
-        )
-        cfg = engine.RunConfig(
-            space_kind=need("space"),
-            reward=reward,
-            n_iterations=int(need("run.iterations")),
-            seed=opt_int("run.seed") if "run.seed" in values else 0,
-            evaluator_kind=values.get("evaluator.kind", "surrogate"),
-            lookup_path=values.get("evaluator.fixture"),
-            surrogate_path=values.get("evaluator.surrogate"),
-            lookup_fallback=_parse_bool(values.get("evaluator.fallback", "off"),
-                                        "evaluator.fallback"),
-            hidden_dim=opt_int("controller.hidden"),
-            lr=opt_float("adam.lr"),
-            use_baseline=_parse_bool(values.get("controller.baseline", "off"),
-                                     "controller.baseline"),
-            window=(opt_int("run.window") if "run.window" in values
-                    else engine.DEFAULT_WINDOW),
-            batch_n=opt_int("run.batch") if "run.batch" in values else 1,
-            resume_path=values.get("run.resume"),
-        )
-    except ValueError as exc:  # ConfigError too, with the same message
+        reward = RewardSpec(**{SETTINGS[key].field: value for key, value in values.items()
+                               if key.startswith("reward.")})
+        cfg = engine.RunConfig(reward=reward, **fields)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.resume_path is not None:
         if args.command == "random":
@@ -144,7 +132,7 @@ def _build_run_config(args: argparse.Namespace
         evaluator = engine.build_evaluator(cfg)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"evaluator: {exc}") from exc
-    return cfg, evaluator, Path(values.get("out.dir", "out"))
+    return cfg, evaluator, out_dir
 
 
 def _write_run_artifacts(out_dir: Path, cfg: engine.RunConfig,
@@ -231,6 +219,8 @@ def cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    fields = {SETTINGS[key].field: value for key, value in _given(args).items()}
+    out_dir = Path(fields.pop("out_dir", "samples"))
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     path = Path(args.checkpoint)
@@ -241,19 +231,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"{args.checkpoint}: {exc}") from exc
     try:
-        evaluator = engine.make_evaluator(
-            state.space.kind,
-            evaluator_kind=args.evaluator or "surrogate",
-            seed=args.seed if args.seed is not None else 0,
-            lookup_path=args.fixture,
-            surrogate_path=args.surrogate_config,
-            lookup_fallback=args.fallback == "on",
-        )
+        evaluator = engine.make_evaluator(state.space.kind, **fields)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"evaluator: {exc}") from exc
     samples = engine.sample_trained_controller(state, evaluator, n=args.n)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine.write_samples_csv(out_dir / "samples.csv", samples)
     if state.space.kind == "macro":
@@ -270,40 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-objective neural architecture search on pluggable evaluators.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--space", choices=("alexnet", "condensenet", "macro"))
-        p.add_argument("--reward", choices=REWARD_KINDS, help="reward kind")
-        p.add_argument("--alpha", type=float, help="mixed-reward accuracy weight")
-        p.add_argument("--threshold", type=float, help="constraint threshold")
-        p.add_argument("--energy-norm", dest="energy_norm", type=float,
-                       help="energy normalization maximum (joules)")
-        p.add_argument("--violation-reward", dest="violation_reward", type=float,
-                       help="reward on MAC-constraint violation")
-        p.add_argument("--evaluator", choices=("surrogate", "lookup"))
-        p.add_argument("--fixture", help="lookup table file (default: shipped table)")
-        p.add_argument("--surrogate-config", dest="surrogate_config",
-                       help="surrogate constants file (default: shipped)")
-        p.add_argument("--fallback", choices=("on", "off"),
-                       help="fall back to the surrogate on unknown lookup rows")
-        p.add_argument("--hidden", type=int, help="controller hidden units")
-        p.add_argument("--baseline", choices=("on", "off"),
-                       help="subtract a moving-average reward baseline")
-        p.add_argument("--lr", type=float, help="ADAM learning rate")
-        p.add_argument("--iterations", type=int, help="search iterations")
-        p.add_argument("--seed", type=int, help="run seed")
-        p.add_argument("--window", type=int, help="satisfaction-rate window size")
-        p.add_argument("--batch", type=int, help="samples per policy update")
-        p.add_argument("--resume", help="controller checkpoint to continue from")
-        p.add_argument("--out", help="output directory (default: out)")
+    def add_settings(p: argparse.ArgumentParser, keys) -> None:
+        for key in keys:
+            p.add_argument(SETTINGS[key].flag, dest=key, help=SETTINGS[key].help)
 
-    p_search = sub.add_parser("search", help="run the policy-gradient search")
-    add_run_flags(p_search)
-    p_search.set_defaults(func=cmd_run)
-
-    p_random = sub.add_parser("random", help="run the uniform random baseline")
-    add_run_flags(p_random)
-    p_random.set_defaults(func=cmd_run)
+    for command, help_line in (("search", "run the policy-gradient search"),
+                               ("random", "run the uniform random baseline")):
+        p_run = sub.add_parser(command, help=help_line)
+        p_run.add_argument("--config", help="flat key=value configuration file")
+        add_settings(p_run, SETTINGS)
+        p_run.set_defaults(func=cmd_run)
 
     p_mac = sub.add_parser("mac", help="MAC cost report for a macro architecture file")
     p_mac.add_argument("--arch", required=True, help="architecture file (key=value form)")
@@ -315,20 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pareto = sub.add_parser("pareto", help="extract the front from a results file")
     p_pareto.add_argument("--results", required=True, help="results.csv to read")
-    p_pareto.add_argument("--space", required=True,
-                          choices=("alexnet", "condensenet", "macro"))
+    p_pareto.add_argument("--space", required=True, choices=SPACE_KINDS)
     p_pareto.add_argument("--out", default="front.csv", help="front file to write")
     p_pareto.set_defaults(func=cmd_pareto)
 
     p_sample = sub.add_parser("sample", help="sample architectures from a checkpoint")
     p_sample.add_argument("--checkpoint", required=True)
     p_sample.add_argument("--n", type=int, default=1000)
-    p_sample.add_argument("--seed", type=int, help="evaluator seed")
-    p_sample.add_argument("--evaluator", choices=("surrogate", "lookup"))
-    p_sample.add_argument("--fixture")
-    p_sample.add_argument("--surrogate-config", dest="surrogate_config")
-    p_sample.add_argument("--fallback", choices=("on", "off"))
-    p_sample.add_argument("--out", default="samples", help="output directory")
+    add_settings(p_sample, SAMPLE_KEYS)
     p_sample.set_defaults(func=cmd_sample)
 
     return parser

@@ -10,6 +10,7 @@ Runs are fully deterministic functions of their configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -22,7 +23,7 @@ from .evaluators import (Evaluator, LookupEvaluator, UnknownArchitectureError,
                          fixture_lookup_path, load_lookup, make_surrogate)
 from .pareto import ParetoFront, ParetoPoint, front_of
 from .rewards import EvaluationResult, RewardSpec, compute_reward
-from .search_space import (ActionSequence, Architecture, MACRO_OPS, MacroArch,
+from .search_space import (ActionSequence, Architecture, MACRO_OPS, SPACE_KINDS, MacroArch,
                            SearchSpace, arch_from_compact, arch_to_compact,
                            arch_to_dict, build_space, decode)
 
@@ -57,10 +58,16 @@ class RunConfig:
     resume_path: str | None = None  # controller checkpoint to continue from
 
     def __post_init__(self) -> None:
+        if self.space_kind not in SPACE_KINDS:
+            raise ValueError(f"unknown space {self.space_kind!r}: expected one of "
+                             f"{', '.join(SPACE_KINDS)}")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
-        if self.lr is not None and self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"run.seed must be >= 0, got {self.seed}")
+        # nan <= 0 is False: a nan rate would turn every parameter into nan
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ValueError("controller.hidden must be >= 1")
         if self.evaluator_kind not in ("surrogate", "lookup"):
@@ -106,7 +113,6 @@ class IterationRecord:
     result: EvaluationResult
     reward: float
     grad_norm: float  # norm of the update this sample fed (shared across a batch)
-    best_reward: float  # running maximum up to and including this iteration
 
 
 @dataclass
@@ -133,13 +139,20 @@ def make_evaluator(space_kind: str, evaluator_kind: str = "surrogate", seed: int
                    lookup_path: str | Path | None = None,
                    surrogate_path: str | Path | None = None,
                    lookup_fallback: bool = False) -> Evaluator:
+    """The evaluator of a run; refuses a setting the chosen evaluator would not read."""
     if evaluator_kind == "surrogate":
+        if lookup_path is not None or lookup_fallback:
+            raise ValueError("evaluator.fixture and evaluator.fallback are for the lookup "
+                             "evaluator: the surrogate reads no table")
         return make_surrogate(space_kind, seed=seed, config_path=surrogate_path)
     if evaluator_kind != "lookup":
         raise ValueError(f"unknown evaluator kind: {evaluator_kind!r}")
     if space_kind != "condensenet":
         raise ValueError(f"the lookup evaluator needs the condensenet space, not {space_kind}: "
                          "its table holds condensenet architectures")
+    if surrogate_path is not None and not lookup_fallback:
+        raise ValueError("evaluator.surrogate is read by the lookup evaluator only with "
+                         "evaluator.fallback = on")
     table = load_lookup(lookup_path or fixture_lookup_path())
     fallback = None
     if lookup_fallback:
@@ -198,10 +211,8 @@ def _run(cfg: RunConfig, sample: Callable[[], tuple[ActionSequence, ctl.Rollout 
             raise UnknownArchitectureError(f"iteration {i}: {msg}") from exc
         reward = compute_reward(cfg.reward, result)
 
-        best_reward = reward if best is None else max(best.reward, reward)
         record = IterationRecord(iteration=i, seq=seq, arch=arch, result=result,
-                                 reward=reward, grad_norm=0.0,
-                                 best_reward=best_reward)
+                                 reward=reward, grad_norm=0.0)
         records.append(record)
         front.insert(_pareto_point(record))
         if best is None or record.reward > best.reward:  # strict: first max wins
@@ -336,8 +347,11 @@ class ResultRow:
 def _result_row(iteration: str, actions: str, accuracy: str, energy: str, peak_power: str,
                 mac_normalized: str, reward: str, grad_norm: str) -> ResultRow:
     # empty actions are allowed: hand-written analysis rows may carry scores only
+    joules = _parse_opt(energy)
+    if joules is not None and not (math.isfinite(joules) and joules >= 0):
+        raise ValueError(f"energy must be finite and >= 0, got {energy}")
     return ResultRow(int(iteration), tuple(int(a) for a in actions.split(":") if actions),
-                     float(accuracy), _parse_opt(energy), _parse_opt(peak_power),
+                     float(accuracy), joules, _parse_opt(peak_power),
                      _parse_opt(mac_normalized), float(reward), float(grad_norm))
 
 

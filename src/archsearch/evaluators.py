@@ -35,8 +35,6 @@ class UnknownArchitectureError(KeyError):
 
 
 class Evaluator(ABC):
-    descriptor: str
-
     @abstractmethod
     def evaluate(self, arch: Architecture) -> EvaluationResult:
         """Score one architecture. Deterministic for a fixed evaluator."""
@@ -107,7 +105,6 @@ def _hash_noise(seed: int, arch_key: str, sigma: float) -> float:
 class SurrogateEvaluator(Evaluator):
     def __init__(self, config: SurrogateConfig):
         self.config = config
-        self.descriptor = f"surrogate({config.space})"
 
     def evaluate(self, arch: Architecture) -> EvaluationResult:
         cfg = self.config
@@ -224,9 +221,6 @@ class LookupEvaluator(Evaluator):
     def __init__(self, table: LookupTable, fallback: Evaluator | None = None):
         self.table = table
         self.fallback = fallback
-        self.descriptor = f"lookup({Path(table.source).name})"
-        if fallback is not None:
-            self.descriptor += f"+{fallback.descriptor}"
 
     def evaluate(self, arch: Architecture) -> EvaluationResult:
         """Table row as an evaluation: accuracy = 1 - error/100, energy as stored."""

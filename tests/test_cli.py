@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from archsearch.cli import main
+from archsearch.cli import SETTINGS, main
 from archsearch.engine import read_front_csv, read_results_csv
 from archsearch.evaluators import LOOKUP_HEADER, fixture_lookup_path, load_lookup
 from archsearch.search_space import arch_to_text, build_space, encode, MacroArch
@@ -272,7 +274,7 @@ class TestParetoCommand:
         out = tmp_path / "front.csv"
         assert run_cli("pareto", "--results", str(results), "--space", "condensenet",
                        "--out", str(out)) == 2
-        assert "energy must be finite" in capsys.readouterr().err
+        assert f"{results}, line 2: energy must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_results_exit_2(self, tmp_path):
@@ -488,3 +490,98 @@ class TestBadInputFiles:
         path.write_text(arch_to_text(MacroArch(ops=("conv3x3",) * 12, skips=NO_SKIPS)))
         assert run_cli("mac", "--arch", str(path), *flags) == 2
         assert named in capsys.readouterr().err
+
+
+CONVERTED_KEYS = [key for key, setting in SETTINGS.items() if setting.convert is not str]
+
+
+class TestSettingsTable:
+    """Config keys and flags come from one table and share one converter."""
+
+    @pytest.mark.parametrize("key", CONVERTED_KEYS)
+    def test_unconvertible_value_names_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"space = condensenet\nreward.kind = mixed\nreward.alpha = 0.5\n"
+                       f"run.iterations = 5\n{key} = bogus\n")
+        out = tmp_path / "o"
+        assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{key}: " in capsys.readouterr().err
+        assert run_cli(*search_args(out), SETTINGS[key].flag, "bogus") == 2
+        assert f"{key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_accepts_what_its_key_accepts(self, tmp_path):
+        assert run_cli(*lookup_args(tmp_path / "a"), "--fallback", "on") == 0
+        assert run_cli(*lookup_args(tmp_path / "b"), "--fallback", "yes") == 0
+        assert ((tmp_path / "a" / "results.csv").read_bytes()
+                == (tmp_path / "b" / "results.csv").read_bytes())
+
+    def test_readme_lists_every_key_and_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z_.]+)` \| `(--[a-z-]+)` \|", readme, re.MULTILINE)
+        assert rows == [(key, setting.flag) for key, setting in SETTINGS.items()]
+
+
+class TestRunConfigRefusals:
+    """Settings that used to run to a meaningless result or fail mid-run exit 2."""
+
+    REFUSED = [("adam.lr", "nan", "learning rate must be finite and positive"),
+               ("adam.lr", "inf", "learning rate must be finite and positive"),
+               ("run.seed", "-1", "run.seed must be >= 0"),
+               ("space", "resnet", "unknown space 'resnet': expected one of alexnet, "
+                                   "condensenet, macro")]
+
+    @pytest.mark.parametrize("command", ["search", "random"])
+    @pytest.mark.parametrize("key, value, named", REFUSED)
+    def test_flag_exits_2(self, tmp_path, capsys, command, key, value, named):
+        out = tmp_path / "o"
+        assert run_cli(command, *search_args(out)[1:], SETTINGS[key].flag, value) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, named", REFUSED)
+    def test_config_key_exits_2(self, tmp_path, capsys, key, value, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("space = condensenet\nreward.kind = mixed\nreward.alpha = 0.5\n"
+                       f"run.iterations = 5\n{key} = {value}\n")
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert named in capsys.readouterr().err
+
+
+class TestUnreadEvaluatorSettings:
+    """A setting the chosen evaluator never reads exits 2, for runs and sample."""
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--fixture", "ghost.csv"], "evaluator.fixture"),
+        (["--fallback", "on"], "evaluator.fallback"),
+        (["--evaluator", "surrogate", "--fixture", "ghost.csv"], "evaluator.fixture"),
+    ], ids=["fixture", "fallback", "named-surrogate-fixture"])
+    def test_lookup_settings_with_surrogate(self, tmp_path, capsys, extra, named):
+        out = tmp_path / "run"
+        assert run_cli(*search_args(out), *extra) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        checkpoint = macro_checkpoint(tmp_path)
+        capsys.readouterr()
+        samples = tmp_path / "samples"
+        assert run_cli("sample", "--checkpoint", str(checkpoint), "--n", "3", *extra,
+                       "--out", str(samples)) == 2
+        assert named in capsys.readouterr().err
+        assert not samples.exists()
+
+    def test_surrogate_config_with_lookup_and_no_fallback(self, tmp_path, capsys):
+        constants = tmp_path / "constants.cfg"
+        constants.write_text(surrogate_file())
+        out = tmp_path / "run"
+        assert run_cli(*lookup_args(out), "--surrogate-config", str(constants)) == 2
+        assert "evaluator.surrogate" in capsys.readouterr().err
+        assert not out.exists()
+        first = tmp_path / "first"
+        assert run_cli(*lookup_args(first), "--fallback", "on") == 0
+        capsys.readouterr()
+        samples = tmp_path / "samples"
+        assert run_cli("sample", "--checkpoint", str(first / "checkpoint.npz"), "--n", "3",
+                       "--evaluator", "lookup", "--surrogate-config", str(constants),
+                       "--fallback", "off", "--out", str(samples)) == 2
+        assert "evaluator.surrogate" in capsys.readouterr().err
+        assert not samples.exists()

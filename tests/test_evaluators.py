@@ -172,7 +172,3 @@ class TestSurrogateEvaluator:
         with pytest.raises(ValueError):
             SurrogateConfig(space="condensenet", a_max=0.9, kappa=1.0, e0=0.0,
                             e1=1.0, p0=0.0, p1=1.0, sigma=-0.1)
-
-    def test_descriptor_labels(self, table):
-        assert make_surrogate("macro").descriptor == "surrogate(macro)"
-        assert "condensenet_table.csv" in LookupEvaluator(table).descriptor

@@ -150,7 +150,7 @@ def records(draw):
         out.append(engine.IterationRecord(
             iteration=i, seq=ActionSequence(actions=actions),
             arch=None, result=draw(scores()), reward=draw(finite),
-            grad_norm=draw(nonneg), best_reward=0.0))
+            grad_norm=draw(nonneg)))
     return out
 
 
