@@ -49,6 +49,13 @@ def _on_off(raw: str) -> bool:
     raise ValueError(f"expected on/off, got {raw!r}")
 
 
+def _path(raw: str) -> str:
+    # an empty path would mean the current directory or, for a table, the default
+    if not raw.strip():
+        raise ValueError("expected a path, got an empty value")
+    return raw
+
+
 # config-file key -> its flag, field, converter and help; flags win over the file
 SETTINGS = {
     "space": Setting("--space", "space_kind", str, ", ".join(SPACE_KINDS)),
@@ -60,9 +67,9 @@ SETTINGS = {
     "reward.violation": Setting("--violation-reward", "violation_reward", float,
                                 "reward on MAC-constraint violation"),
     "evaluator.kind": Setting("--evaluator", "evaluator_kind", str, "surrogate or lookup"),
-    "evaluator.fixture": Setting("--fixture", "lookup_path", str,
+    "evaluator.fixture": Setting("--fixture", "lookup_path", _path,
                                  "lookup table file (default: shipped table)"),
-    "evaluator.surrogate": Setting("--surrogate-config", "surrogate_path", str,
+    "evaluator.surrogate": Setting("--surrogate-config", "surrogate_path", _path,
                                    "surrogate constants file (default: shipped)"),
     "evaluator.fallback": Setting("--fallback", "lookup_fallback", _on_off,
                                   "on/off: surrogate for unknown lookup rows"),
@@ -74,9 +81,9 @@ SETTINGS = {
     "run.seed": Setting("--seed", "seed", int, "run seed"),
     "run.window": Setting("--window", "window", int, "satisfaction-rate window size"),
     "run.batch": Setting("--batch", "batch_n", int, "samples per policy update"),
-    "run.resume": Setting("--resume", "resume_path", str,
+    "run.resume": Setting("--resume", "resume_path", _path,
                           "controller checkpoint to continue from"),
-    "out.dir": Setting("--out", "out_dir", str, "output directory"),
+    "out.dir": Setting("--out", "out_dir", _path, "output directory"),
 }
 SAMPLE_KEYS = ("run.seed", "evaluator.kind", "evaluator.fixture", "evaluator.surrogate",
                "evaluator.fallback", "out.dir")

@@ -14,16 +14,16 @@ import json
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import textio
-from .nn_core import (GATE_NAMES, AdamState, LstmCellParams, LstmStepCache, ParamBuffer,
+from .nn_core import (GATE_NAMES, AdamState, LstmCellParams, LstmRecord, ParamBuffer,
                       adam_step, clip_by_global_norm, global_norm, init_lstm,
-                      lstm_backward, lstm_forward, lstm_shapes, softmax_probs,
-                      softmax_sample)
-from .search_space import (ActionSequence, SearchSpace, build_space, input_token,
-                           validate_sequence)
+                      lstm_backward, lstm_forward, lstm_shapes, ordered_outer_sum,
+                      ordered_row_sum, softmax_probs, softmax_sample)
+from .search_space import ActionSequence, SearchSpace, build_space, validate_sequence
 
 DEFAULT_HIDDEN = {"alexnet": 24, "condensenet": 20, "macro": 64}
 DEFAULT_LR = {"alexnet": 0.03, "condensenet": 0.008, "macro": 0.0075}
@@ -33,19 +33,37 @@ CHECKPOINT_VERSION = 2
 
 
 @dataclass
-class RolloutStep:
-    cache: LstmStepCache
-    head: str
-    probs: np.ndarray
-    action: int
+class Rollout(LstmRecord):
+    """One sampled sequence as arrays, enough for exact gradients.
 
+    The LSTM's rows of every step (`LstmRecord`), the action of every step,
+    and per head type the softmax probabilities of its steps, one row per
+    step in step order.
+    """
 
-@dataclass
-class Rollout:
-    """Everything recorded while sampling, enough for exact gradients."""
-
-    steps: list[RolloutStep]
+    actions: np.ndarray  # [T] int
+    probs: dict[str, np.ndarray]  # head type -> [steps of that type, arity]
     revision: int
+
+
+class SlotHead(NamedTuple):
+    """One step of a rollout: its head and where its decision goes."""
+
+    head: str
+    row: int  # its row among the steps of its head type
+    w: np.ndarray  # the head's parameter views
+    b: np.ndarray
+    offset: int  # vocabulary offset: a choice's input token is offset + action
+
+
+class HeadSteps(NamedTuple):
+    """The steps one head type decides, in order, and what they read."""
+
+    head: str
+    steps: np.ndarray
+    h_rows: np.ndarray  # the rows of `Rollout.h` its logits read: steps + 1
+    rows: np.ndarray  # 0 .. len(steps) - 1
+    w: np.ndarray  # the head's weight view
 
 
 @dataclass
@@ -62,16 +80,28 @@ class ControllerState:
     baseline: float = 0.0
     revision: int = 0
     # the update's gradient workspace, same layout as params, and the
-    # blocks its global norm is summed over; rewritten by every update
+    # blocks its global norm is summed over; rewritten by every update.
+    # A batch's further rollouts go through a second one, made on first use.
     grads: ParamBuffer = field(init=False, repr=False)
     grad_blocks: dict[str, np.ndarray] = field(init=False, repr=False)
+    batch_grads: ParamBuffer | None = field(default=None, init=False, repr=False)
+    # where each step and head type sits in a rollout, fixed by the space
+    slots: tuple[SlotHead, ...] = field(init=False, repr=False)
+    heads: tuple[HeadSteps, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.grads = self.params.like()
         self.grad_blocks = _norm_blocks(self.grads)
-
-    def head(self, head_type: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.params[f"head.{head_type}.w"], self.params[f"head.{head_type}.b"]
+        heads = [slot.head for slot in self.space.slots]
+        self.slots = tuple(
+            SlotHead(head, heads[:t].count(head), self.params[f"head.{head}.w"],
+                     self.params[f"head.{head}.b"], offset)
+            for t, (head, offset) in enumerate(zip(heads, self.space.vocab_offsets)))
+        steps_of = {head: np.flatnonzero([h == head for h in heads])
+                    for head in self.space.head_types()}
+        self.heads = tuple(
+            HeadSteps(head, steps, steps + 1, np.arange(len(steps)),
+                      self.params[f"head.{head}.w"]) for head, steps in steps_of.items())
 
 
 def create_controller(space: SearchSpace, seed: int, hidden_dim: int | None = None,
@@ -133,23 +163,31 @@ def _norm_blocks(grads: ParamBuffer) -> dict[str, np.ndarray]:
 
 
 def sample_sequence(state: ControllerState) -> tuple[ActionSequence, Rollout]:
-    """Sample one architecture of the state's space, one decision per slot, in order."""
-    h = np.zeros(state.hidden_dim)
-    c = np.zeros(state.hidden_dim)
-    token = input_token(state.space)
+    """Sample one architecture of the state's space, one decision per slot, in order.
+
+    The input of step t > 0 is the token of the previous choice: the
+    previous slot's vocabulary offset plus its action.
+    """
+    steps = len(state.slots)
+    rollout = Rollout.empty(
+        steps, state.hidden_dim, actions=np.empty(steps, dtype=int),
+        probs={head.head: np.empty((len(head.steps), len(head.w))) for head in state.heads},
+        revision=state.revision)
     actions: list[int] = []
     log_probs: list[float] = []
-    steps: list[RolloutStep] = []
-    for t, slot in enumerate(state.space.slots):
-        h, c, cache = lstm_forward(state.lstm, token, h, c)
-        w, b = state.head(slot.head)
-        action, lp, probs = softmax_sample(w @ h + b, state.rng)
+    token = None
+    for t, slot in enumerate(state.slots):
+        if token is not None:
+            rollout.tokens[t] = token
+        h, _ = lstm_forward(state.lstm, token, rollout.h[t], rollout.c[t],
+                            out=rollout.rows(t))
+        action, lp, probs = softmax_sample(slot.w @ h + slot.b, state.rng)
+        rollout.probs[slot.head][slot.row] = probs
         actions.append(action)
         log_probs.append(lp)
-        steps.append(RolloutStep(cache=cache, head=slot.head, probs=probs, action=action))
-        token = input_token(state.space, (t, action))
-    seq = ActionSequence(actions=tuple(actions), log_probs=tuple(log_probs))
-    return seq, Rollout(steps=steps, revision=state.revision)
+        token = slot.offset + action
+    rollout.actions[:] = actions
+    return ActionSequence(actions=tuple(actions), log_probs=tuple(log_probs)), rollout
 
 
 def action_log_prob(state: ControllerState, seq: ActionSequence) -> float:
@@ -157,18 +195,18 @@ def action_log_prob(state: ControllerState, seq: ActionSequence) -> float:
 
     Recomputes exactly what sampling computed, so it matches recorded
     log-probabilities bit for bit as long as parameters are unchanged.
+    Nothing is recorded: each step's state replaces the last.
     """
     validate_sequence(state.space, seq)
     h = np.zeros(state.hidden_dim)
     c = np.zeros(state.hidden_dim)
-    token = input_token(state.space)
+    token = None
     total = 0.0
-    for t, (slot, action) in enumerate(zip(state.space.slots, seq.actions)):
-        h, c, _ = lstm_forward(state.lstm, token, h, c)
-        w, b = state.head(slot.head)
-        probs = softmax_probs(w @ h + b)
+    for slot, action in zip(state.slots, seq.actions):
+        h, c = lstm_forward(state.lstm, token, h, c)
+        probs = softmax_probs(slot.w @ h + slot.b)
         total += float(np.log(probs[action]))
-        token = input_token(state.space, (t, action))
+        token = slot.offset + action
     return total
 
 
@@ -180,6 +218,10 @@ def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
     scale * (one_hot(action) - probs); head gradients come directly from
     it, the rest flows through the unrolled LSTM. Written over every
     tensor of ``out`` when given, else into a new buffer.
+
+    Each head's gradients sum its steps in step order, the LSTM's from the
+    last step to the first (`ordered_outer_sum`), so the sums round as a
+    step-by-step accumulation does.
     """
     if out is None:
         grads = state.params.like()
@@ -187,20 +229,17 @@ def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
         raise ValueError("gradient layout does not match parameter layout")
     else:
         grads = out
-        for name, tensor in grads.items():
-            if not name.startswith("lstm."):  # lstm_backward clears its own
-                tensor.fill(0.0)
-    caches = [step.cache for step in rollout.steps]
-    dh_list: list[np.ndarray] = []
-    for step in rollout.steps:
-        dlogits = -step.probs * scale
-        dlogits[step.action] += scale
-        w, _ = state.head(step.head)
-        grad_w, grad_b = grads[f"head.{step.head}.w"], grads[f"head.{step.head}.b"]
-        grad_w += np.outer(dlogits, step.cache.h)
-        grad_b += dlogits
-        dh_list.append(w.T @ dlogits)
-    lstm_backward(state.lstm, caches, dh_list, out=LstmCellParams.from_tensors(grads))
+    dh = np.empty((len(rollout.actions), state.hidden_dim))
+    for head, steps, h_rows, rows, w in state.heads:
+        dlogits = -rollout.probs[head] * scale
+        dlogits[rows, rollout.actions[steps]] += scale
+        ordered_outer_sum(dlogits, rollout.h[h_rows], out=grads[f"head.{head}.w"])
+        ordered_row_sum(dlogits, out=grads[f"head.{head}.b"])
+        # one product per step: a single w.T @ dlogits.T rounds differently
+        w_t = w.T
+        for dl, t in zip(dlogits, steps.tolist()):
+            np.matmul(w_t, dl, out=dh[t])
+    lstm_backward(state.lstm, rollout, dh, out=LstmCellParams.from_tensors(grads))
     return grads
 
 
@@ -218,16 +257,17 @@ def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
             raise ValueError("stale rollout: controller parameters changed since sampling")
 
     # the first rollout goes straight into the workspace; each further one
-    # into a second buffer that is then added, one rollout at a time
+    # into the second workspace, which is then added, one rollout at a time
     grads = state.grads
-    rest = state.params.like() if len(rollouts) > 1 else None
+    if len(rollouts) > 1 and state.batch_grads is None:
+        state.batch_grads = state.params.like()
     for k, (rollout, reward) in enumerate(zip(rollouts, rewards)):
         scale = reward - state.baseline if state.use_baseline else reward
         if k == 0:
             policy_gradients(state, rollout, scale / len(rollouts), out=grads)
         else:
             grads.flat += policy_gradients(state, rollout, scale / len(rollouts),
-                                           out=rest).flat
+                                           out=state.batch_grads).flat
     if state.clip_norm is not None:
         norm = clip_by_global_norm(state.grad_blocks, state.clip_norm)
     else:

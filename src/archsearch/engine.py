@@ -153,7 +153,7 @@ def make_evaluator(space_kind: str, evaluator_kind: str = "surrogate", seed: int
     if surrogate_path is not None and not lookup_fallback:
         raise ValueError("evaluator.surrogate is read by the lookup evaluator only with "
                          "evaluator.fallback = on")
-    table = load_lookup(lookup_path or fixture_lookup_path())
+    table = load_lookup(fixture_lookup_path() if lookup_path is None else lookup_path)
     fallback = None
     if lookup_fallback:
         fallback = make_surrogate(space_kind, seed=seed, config_path=surrogate_path)

@@ -9,6 +9,11 @@ expression while the model code reads and writes tensors by name.
 The LSTM's input at each step is a token, the index of a single one-hot
 entry (or none at all), so the input product is a column lookup and its
 gradient a column add.
+
+A forward pass is kept as an `LstmRecord`, one row per step. The backward
+runs the recurrence step by step, then sums each parameter gradient over
+the whole record with `ordered_outer_sum`, which adds the steps in the
+same order, and so to the same bits, as accumulating them step by step.
 """
 
 from __future__ import annotations
@@ -136,107 +141,166 @@ def init_lstm(params: LstmCellParams, rng: np.random.Generator,
 
 
 @dataclass
-class LstmStepCache:
-    """Everything from one forward step needed for exact backprop."""
+class LstmRecord:
+    """A forward pass over T steps, one row per step: what exact BPTT reads.
 
-    token: int | None
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    gates: np.ndarray  # activations i, f, o, g back to back, as the rows of w
-    tanh_c: np.ndarray
-    h: np.ndarray
+    Row t of ``tokens``, ``gates`` and ``tanh_c`` belongs to step t. ``h``
+    and ``c`` have T + 1 rows: row 0 is the initial state (zeros) and row
+    t + 1 the state step t leaves, so row t is step t's previous state.
+    """
+
+    tokens: np.ndarray  # [T] int, the input token of each step, -1 for none
+    gates: np.ndarray  # [T, 4H] activations i, f, o, g back to back, as the rows of w
+    h: np.ndarray  # [T + 1, H]
+    c: np.ndarray  # [T + 1, H]
+    tanh_c: np.ndarray  # [T, H]
+
+    @classmethod
+    def empty(cls, steps: int, hidden_dim: int, **fields):
+        """A record for ``steps`` steps from the zero state; ``fields`` go to a subclass."""
+        return cls(tokens=np.full(steps, -1), gates=np.empty((steps, 4 * hidden_dim)),
+                   h=np.zeros((steps + 1, hidden_dim)), c=np.zeros((steps + 1, hidden_dim)),
+                   tanh_c=np.empty((steps, hidden_dim)), **fields)
+
+    def rows(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Where step t's (gates, c, tanh_c, h) go: the ``out`` of `lstm_forward`."""
+        return self.gates[t], self.c[t + 1], self.tanh_c[t], self.h[t + 1]
 
 
 def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
-                 c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
+                 c_prev: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM step on input token ``token`` (None: an all-zero input).
 
     i, f, o are sigmoid gates, g the tanh candidate:
         c = f * c_prev + i * g
         h = o * tanh(c)
+    Returns (h, c). ``out`` is the rows (gates, c, tanh_c, h) to write the
+    step into, as `LstmRecord.rows` gives them; without it they are fresh.
     """
     n = params.hidden_dim
     if token is not None and not 0 <= token < params.input_dim:
         raise ValueError(f"input token must lie in [0, {params.input_dim}), got {token}")
     if h_prev.shape != (n,) or c_prev.shape != (n,):
         raise ValueError(f"state must have shape ({n},)")
+    if out is None:
+        out = (np.empty(4 * n), np.empty(n), np.empty(n), np.empty(n))
+    gates, c, tanh_c, h = out
 
-    pre = params.u @ h_prev
+    np.matmul(params.u, h_prev, out=gates)  # the pre-activations, squashed in place
     if token is not None:
-        pre += params.w[:, token]
-    pre += params.b
-    gates = np.empty(4 * n)
-    gates[:3 * n] = sigmoid(pre[:3 * n])
-    np.tanh(pre[3 * n:], out=gates[3 * n:])
+        gates += params.w[:, token]
+    gates += params.b
+    gates[:3 * n] = sigmoid(gates[:3 * n])
+    np.tanh(gates[3 * n:], out=gates[3 * n:])
     i, f, o, g = gates[:n], gates[n:2 * n], gates[2 * n:3 * n], gates[3 * n:]
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = LstmStepCache(token=token, h_prev=h_prev, c_prev=c_prev, gates=gates,
-                          tanh_c=tanh_c, h=h)
-    return h, c, cache
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+    return h, c
 
 
-def lstm_backward(params: LstmCellParams, caches: list[LstmStepCache],
-                  output_grads: list[np.ndarray],
+def ordered_outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write sum_t outer(a[t], b[t]) over ``out``, added in the order of t.
+
+    Bit for bit the loop ``out[...] = 0; for t: out += np.outer(a[t], b[t])``.
+    einsum rounds each product on its own (no fused multiply-add) and adds
+    along t in order into a zeroed output, provided the inputs lie in
+    memory in the order of t (it walks a reversed view in memory order, so
+    they are made C-contiguous here) and the output has more than one
+    element (a single one goes through an unrolled sum, so that case is a
+    running sum from zero instead).
+    """
+    if not out.flags.c_contiguous or out.shape != (a.shape[1], b.shape[1]):
+        raise ValueError(f"out must be a C-contiguous {(a.shape[1], b.shape[1])} array")
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if out.size == 1:
+        terms = np.zeros(len(a) + 1)
+        np.multiply(a[:, 0], b[:, 0], out=terms[1:])
+        out[0, 0] = np.add.accumulate(terms)[-1]
+    else:
+        np.einsum("ti,tj->ij", a, b, out=out)
+    return out
+
+
+def ordered_row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write sum_t a[t] over the 1-D ``out``, added in the order of t from zero."""
+    ordered_outer_sum(a, np.ones((len(a), 1)), out.reshape(-1, 1))  # x * 1.0 is x
+    return out
+
+
+def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.ndarray,
                   out: LstmCellParams | None = None) -> LstmCellParams:
     """Backprop through time over a full forward pass.
 
-    ``output_grads[t]`` is dLoss/dh_t. Returns the accumulated parameter
-    gradients, written over ``out`` when given (its old contents are never
-    read), else into a new cell. No truncation: gradients are exact.
+    ``output_grads[t]`` is dLoss/dh of step t ([T, H]). Returns the
+    parameter gradients, written over ``out`` when given (its old contents
+    are never read), else into a new cell. No truncation: gradients are
+    exact, and each sums its steps from the last to the first, as a
+    step-by-step accumulation would.
     """
-    if len(caches) != len(output_grads):
-        raise ValueError("need one output gradient per cached step")
     n = params.hidden_dim
-    for t, cache in enumerate(caches):
-        if cache.h.shape != (n,) or (cache.token is not None
-                                     and not 0 <= cache.token < params.input_dim):
-            raise ValueError(f"cache at step {t} does not match params dimensions")
-
+    steps = len(record.tokens)
+    if output_grads.shape != (steps, n):
+        raise ValueError(f"need one output gradient of size {n} per recorded step")
+    if record.gates.shape != (steps, 4 * n) or record.h.shape != (steps + 1, n) or (
+            steps and not -1 <= record.tokens.min() <= record.tokens.max() < params.input_dim):
+        raise ValueError("record does not match params dimensions")
     if out is None:
         grads = zero_lstm(params.input_dim, n)
     elif out.w.shape != params.w.shape or out.u.shape != params.u.shape:
         raise ValueError("gradient cell does not match params dimensions")
     else:
         grads = out
-        for tensor in grads.tensors().values():
-            tensor.fill(0.0)
-    u_i, u_f, u_o, u_g = (params.gate(gate)[1].T for gate in GATE_NAMES)
+    u_t = params.u.T  # its column blocks are each gate's u.T
+    u_i, u_f, u_o, u_g = u_t[:, :n], u_t[:, n:2 * n], u_t[:, 2 * n:3 * n], u_t[:, 3 * n:]
+
+    # the factors that do not depend on the incoming gradient, for all steps
+    gates, tanh_c = record.gates, record.tanh_c
+    d_tanh_c = 1.0 - tanh_c * tanh_c
+    d_sig = 1.0 - gates[:, :3 * n]
+    d_cand = 1.0 - gates[:, 3 * n:] * gates[:, 3 * n:]
+    # row k holds the pre-activation gradient of step steps-1-k: the rows
+    # are in the order the parameter gradients add them
+    d_pre_rows = np.empty((steps, 4 * n))
     dh_next = np.zeros(n)
     dc_next = np.zeros(n)
-
-    for t in range(len(caches) - 1, -1, -1):
-        cc = caches[t]
-        gates = cc.gates
-        i, f, o, g = gates[:n], gates[n:2 * n], gates[2 * n:3 * n], gates[3 * n:]
+    for k, t in enumerate(range(steps - 1, -1, -1)):
+        gate = gates[t]
+        i, f, o, g = gate[:n], gate[n:2 * n], gate[2 * n:3 * n], gate[3 * n:]
         dh = output_grads[t] + dh_next
-        dc = dc_next + dh * o * (1.0 - cc.tanh_c * cc.tanh_c)
+        dc = dc_next + dh * o * d_tanh_c[t]
 
         # gradient at the pre-activations, in the gate rows of w; a sigmoid
         # gate a takes ((x * y) * a) * (1 - a), multiplied in that order
-        d_pre = np.empty(4 * n)
+        d_pre = d_pre_rows[k]
         np.multiply(dc, g, out=d_pre[:n])
-        np.multiply(dc, cc.c_prev, out=d_pre[n:2 * n])
-        np.multiply(dh, cc.tanh_c, out=d_pre[2 * n:3 * n])
+        np.multiply(dc, record.c[t], out=d_pre[n:2 * n])
+        np.multiply(dh, tanh_c[t], out=d_pre[2 * n:3 * n])
         sig = d_pre[:3 * n]
-        sig *= gates[:3 * n]
-        sig *= 1.0 - gates[:3 * n]
-        np.multiply(dc * i, 1.0 - g * g, out=d_pre[3 * n:])
-        d_i, d_f, d_o, d_g = d_pre[:n], d_pre[n:2 * n], d_pre[2 * n:3 * n], d_pre[3 * n:]
+        sig *= gate[:3 * n]
+        sig *= d_sig[t]
+        np.multiply(dc * i, d_cand[t], out=d_pre[3 * n:])
 
-        if cc.token is not None:
-            grads.w[:, cc.token] += d_pre
-        grads.u += np.outer(d_pre, cc.h_prev)
-        grads.b += d_pre
         # four per-gate products added in this order: one fused u.T @ d_pre
         # sums in another order and rounds differently
-        dh_next = u_o @ d_o
-        dh_next += u_i @ d_i
-        dh_next += u_f @ d_f
-        dh_next += u_g @ d_g
+        dh_next = u_o @ d_pre[2 * n:3 * n]
+        dh_next += u_i @ d_pre[:n]
+        dh_next += u_f @ d_pre[n:2 * n]
+        dh_next += u_g @ d_pre[3 * n:]
         dc_next = dc * f
 
+    ordered_outer_sum(d_pre_rows, record.h[:steps][::-1], out=grads.u)
+    ordered_row_sum(d_pre_rows, out=grads.b)
+    tokens = record.tokens[::-1]  # in the order of the rows
+    fed = np.flatnonzero(tokens >= 0)
+    tokens, columns = tokens[fed], d_pre_rows[fed].T
+    grads.w.fill(0.0)
+    if len(set(tokens.tolist())) == len(tokens):
+        grads.w[:, tokens] += columns  # one add per column: 0 + d, as a loop gives
+    else:  # a repeated token's column adds its steps in row order
+        np.add.at(grads.w, (slice(None), tokens), columns)
     return grads
 
 
@@ -334,7 +398,7 @@ def global_norm(grads: Mapping[str, np.ndarray]) -> float:
     """L2 norm over all entries of all tensors, summed tensor by tensor."""
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g * g))
+        total += float((g * g).sum())
     return float(np.sqrt(total))
 
 

@@ -118,6 +118,58 @@ def adam_step_reference(params, grads, state) -> None:
     params.flat += state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
 
 
+def sequential_outer_sum(a, b) -> np.ndarray:
+    """sum_t outer(a[t], b[t]) in plain Python floats, t in order from 0.0.
+
+    Each product is rounded, then added to its running sum, which starts
+    at +0.0: the loop ``out = 0; for t: out += np.outer(a[t], b[t])``.
+    """
+    rows = np.shape(a)[1]
+    cols = np.shape(b)[1]
+    acc = [[0.0] * cols for _ in range(rows)]
+    for t in range(len(a)):
+        for i in range(rows):
+            for j in range(cols):
+                acc[i][j] = acc[i][j] + float(a[t][i]) * float(b[t][j])
+    return np.array(acc, dtype=float).reshape(rows, cols)
+
+
+def stepwise_lstm_backward(params, record, output_grads) -> dict[str, np.ndarray]:
+    """BPTT one step at a time, each step's gradients added as it is reached.
+
+    The recurrence of `nn_core.lstm_backward` with fresh arrays for every
+    temporary, and ``w``, ``u`` and ``b`` accumulated step by step from the
+    last step to the first, so the whole-rollout sums must agree with it
+    byte for byte.
+    """
+    n = params.hidden_dim
+    grads = {"lstm.w": np.zeros_like(params.w), "lstm.u": np.zeros_like(params.u),
+             "lstm.b": np.zeros_like(params.b)}
+    u_i, u_f, u_o, u_g = (params.gate(gate)[1].T for gate in "ifog")
+    dh_next = np.zeros(n)
+    dc_next = np.zeros(n)
+    for t in range(len(record.tokens) - 1, -1, -1):
+        gates, tanh_c = record.gates[t], record.tanh_c[t]
+        i, f, o, g = gates[:n], gates[n:2 * n], gates[2 * n:3 * n], gates[3 * n:]
+        dh = output_grads[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+        d_i = dc * g * i * (1.0 - i)
+        d_f = dc * record.c[t] * f * (1.0 - f)
+        d_o = dh * tanh_c * o * (1.0 - o)
+        d_g = dc * i * (1.0 - g * g)
+        d_pre = np.concatenate([d_i, d_f, d_o, d_g])
+        if record.tokens[t] >= 0:
+            grads["lstm.w"][:, record.tokens[t]] += d_pre
+        grads["lstm.u"] += np.outer(d_pre, record.h[t])
+        grads["lstm.b"] += d_pre
+        dh_next = u_o @ d_o
+        dh_next += u_i @ d_i
+        dh_next += u_f @ d_f
+        dh_next += u_g @ d_g
+        dc_next = dc * f
+    return grads
+
+
 def softmax_sample_reference(logits, rng):
     """Inverse-CDF softmax sampling through numpy's module-level functions.
 

@@ -492,7 +492,10 @@ class TestBadInputFiles:
         assert named in capsys.readouterr().err
 
 
-CONVERTED_KEYS = [key for key, setting in SETTINGS.items() if setting.convert is not str]
+# the path settings take any non-empty string: "bogus" is a valid path
+PATH_KEYS = ["evaluator.fixture", "evaluator.surrogate", "run.resume", "out.dir"]
+CONVERTED_KEYS = [key for key, setting in SETTINGS.items()
+                  if setting.convert is not str and key not in PATH_KEYS]
 
 
 class TestSettingsTable:
@@ -520,6 +523,44 @@ class TestSettingsTable:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = re.findall(r"^\| `([a-z_.]+)` \| `(--[a-z-]+)` \|", readme, re.MULTILINE)
         assert rows == [(key, setting.flag) for key, setting in SETTINGS.items()]
+
+
+class TestEmptyPaths:
+    """An empty path setting names its key and exits 2; nothing is written."""
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_config_key_exits_2(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("space = condensenet\nreward.kind = mixed\nreward.alpha = 0.5\n"
+                       "evaluator.kind = lookup\nevaluator.fallback = on\n"
+                       f"run.iterations = 5\n{key} =\n")
+        args = ["search", "--config", str(cfg)]
+        if key != "out.dir":
+            args += ["--out", str(tmp_path / "o")]
+        assert run_cli(*args) == 2
+        assert f"{key}: expected a path, got an empty value" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_flag_exits_2(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        args = lookup_args(tmp_path / "o", "--fallback", "on")
+        assert run_cli(*args, SETTINGS[key].flag, "") == 2  # the last --out wins
+        assert f"{key}: expected a path, got an empty value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", [key for key in PATH_KEYS if key != "run.resume"])
+    def test_sample_flag_exits_2(self, tmp_path, capsys, monkeypatch, key):
+        checkpoint = macro_checkpoint(tmp_path)
+        monkeypatch.chdir(checkpoint.parent)
+        before = sorted(p.name for p in checkpoint.parent.iterdir())
+        capsys.readouterr()
+        assert run_cli("sample", "--checkpoint", str(checkpoint), "--n", "3",
+                       "--out", str(tmp_path / "samples"), SETTINGS[key].flag, "") == 2
+        assert f"{key}: expected a path, got an empty value" in capsys.readouterr().err
+        assert sorted(p.name for p in checkpoint.parent.iterdir()) == before
+        assert not (tmp_path / "samples").exists()
 
 
 class TestRunConfigRefusals:

@@ -26,8 +26,8 @@ class TestSampling:
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=0, init_scale=0.0)
         seq, rollout = ctl.sample_sequence(state)
-        for step in rollout.steps:
-            np.testing.assert_allclose(step.probs, 0.2, rtol=1e-15)
+        for probs in rollout.probs.values():
+            np.testing.assert_allclose(probs, 0.2, rtol=1e-15)
         assert seq.total_log_prob == pytest.approx(6.0 * math.log(0.2), rel=1e-12)
 
     def test_fixed_seed_reproduces_rollouts(self):

@@ -1,8 +1,10 @@
 """Pins the bytes the controller produces, independent of how it stores them.
 
-Two whole searches are run through the command line: a macro search (the
-78-step, vocab-204, hidden-64 controller, one update per sample) and a
-condensenet search with batched updates and the moving-average baseline.
+Three whole searches are run through the command line: a macro search (the
+78-step, vocab-204, hidden-64 controller, one update per sample), a
+condensenet search with batched updates and the moving-average baseline,
+and an alexnet search with a hidden size of 1, where every gradient sum
+runs over length-1 axes.
 The SHA-256 of each ``results.csv`` pins every sampled action, reward and
 gradient norm. The log-probability of a fixed sequence under the reloaded
 final controller pins its parameters without depending on their layout.
@@ -35,6 +37,12 @@ RUNS = {
          "--batch", "4", "--baseline", "on", "--iterations", "120", "--seed", "1"],
         "51dd0d808d150242d1e0544f8c2e52fb0e50743cd650c59f503d152cf2a7cd2e",
         "-11.32549007090383",
+    ),
+    "alexnet-hidden1-batch3-baseline": (
+        ["--space", "alexnet", "--reward", "mixed", "--alpha", "0.5", "--hidden", "1",
+         "--batch", "3", "--baseline", "on", "--iterations", "90", "--seed", "2"],
+        "abb6495446ec587e393b0b2eccebc0363b0e7c281c1daf672fc44bd9286d9876",
+        "-9.616129299061768",
     ),
 }
 

@@ -277,6 +277,13 @@ class TestSampleTrainedController:
         assert archs[0] == archs[1]
 
 
+class TestMakeEvaluator:
+    def test_empty_lookup_path_is_not_the_shipped_table(self):
+        # only None means the shipped table; "" names the current directory
+        with pytest.raises(OSError):
+            engine.make_evaluator("condensenet", "lookup", lookup_path="")
+
+
 class TestFileEmission:
     def test_results_round_trip(self, tmp_path):
         result = engine.run_search(power_cfg(n_iterations=25))

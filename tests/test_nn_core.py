@@ -4,17 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from archsearch import nn_core as nc
 
 from oracles import (adam_reference, adam_step_reference, central_diff_grads,
-                     max_rel_error, scalar_lstm_step, softmax_sample_reference)
+                     max_rel_error, scalar_lstm_step, sequential_outer_sum,
+                     softmax_sample_reference, stepwise_lstm_backward)
 
 
 def seeded_lstm(input_dim=3, hidden_dim=2, seed=0, scale=0.5):
     params = nc.zero_lstm(input_dim, hidden_dim)
     nc.init_lstm(params, np.random.default_rng(seed), scale=scale)
     return params
+
+
+# signed zeros and subnormals next to ordinary values; bounded so that no
+# product or sum of a few of them overflows
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -3e-310]),
+    st.floats(min_value=-1e100, max_value=1e100))
+
+
+def bits(x):
+    """The bit patterns of a float64 array: equal only if every sign and digit is."""
+    return np.ascontiguousarray(x).view(np.int64)
 
 
 def dense(token, input_dim):
@@ -52,7 +66,7 @@ class TestLstmForward:
     def test_zero_params_give_zero_state(self):
         params = nc.zero_lstm(4, 3)
         for token in (None, 0, 3):
-            h, c, _ = nc.lstm_forward(params, token, np.zeros(3), np.zeros(3))
+            h, c = nc.lstm_forward(params, token, np.zeros(3), np.zeros(3))
             # gates sit at sigmoid(0)=0.5 but the tanh candidate is 0, so nothing flows
             assert np.all(h == 0.0)
             assert np.all(c == 0.0)
@@ -63,7 +77,7 @@ class TestLstmForward:
         params.gate("i")[2][0] = 30.0
         params.gate("o")[2][0] = 30.0
         params.gate("g")[2][0] = 1.0
-        h, c, _ = nc.lstm_forward(params, None, np.zeros(1), np.zeros(1))
+        h, c = nc.lstm_forward(params, None, np.zeros(1), np.zeros(1))
         assert c[0] == pytest.approx(math.tanh(1.0), abs=1e-9)
         assert h[0] == pytest.approx(math.tanh(math.tanh(1.0)), abs=1e-9)
         assert c[0] == pytest.approx(0.7616, abs=1e-4)
@@ -75,7 +89,7 @@ class TestLstmForward:
         for token in (None, 0, 3):
             h_prev = rng.normal(size=4)
             c_prev = rng.normal(size=4)
-            h, c, _ = nc.lstm_forward(params, token, h_prev, c_prev)
+            h, c = nc.lstm_forward(params, token, h_prev, c_prev)
             h_ref, c_ref = scalar_lstm_step(params, dense(token, 5), h_prev, c_prev)
             np.testing.assert_allclose(h, h_ref, rtol=1e-12)
             np.testing.assert_allclose(c, c_ref, rtol=1e-12)
@@ -94,15 +108,26 @@ class TestLstmForward:
         h = np.zeros(2)
         c = np.zeros(2)
         for _ in range(50):
-            h, c, _ = nc.lstm_forward(params, int(rng.integers(3)), h, c)
+            h, c = nc.lstm_forward(params, int(rng.integers(3)), h, c)
             assert np.all(np.abs(h) <= 1.0)
             assert np.all(np.isfinite(c))
 
     def test_determinism(self):
         params = seeded_lstm()
-        h1, c1, _ = nc.lstm_forward(params, 1, np.zeros(2), np.zeros(2))
-        h2, c2, _ = nc.lstm_forward(params, 1, np.zeros(2), np.zeros(2))
+        h1, c1 = nc.lstm_forward(params, 1, np.zeros(2), np.zeros(2))
+        h2, c2 = nc.lstm_forward(params, 1, np.zeros(2), np.zeros(2))
         assert np.array_equal(h1, h2) and np.array_equal(c1, c2)
+
+    def test_rows_out_equal_fresh_arrays(self):
+        params = seeded_lstm(5, 4, seed=3)
+        rng = np.random.default_rng(8)
+        record = nc.LstmRecord.empty(1, 4)
+        record.h[0], record.c[0] = rng.normal(size=4), rng.normal(size=4)
+        h, c = nc.lstm_forward(params, 2, record.h[0], record.c[0], out=record.rows(0))
+        fresh_h, fresh_c = nc.lstm_forward(params, 2, record.h[0], record.c[0])
+        assert h.base is record.h and c.base is record.c
+        assert bits(h).tolist() == bits(fresh_h).tolist()
+        assert bits(c).tolist() == bits(fresh_c).tolist()
 
     def test_sigmoid_equals_split_by_sign_reference(self):
         # the reference evaluates 1/(1+exp(-x)) and exp(x)/(1+exp(x)) on the
@@ -118,20 +143,20 @@ class TestLstmForward:
         np.testing.assert_array_equal(nc.sigmoid(x).view(np.int64), ref.view(np.int64))
 
 
-class TestLstmBackward:
-    def run_forward(self, params, tokens):
-        h = np.zeros(params.hidden_dim)
-        c = np.zeros(params.hidden_dim)
-        caches = []
-        for token in tokens:
-            h, c, cache = nc.lstm_forward(params, token, h, c)
-            caches.append(cache)
-        return caches
+def run_forward(params, tokens):
+    """The record of a forward pass over ``tokens`` from the zero state."""
+    record = nc.LstmRecord.empty(len(tokens), params.hidden_dim)
+    for t, token in enumerate(tokens):
+        record.tokens[t] = -1 if token is None else token
+        nc.lstm_forward(params, token, record.h[t], record.c[t], out=record.rows(t))
+    return record
 
+
+class TestLstmBackward:
     def test_zero_output_grads_give_zero_param_grads(self):
         params = seeded_lstm()
-        caches = self.run_forward(params, [None, 1, 1, 2])
-        grads = nc.lstm_backward(params, caches, [np.zeros(2)] * 4)
+        record = run_forward(params, [None, 1, 1, 2])
+        grads = nc.lstm_backward(params, record, np.zeros((4, 2)))
         for g in grads.tensors().values():
             assert np.all(g == 0.0)
 
@@ -140,19 +165,18 @@ class TestLstmBackward:
         rng = np.random.default_rng(seed)
         params = seeded_lstm(3, 2, seed=seed, scale=0.6)
         tokens = [None] + [int(rng.integers(3)) for _ in range(2)]
-        weights = [rng.normal(size=2) for _ in range(3)]
+        weights = rng.normal(size=(3, 2))
 
         def loss():
             h = np.zeros(2)
             c = np.zeros(2)
             total = 0.0
             for token, w in zip(tokens, weights):
-                h, c, _ = nc.lstm_forward(params, token, h, c)
+                h, c = nc.lstm_forward(params, token, h, c)
                 total += float(w @ h)
             return total
 
-        caches = self.run_forward(params, tokens)
-        analytic = nc.lstm_backward(params, caches, weights).tensors()
+        analytic = nc.lstm_backward(params, run_forward(params, tokens), weights).tensors()
         numeric = central_diff_grads(loss, params.tensors())
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -163,8 +187,7 @@ class TestLstmBackward:
         params = nc.zero_lstm(1, 1)
         params.gate("i")[0][0, 0] = a
         params.gate("g")[0][0, 0] = b
-        h, c, cache = nc.lstm_forward(params, 0, np.zeros(1), np.zeros(1))
-        grads = nc.lstm_backward(params, [cache], [np.ones(1)])
+        grads = nc.lstm_backward(params, run_forward(params, [0]), np.ones((1, 1)))
 
         sig = 1.0 / (1.0 + math.exp(-a * x))
         g = math.tanh(b * x)
@@ -181,18 +204,79 @@ class TestLstmBackward:
     def test_cache_mismatch_rejected(self):
         params = seeded_lstm(3, 2)
         other = seeded_lstm(4, 2)
-        caches = self.run_forward(other, [3] * 2)
+        record = run_forward(other, [3] * 2)
         with pytest.raises(ValueError):
-            nc.lstm_backward(params, caches, [np.zeros(2)] * 2)
+            nc.lstm_backward(params, record, np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            nc.lstm_backward(params, [], [np.zeros(2)])
+            nc.lstm_backward(params, run_forward(params, []), np.zeros((1, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), input_dim=st.integers(1, 5), hidden_dim=st.integers(1, 4),
+           steps=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+    def test_equals_step_by_step_accumulation(self, data, input_dim, hidden_dim, steps,
+                                             seed):
+        """Whole-rollout sums give the bits of adding each step as it is reached.
+
+        Tokens may repeat and hidden size 1 makes every axis but the
+        gates' of length 1.
+        """
+        params = seeded_lstm(input_dim, hidden_dim, seed=seed, scale=1.5)
+        tokens = data.draw(st.lists(st.one_of(st.none(), st.integers(0, input_dim - 1)),
+                                    min_size=steps, max_size=steps))
+        record = run_forward(params, tokens)
+        output_grads = data.draw(arrays(np.float64, (steps, hidden_dim), elements=FLOATS))
+        out = nc.zero_lstm(input_dim, hidden_dim)
+        for tensor in out.tensors().values():
+            tensor.fill(np.nan)  # never read
+        grads = nc.lstm_backward(params, record, output_grads, out=out).tensors()
+        expected = stepwise_lstm_backward(params, record, output_grads)
+        for name, tensor in expected.items():
+            assert np.array_equal(bits(grads[name]), bits(tensor)), name
 
     def test_out_of_other_dimensions_rejected(self):
         params = seeded_lstm(3, 2)
-        caches = self.run_forward(params, [None, 2])
+        record = run_forward(params, [None, 2])
         for out in (nc.zero_lstm(4, 2), nc.zero_lstm(3, 3)):
             with pytest.raises(ValueError):
-                nc.lstm_backward(params, caches, [np.zeros(2)] * 2, out=out)
+                nc.lstm_backward(params, record, np.zeros((2, 2)), out=out)
+
+
+class TestOrderedSums:
+    """The gradient sums: einsum along t, bit for bit the sequential loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), steps=st.integers(0, 12),
+           rows=st.sampled_from([1, 1, 2, 3, 5]), cols=st.sampled_from([1, 1, 2, 3, 5]),
+           reverse=st.booleans())
+    def test_outer_sum_equals_sequential_loop(self, data, steps, rows, cols, reverse):
+        a = data.draw(arrays(np.float64, (steps, rows), elements=FLOATS))
+        b = data.draw(arrays(np.float64, (steps, cols), elements=FLOATS))
+        if reverse:  # reversed views: summed in the order of t all the same
+            a, b = a[::-1], b[::-1]
+        out = np.full((rows, cols), np.nan)
+        assert nc.ordered_outer_sum(a, b, out=out) is out
+        assert np.array_equal(bits(out), bits(sequential_outer_sum(a, b)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), steps=st.integers(0, 12), size=st.sampled_from([1, 1, 2, 4, 7]))
+    def test_row_sum_equals_sequential_loop(self, data, steps, size):
+        a = data.draw(arrays(np.float64, (steps, size), elements=FLOATS))
+        out = np.full(size, np.nan)
+        assert nc.ordered_row_sum(a, out=out) is out
+        expected = sequential_outer_sum(a, np.ones((steps, 1)))[:, 0]
+        assert np.array_equal(bits(out), bits(expected))
+
+    def test_single_element_sum_keeps_zero_start(self):
+        # -0.0 + -0.0 is -0.0, but a sum started at +0.0 stays +0.0
+        out = np.empty((1, 1))
+        nc.ordered_outer_sum(np.array([[-0.0], [-0.0]]), np.ones((2, 1)), out=out)
+        assert math.copysign(1.0, out[0, 0]) == 1.0
+
+    def test_out_must_be_contiguous_and_fit(self):
+        a, b = np.ones((3, 2)), np.ones((3, 4))
+        for out in (np.empty((4, 2)).T, np.empty((2, 3))):
+            with pytest.raises(ValueError):
+                nc.ordered_outer_sum(a, b, out=out)
 
 
 class TestSoftmaxSample:
