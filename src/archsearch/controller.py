@@ -195,15 +195,19 @@ def action_log_prob(state: ControllerState, seq: ActionSequence) -> float:
 
     Recomputes exactly what sampling computed, so it matches recorded
     log-probabilities bit for bit as long as parameters are unchanged.
-    Nothing is recorded: each step's state replaces the last.
+    Nothing is recorded: the steps write into two sets of rows in turn,
+    each step reading the state the other set holds.
     """
     validate_sequence(state.space, seq)
-    h = np.zeros(state.hidden_dim)
-    c = np.zeros(state.hidden_dim)
+    n = state.hidden_dim
+    h = np.zeros(n)
+    c = np.zeros(n)
+    # (gates, c, tanh_c, h), as lstm_forward writes them
+    rows = [(np.empty(4 * n), np.empty(n), np.empty(n), np.empty(n)) for _ in range(2)]
     token = None
     total = 0.0
-    for slot, action in zip(state.slots, seq.actions):
-        h, c = lstm_forward(state.lstm, token, h, c)
+    for t, (slot, action) in enumerate(zip(state.slots, seq.actions)):
+        h, c = lstm_forward(state.lstm, token, h, c, out=rows[t % 2])
         probs = softmax_probs(slot.w @ h + slot.b)
         total += float(np.log(probs[action]))
         token = slot.offset + action

@@ -201,10 +201,12 @@ class TestGradientWorkspace:
         space = build_space("macro")
         state = ctl.create_controller(space, seed=9)
         ref = ctl.create_controller(space, seed=9)
+        workspaces = set()
         for rewards in ([0.3, -0.2, 0.9], [0.5, 0.1, -0.4]):
             rollouts = [ctl.sample_sequence(state)[1] for _ in rewards]
             ref_rollouts = [ctl.sample_sequence(ref)[1] for _ in rewards]
             norm = ctl.reinforce_update_batch(state, rollouts, rewards)
+            workspaces.add(id(state.batch_grads))
 
             grads = ref.params.like()
             for rollout, reward in zip(ref_rollouts, rewards):
@@ -217,6 +219,7 @@ class TestGradientWorkspace:
             assert state.params.flat.tobytes() == ref.params.flat.tobytes()
             assert state.adam.m.flat.tobytes() == ref.adam.m.flat.tobytes()
             assert state.adam.v.flat.tobytes() == ref.adam.v.flat.tobytes()
+        assert len(workspaces) == 1  # the second workspace is made once, then reused
 
 
 class TestLearningDynamics:
