@@ -11,6 +11,7 @@ samples and applied as one ADAM ascent step.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,11 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import textio
-from .nn_core import (GATE_NAMES, AdamState, LstmCellParams, LstmRecord, ParamBuffer,
-                      adam_step, clip_by_global_norm, global_norm, init_lstm,
-                      lstm_backward, lstm_forward, lstm_shapes, ordered_outer_sum,
-                      ordered_row_sum, softmax_probs, softmax_sample)
-from .search_space import ActionSequence, SearchSpace, build_space, validate_sequence
+from .nn_core import (GATE_NAMES, INIT_SCALE, AdamState, LstmCellParams, LstmRecord,
+                      ParamBuffer, adam_step, clip_by_global_norm, init_lstm, lstm_backward,
+                      lstm_forward, lstm_shapes, ordered_outer_sum, ordered_row_sum,
+                      softmax_probs, softmax_sample)
+from .search_space import SearchSpace, build_space, validate_sequence
 
 DEFAULT_HIDDEN = {"alexnet": 24, "condensenet": 20, "macro": 64}
 DEFAULT_LR = {"alexnet": 0.03, "condensenet": 0.008, "macro": 0.0075}
@@ -74,7 +75,7 @@ class ControllerState:
     params: ParamBuffer  # lstm tensors + head tensors in one flat buffer
     adam: AdamState
     rng: np.random.Generator
-    clip_norm: float | None = DEFAULT_CLIP_NORM
+    clip_norm: float = DEFAULT_CLIP_NORM  # math.inf: no clipping
     use_baseline: bool = False
     baseline_decay: float = DEFAULT_BASELINE_DECAY
     baseline: float = 0.0
@@ -90,6 +91,10 @@ class ControllerState:
     heads: tuple[HeadSteps, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not self.clip_norm > 0.0:
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if not 0.0 <= self.baseline_decay < 1.0:
+            raise ValueError(f"baseline_decay must lie in [0, 1), got {self.baseline_decay}")
         self.grads = self.params.like()
         self.grad_blocks = _norm_blocks(self.grads)
         heads = [slot.head for slot in self.space.slots]
@@ -105,14 +110,12 @@ class ControllerState:
 
 
 def create_controller(space: SearchSpace, seed: int, hidden_dim: int | None = None,
-                      lr: float | None = None, init_scale: float = 0.08,
-                      clip_norm: float | None = DEFAULT_CLIP_NORM,
+                      lr: float | None = None, clip_norm: float = DEFAULT_CLIP_NORM,
                       use_baseline: bool = False,
                       baseline_decay: float = DEFAULT_BASELINE_DECAY) -> ControllerState:
-    """Fresh controller for a space.
+    """Fresh controller for a space, every weight drawn from [-INIT_SCALE, INIT_SCALE].
 
-    ``init_scale=0`` gives an all-zero controller (uniform policy), handy
-    for tests. Hidden size and learning rate default per space kind.
+    Hidden size and learning rate default per space kind.
     """
     if hidden_dim is None:
         hidden_dim = DEFAULT_HIDDEN.get(space.kind, 32)
@@ -123,11 +126,11 @@ def create_controller(space: SearchSpace, seed: int, hidden_dim: int | None = No
     rng = np.random.default_rng(seed)
     params = ParamBuffer(_param_shapes(space, hidden_dim))
     lstm = LstmCellParams.from_tensors(params)
-    init_lstm(lstm, rng, scale=init_scale)
+    init_lstm(lstm, rng)
     for head_type in space.head_types():
         for kind in ("w", "b"):
             tensor = params[f"head.{head_type}.{kind}"]
-            tensor[...] = rng.uniform(-init_scale, init_scale, size=tensor.shape)
+            tensor[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=tensor.shape)
     adam = AdamState.for_params(params, lr=lr)
     return ControllerState(space=space, hidden_dim=hidden_dim, lstm=lstm,
                            params=params, adam=adam, rng=rng, clip_norm=clip_norm,
@@ -162,11 +165,12 @@ def _norm_blocks(grads: ParamBuffer) -> dict[str, np.ndarray]:
     return blocks
 
 
-def sample_sequence(state: ControllerState) -> tuple[ActionSequence, Rollout]:
+def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
     """Sample one architecture of the state's space, one decision per slot, in order.
 
-    The input of step t > 0 is the token of the previous choice: the
-    previous slot's vocabulary offset plus its action.
+    Returns its actions and the rollout the update reads. The input of
+    step t > 0 is the token of the previous choice: the previous slot's
+    vocabulary offset plus its action.
     """
     steps = len(state.slots)
     rollout = Rollout.empty(
@@ -174,31 +178,30 @@ def sample_sequence(state: ControllerState) -> tuple[ActionSequence, Rollout]:
         probs={head.head: np.empty((len(head.steps), len(head.w))) for head in state.heads},
         revision=state.revision)
     actions: list[int] = []
-    log_probs: list[float] = []
     token = None
     for t, slot in enumerate(state.slots):
         if token is not None:
             rollout.tokens[t] = token
         h, _ = lstm_forward(state.lstm, token, rollout.h[t], rollout.c[t],
                             out=rollout.rows(t))
-        action, lp, probs = softmax_sample(slot.w @ h + slot.b, state.rng)
+        action, probs = softmax_sample(slot.w @ h + slot.b, state.rng)
         rollout.probs[slot.head][slot.row] = probs
         actions.append(action)
-        log_probs.append(lp)
         token = slot.offset + action
     rollout.actions[:] = actions
-    return ActionSequence(actions=tuple(actions), log_probs=tuple(log_probs)), rollout
+    return tuple(actions), rollout
 
 
-def action_log_prob(state: ControllerState, seq: ActionSequence) -> float:
-    """Sum of log P(a_t | a_1..t-1) for a fixed sequence (teacher forcing).
+def action_log_prob(state: ControllerState, actions: tuple[int, ...]) -> float:
+    """Sum of log P(a_t | a_1..t-1) for fixed actions (teacher forcing).
 
-    Recomputes exactly what sampling computed, so it matches recorded
-    log-probabilities bit for bit as long as parameters are unchanged.
-    Nothing is recorded: the steps write into two sets of rows in turn,
-    each step reading the state the other set holds.
+    Recomputes exactly the probabilities sampling computed, so as long as
+    parameters are unchanged it equals the step-order sum of the logs of
+    the rollout's chosen probabilities bit for bit. Nothing is recorded:
+    the steps write into two sets of rows in turn, each step reading the
+    state the other set holds.
     """
-    validate_sequence(state.space, seq)
+    validate_sequence(state.space, actions)
     n = state.hidden_dim
     h = np.zeros(n)
     c = np.zeros(n)
@@ -206,7 +209,7 @@ def action_log_prob(state: ControllerState, seq: ActionSequence) -> float:
     rows = [(np.empty(4 * n), np.empty(n), np.empty(n), np.empty(n)) for _ in range(2)]
     token = None
     total = 0.0
-    for t, (slot, action) in enumerate(zip(state.slots, seq.actions)):
+    for t, (slot, action) in enumerate(zip(state.slots, actions)):
         h, c = lstm_forward(state.lstm, token, h, c, out=rows[t % 2])
         probs = softmax_probs(slot.w @ h + slot.b)
         total += float(np.log(probs[action]))
@@ -215,36 +218,32 @@ def action_log_prob(state: ControllerState, seq: ActionSequence) -> float:
 
 
 def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
-                     out: ParamBuffer | None = None) -> ParamBuffer:
+                     out: ParamBuffer) -> ParamBuffer:
     """Gradient of scale * sum_t log P(a_t) w.r.t. every parameter.
 
     The softmax/log-prob gradient at the chosen action is
     scale * (one_hot(action) - probs); head gradients come directly from
     it, the rest flows through the unrolled LSTM. Written over every
-    tensor of ``out`` when given, else into a new buffer.
+    tensor of ``out``, which is returned.
 
     Each head's gradients sum its steps in step order, the LSTM's from the
     last step to the first (`ordered_outer_sum`), so the sums round as a
     step-by-step accumulation does.
     """
-    if out is None:
-        grads = state.params.like()
-    elif out.shapes != state.params.shapes:
+    if out.shapes != state.params.shapes:
         raise ValueError("gradient layout does not match parameter layout")
-    else:
-        grads = out
     dh = np.empty((len(rollout.actions), state.hidden_dim))
     for head, steps, h_rows, rows, w in state.heads:
         dlogits = -rollout.probs[head] * scale
         dlogits[rows, rollout.actions[steps]] += scale
-        ordered_outer_sum(dlogits, rollout.h[h_rows], out=grads[f"head.{head}.w"])
-        ordered_row_sum(dlogits, out=grads[f"head.{head}.b"])
+        ordered_outer_sum(dlogits, rollout.h[h_rows], out=out[f"head.{head}.w"])
+        ordered_row_sum(dlogits, out=out[f"head.{head}.b"])
         # one product per step: a single w.T @ dlogits.T rounds differently
         w_t = w.T
         for dl, t in zip(dlogits, steps.tolist()):
             np.matmul(w_t, dl, out=dh[t])
-    lstm_backward(state.lstm, rollout, dh, out=LstmCellParams.from_tensors(grads))
-    return grads
+    lstm_backward(state.lstm, rollout, dh, out=LstmCellParams.from_tensors(out))
+    return out
 
 
 def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
@@ -272,10 +271,7 @@ def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
         else:
             grads.flat += policy_gradients(state, rollout, scale / len(rollouts),
                                            out=state.batch_grads).flat
-    if state.clip_norm is not None:
-        norm = clip_by_global_norm(state.grad_blocks, state.clip_norm)
-    else:
-        norm = global_norm(state.grad_blocks)
+    norm = clip_by_global_norm(state.grad_blocks, state.clip_norm)
     adam_step(state.params, grads, state.adam)
     state.revision += 1
     if state.use_baseline:
@@ -321,6 +317,8 @@ def load_checkpoint(path: str | Path) -> ControllerState:
     empty or truncated file), on another format version, and, naming the
     array, on a missing or extra array or one of the wrong shape or dtype:
     numpy would otherwise broadcast a wrong-shaped array into place silently.
+    Meta values out of range (an ADAM setting, the clip norm, the baseline,
+    its decay or the revision) are refused, naming the value.
     """
     try:
         with np.load(path) as data:
@@ -339,16 +337,18 @@ def load_checkpoint(path: str | Path) -> ControllerState:
 
     try:
         state = create_controller(build_space(meta["space_kind"]), seed=0,
-                                  hidden_dim=meta["hidden_dim"], lr=meta["adam"]["lr"],
-                                  clip_norm=meta["clip_norm"],
+                                  hidden_dim=meta["hidden_dim"], clip_norm=meta["clip_norm"],
                                   use_baseline=meta["use_baseline"],
                                   baseline_decay=meta["baseline_decay"])
-        state.adam.beta1 = meta["adam"]["beta1"]
-        state.adam.beta2 = meta["adam"]["beta2"]
-        state.adam.eps = meta["adam"]["eps"]
-        state.adam.t = meta["adam"]["t"]
+        adam = meta["adam"]  # built from the loaded values, so AdamState checks them
+        state.adam = AdamState.for_params(state.params, lr=adam["lr"], beta1=adam["beta1"],
+                                          beta2=adam["beta2"], eps=adam["eps"], t=adam["t"])
         state.baseline = meta["baseline"]
         state.revision = meta["revision"]
+        if not math.isfinite(state.baseline):
+            raise ValueError(f"baseline must be finite, got {state.baseline}")
+        if type(state.revision) is not int or state.revision < 0:
+            raise ValueError(f"revision must be an int >= 0, got {state.revision!r}")
         # JSON turns the inner state ints into plain ints, which numpy accepts
         state.rng.bit_generator.state = meta["rng_state"]
     except (KeyError, TypeError) as exc:

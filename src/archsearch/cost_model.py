@@ -68,31 +68,6 @@ def mac_table(channels: int, input_size: int) -> MacTable:
     return MacTable(rows=tuple(rows), layer_max=layer_max, space_max=sum(layer_max))
 
 
-def op_mac(op: str, layer: int, channels: int = DEFAULT_CHANNELS,
-           input_size: int = DEFAULT_INPUT_SIZE) -> int:
-    """MACs of one operation placed at one macro layer; pooling is free."""
-    if not 0 <= layer < MACRO_LAYERS:
-        raise ValueError(f"layer must be in 0..{MACRO_LAYERS - 1}")
-    row = mac_table(channels, input_size).rows[layer]
-    if op not in row:
-        raise ValueError(f"unknown operation {op!r}")
-    return row[op]
-
-
-def max_layer_mac(layer: int, channels: int = DEFAULT_CHANNELS,
-                  input_size: int = DEFAULT_INPUT_SIZE) -> int:
-    """Cost of the most expensive op available at this layer."""
-    if not 0 <= layer < MACRO_LAYERS:
-        raise ValueError(f"layer must be in 0..{MACRO_LAYERS - 1}")
-    return mac_table(channels, input_size).layer_max[layer]
-
-
-def max_space_mac(channels: int = DEFAULT_CHANNELS,
-                  input_size: int = DEFAULT_INPUT_SIZE) -> int:
-    """Total MACs when every layer picks its most expensive op."""
-    return mac_table(channels, input_size).space_max
-
-
 def macro_mac(arch: MacroArch, channels: int = DEFAULT_CHANNELS,
               input_size: int = DEFAULT_INPUT_SIZE) -> MacReport:
     """Per-layer and total MACs of a macro architecture.

@@ -23,9 +23,9 @@ from .evaluators import (Evaluator, LookupEvaluator, UnknownArchitectureError,
                          fixture_lookup_path, load_lookup, make_surrogate)
 from .pareto import ParetoFront, ParetoPoint, front_of
 from .rewards import EvaluationResult, RewardSpec, compute_reward
-from .search_space import (ActionSequence, Architecture, MACRO_OPS, SPACE_KINDS, MacroArch,
-                           SearchSpace, arch_from_compact, arch_to_compact,
-                           arch_to_dict, build_space, decode)
+from .search_space import (Architecture, MACRO_OPS, SPACE_KINDS, MacroArch, SearchSpace,
+                           arch_from_compact, arch_to_compact, arch_to_dict, build_space,
+                           decode)
 
 DEFAULT_WINDOW = 50
 RANDOM_RESUME_ERROR = "run.resume is for search only: random search has no controller"
@@ -52,7 +52,6 @@ class RunConfig:
     hidden_dim: int | None = None
     lr: float | None = None
     use_baseline: bool = False
-    clip_norm: float | None = ctl.DEFAULT_CLIP_NORM
     window: int = DEFAULT_WINDOW
     batch_n: int = 1  # samples per update; 1 updates after every network
     resume_path: str | None = None  # controller checkpoint to continue from
@@ -98,7 +97,7 @@ class RunConfig:
             "hidden_dim": self.hidden_dim,
             "lr": self.lr,
             "use_baseline": self.use_baseline,
-            "clip_norm": self.clip_norm,
+            "clip_norm": ctl.DEFAULT_CLIP_NORM,  # every run clips at it
             "window": self.window,
             "batch_n": self.batch_n,
             "resume_path": self.resume_path,
@@ -108,7 +107,7 @@ class RunConfig:
 @dataclass
 class IterationRecord:
     iteration: int  # 1-based
-    seq: ActionSequence
+    actions: tuple[int, ...]
     arch: Architecture
     result: EvaluationResult
     reward: float
@@ -189,10 +188,10 @@ def load_resume(cfg: RunConfig) -> ctl.ControllerState:
     return _require_space(ctl.load_checkpoint(cfg.resume_path), cfg)
 
 
-def _run(cfg: RunConfig, sample: Callable[[], tuple[ActionSequence, ctl.Rollout | None]],
+def _run(cfg: RunConfig, sample: Callable[[], tuple[tuple[int, ...], ctl.Rollout | None]],
          update: Callable[[list, list[float]], float],
          controller: ctl.ControllerState | None, evaluator: Evaluator | None) -> SearchResult:
-    """``sample()`` gives a sequence and its rollout; after every ``cfg.batch_n``
+    """``sample()`` gives actions and their rollout; after every ``cfg.batch_n``
     samples and the last, ``update(rollouts, rewards)`` gives their grad_norm."""
     space = build_space(cfg.space_kind)
     if evaluator is None:
@@ -202,8 +201,8 @@ def _run(cfg: RunConfig, sample: Callable[[], tuple[ActionSequence, ctl.Rollout 
     best: IterationRecord | None = None
     pending: list[tuple[ctl.Rollout | None, float, IterationRecord]] = []
     for i in range(1, cfg.n_iterations + 1):
-        seq, rollout = sample()
-        arch = decode(space, seq)
+        actions, rollout = sample()
+        arch = decode(space, actions)
         try:
             result = evaluator.evaluate(arch)
         except UnknownArchitectureError as exc:
@@ -211,7 +210,7 @@ def _run(cfg: RunConfig, sample: Callable[[], tuple[ActionSequence, ctl.Rollout 
             raise UnknownArchitectureError(f"iteration {i}: {msg}") from exc
         reward = compute_reward(cfg.reward, result)
 
-        record = IterationRecord(iteration=i, seq=seq, arch=arch, result=result,
+        record = IterationRecord(iteration=i, actions=actions, arch=arch, result=result,
                                  reward=reward, grad_norm=0.0)
         records.append(record)
         front.insert(_pareto_point(record))
@@ -243,7 +242,6 @@ def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None,
     elif controller is None:
         controller = ctl.create_controller(build_space(cfg.space_kind), seed=cfg.seed,
                                            hidden_dim=cfg.hidden_dim, lr=cfg.lr,
-                                           clip_norm=cfg.clip_norm,
                                            use_baseline=cfg.use_baseline)
     else:
         _require_space(controller, cfg)
@@ -259,7 +257,7 @@ def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResu
         raise ValueError(RANDOM_RESUME_ERROR)
     rng = np.random.default_rng(cfg.seed)
     arities = [len(slot.candidates) for slot in build_space(cfg.space_kind).slots]
-    return _run(cfg, lambda: (ActionSequence(tuple(rng.integers(arities).tolist())), None),
+    return _run(cfg, lambda: (tuple(rng.integers(arities).tolist()), None),
                 lambda rollouts, rewards: 0.0, None, evaluator)
 
 
@@ -290,8 +288,8 @@ def sample_trained_controller(state: ctl.ControllerState, evaluator: Evaluator,
     """n rollouts without updates, for inspecting what a controller learned."""
     out = []
     for _ in range(n):
-        seq, _ = ctl.sample_sequence(state)
-        arch = decode(state.space, seq)
+        actions, _ = ctl.sample_sequence(state)
+        arch = decode(state.space, actions)
         out.append((arch, evaluator.evaluate(arch)))
     return out
 
@@ -327,7 +325,7 @@ def _score_fields(ev: EvaluationResult) -> list[str]:
 
 def write_results_csv(path: str | Path, records: list[IterationRecord]) -> None:
     textio.write_table(path, RESULTS_HEADER, (
-        [str(r.iteration), ":".join(str(a) for a in r.seq.actions),
+        [str(r.iteration), ":".join(str(a) for a in r.actions),
          *_score_fields(r.result), fmt_float(r.reward), fmt_float(r.grad_norm)]
         for r in records))
 
@@ -440,7 +438,7 @@ def summary_dict(cfg: RunConfig, result: SearchResult) -> dict:
         "config": cfg.to_dict(),
         "best": {
             "iteration": best.iteration,
-            "actions": list(best.seq.actions),
+            "actions": list(best.actions),
             "arch": arch_to_dict(best.arch),
             "accuracy": best.result.accuracy,
             "energy": best.result.energy_joules,
@@ -480,7 +478,7 @@ def rebuild_front(rows: list[ResultRow], space: SearchSpace) -> ParetoFront:
             continue
         arch = None
         if row.actions:
-            arch = decode(space, ActionSequence(actions=row.actions))
+            arch = decode(space, row.actions)
         points.append(ParetoPoint(accuracy=row.accuracy, energy=row.energy,
                                   arch=arch, iteration=row.iteration))
     return front_of(points)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -69,8 +69,16 @@ class SurrogateConfig:
         for name in ("a_max", "kappa", "e0", "e1", "p0", "p1", "sigma", "capacity_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        # kappa <= 0 divides by zero or inverts the landscape; a negative
+        # energy or power constant gives values no reward can take
+        if not 0.0 < self.a_max <= 1.0:
+            raise ValueError(f"a_max must lie in (0, 1], got {self.a_max}")
+        for name in ("kappa", "capacity_weight"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("e0", "e1", "p0", "p1", "sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def _capacities(arch: Architecture) -> tuple[float, float, float | None]:
@@ -156,12 +164,9 @@ def load_surrogate_config(space: str, path: str | Path | None = None,
         raise ValueError(f"{source}: {space}.{exc}") from None
 
 
-def make_surrogate(space: str, seed: int = 0, sigma: float | None = None,
+def make_surrogate(space: str, seed: int = 0,
                    config_path: str | Path | None = None) -> SurrogateEvaluator:
-    cfg = load_surrogate_config(space, config_path, seed=seed)
-    if sigma is not None:
-        cfg = replace(cfg, sigma=sigma)
-    return SurrogateEvaluator(cfg)
+    return SurrogateEvaluator(load_surrogate_config(space, config_path, seed=seed))
 
 
 # ---------------------------------------------------------------------------

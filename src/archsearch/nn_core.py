@@ -107,37 +107,27 @@ class LstmCellParams:
         rows = slice(k * n, (k + 1) * n)
         return self.w[rows], self.u[rows], self.b[rows]
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Flat name -> array view of all weights (shared references)."""
-        return {"lstm.w": self.w, "lstm.u": self.u, "lstm.b": self.b}
-
     @classmethod
     def from_tensors(cls, tensors: Mapping[str, np.ndarray]) -> "LstmCellParams":
-        """The cell whose weights are the arrays named as in ``tensors()``."""
+        """The cell whose weights are the arrays named as in `lstm_shapes`."""
         return cls(tensors["lstm.w"], tensors["lstm.u"], tensors["lstm.b"])
 
 
 def lstm_shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
-    """Tensor shapes of an LSTM cell, under the names of ``tensors()``."""
+    """Tensor shapes of an LSTM cell: "lstm.w", "lstm.u" and "lstm.b"."""
     four_h = 4 * hidden_dim
     return {"lstm.w": (four_h, input_dim), "lstm.u": (four_h, hidden_dim),
             "lstm.b": (four_h,)}
 
 
-def zero_lstm(input_dim: int, hidden_dim: int) -> LstmCellParams:
-    shapes = lstm_shapes(input_dim, hidden_dim)
-    return LstmCellParams(*(np.zeros(shape) for shape in shapes.values()))
-
-
-def init_lstm(params: LstmCellParams, rng: np.random.Generator,
-              scale: float = INIT_SCALE) -> None:
-    """Fill a cell in place with weights drawn uniformly from [-scale, scale].
+def init_lstm(params: LstmCellParams, rng: np.random.Generator) -> None:
+    """Fill a cell in place with weights drawn uniformly from [-INIT_SCALE, INIT_SCALE].
 
     Draws gate by gate, w then u then b, each in its per-gate shape.
     """
     for gate in GATE_NAMES:
         for block in params.gate(gate):
-            block[...] = rng.uniform(-scale, scale, size=block.shape)
+            block[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=block.shape)
 
 
 @dataclass
@@ -168,7 +158,7 @@ class LstmRecord:
 
 
 def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
-                 c_prev: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+                 c_prev: np.ndarray, out: tuple[np.ndarray, ...]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM step on input token ``token`` (None: an all-zero input).
 
@@ -176,15 +166,13 @@ def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
         c = f * c_prev + i * g
         h = o * tanh(c)
     Returns (h, c). ``out`` is the rows (gates, c, tanh_c, h) to write the
-    step into, as `LstmRecord.rows` gives them; without it they are fresh.
+    step into, as `LstmRecord.rows` gives them.
     """
     n = params.hidden_dim
     if token is not None and not 0 <= token < params.input_dim:
         raise ValueError(f"input token must lie in [0, {params.input_dim}), got {token}")
     if h_prev.shape != (n,) or c_prev.shape != (n,):
         raise ValueError(f"state must have shape ({n},)")
-    if out is None:
-        out = (np.empty(4 * n), np.empty(n), np.empty(n), np.empty(n))
     gates, c, tanh_c, h = out
 
     np.matmul(params.u, h_prev, out=gates)  # the pre-activations, squashed in place
@@ -231,14 +219,13 @@ def ordered_row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.ndarray,
-                  out: LstmCellParams | None = None) -> LstmCellParams:
+                  out: LstmCellParams) -> LstmCellParams:
     """Backprop through time over a full forward pass.
 
-    ``output_grads[t]`` is dLoss/dh of step t ([T, H]). Returns the
-    parameter gradients, written over ``out`` when given (its old contents
-    are never read), else into a new cell. No truncation: gradients are
-    exact, and each sums its steps from the last to the first, as a
-    step-by-step accumulation would.
+    ``output_grads[t]`` is dLoss/dh of step t ([T, H]). Returns ``out``
+    with the parameter gradients written over it (its old contents are
+    never read). No truncation: gradients are exact, and each sums its
+    steps from the last to the first, as a step-by-step accumulation would.
     """
     n = params.hidden_dim
     steps = len(record.tokens)
@@ -247,12 +234,8 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
     if record.gates.shape != (steps, 4 * n) or record.h.shape != (steps + 1, n) or (
             steps and not -1 <= record.tokens.min() <= record.tokens.max() < params.input_dim):
         raise ValueError("record does not match params dimensions")
-    if out is None:
-        grads = zero_lstm(params.input_dim, n)
-    elif out.w.shape != params.w.shape or out.u.shape != params.u.shape:
+    if out.w.shape != params.w.shape or out.u.shape != params.u.shape:
         raise ValueError("gradient cell does not match params dimensions")
-    else:
-        grads = out
     u_t = params.u.T  # its column blocks are each gate's u.T
     u_i, u_f, u_o, u_g = u_t[:, :n], u_t[:, n:2 * n], u_t[:, 2 * n:3 * n], u_t[:, 3 * n:]
 
@@ -291,17 +274,17 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
         dh_next += u_g @ d_pre[3 * n:]
         dc_next = dc * f
 
-    ordered_outer_sum(d_pre_rows, record.h[:steps][::-1], out=grads.u)
-    ordered_row_sum(d_pre_rows, out=grads.b)
+    ordered_outer_sum(d_pre_rows, record.h[:steps][::-1], out=out.u)
+    ordered_row_sum(d_pre_rows, out=out.b)
     tokens = record.tokens[::-1]  # in the order of the rows
     fed = np.flatnonzero(tokens >= 0)
     tokens, columns = tokens[fed], d_pre_rows[fed].T
-    grads.w.fill(0.0)
+    out.w.fill(0.0)
     if len(set(tokens.tolist())) == len(tokens):
-        grads.w[:, tokens] += columns  # one add per column: 0 + d, as a loop gives
+        out.w[:, tokens] += columns  # one add per column: 0 + d, as a loop gives
     else:  # a repeated token's column adds its steps in row order
-        np.add.at(grads.w, (slice(None), tokens), columns)
-    return grads
+        np.add.at(out.w, (slice(None), tokens), columns)
+    return out
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -316,17 +299,17 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_sample(logits: np.ndarray, rng: np.random.Generator
-                   ) -> tuple[int, float, np.ndarray]:
+                   ) -> tuple[int, np.ndarray]:
     """Sample an index from softmax(logits) with one uniform draw.
 
     Inverse CDF: the index is the first position whose cumulative
-    probability exceeds the draw. Returns (index, log prob of index, probs).
+    probability exceeds the draw. Returns (index, probs).
     """
     probs = softmax_probs(logits)
     u = rng.random()
     index = int(probs.cumsum().searchsorted(u, side="right"))
     index = min(index, len(probs) - 1)  # guard against cumsum rounding below 1
-    return index, float(np.log(probs[index])), probs
+    return index, probs
 
 
 @dataclass
@@ -348,10 +331,15 @@ class AdamState:
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # nan fails every comparison, so each check also refuses it
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("decay rates must lie in [0, 1)")
-        if self.t < 0:
-            raise ValueError("timestep must be >= 0")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if type(self.t) is not int or self.t < 0:
+            raise ValueError(f"timestep must be an int >= 0, got {self.t!r}")
 
     @classmethod
     def for_params(cls, params: ParamBuffer, lr: float, **kw) -> "AdamState":

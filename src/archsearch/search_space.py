@@ -2,8 +2,8 @@
 
 A space is an ordered list of decision slots, each slot an enumerated
 candidate list. The controller predicts one slot per time step, so slot
-order is generation order. Action sequences store per-slot candidate
-indices; ``decode``/``encode`` convert between those and typed
+order is generation order. A sample is its actions, a tuple of per-slot
+candidate indices; ``decode``/``encode`` convert between those and typed
 architecture descriptions.
 """
 
@@ -68,21 +68,6 @@ class SearchSpace:
             if seen[slot.head] != len(slot.candidates):
                 raise ValueError(f"head {slot.head} used with differing arities")
         return tuple(seen)
-
-
-@dataclass
-class ActionSequence:
-    """Per-slot chosen candidate indices plus sampling log-probabilities.
-
-    ``log_probs`` is empty for sequences built by ``encode``.
-    """
-
-    actions: tuple[int, ...]
-    log_probs: tuple[float, ...] = ()
-
-    @property
-    def total_log_prob(self) -> float:
-        return float(sum(self.log_probs))
 
 
 def _check_ints(what: str, values: tuple, length: int) -> None:
@@ -167,19 +152,19 @@ def build_space(kind: str) -> SearchSpace:
     raise ValueError(f"unknown space kind: {kind!r}")
 
 
-def validate_sequence(space: SearchSpace, seq: ActionSequence) -> None:
-    if len(seq.actions) != len(space.slots):
+def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
+    if len(actions) != len(space.slots):
         raise ValueError(
-            f"sequence has {len(seq.actions)} actions, space has {len(space.slots)} slots")
-    for t, (slot, a) in enumerate(zip(space.slots, seq.actions)):
+            f"sequence has {len(actions)} actions, space has {len(space.slots)} slots")
+    for t, (slot, a) in enumerate(zip(space.slots, actions)):
         if not 0 <= a < len(slot.candidates):
             raise ValueError(f"action {a} out of range for slot {t} ({slot.name})")
 
 
-def decode(space: SearchSpace, seq: ActionSequence) -> Architecture:
+def decode(space: SearchSpace, actions: tuple[int, ...]) -> Architecture:
     """Map an action sequence to the architecture it describes."""
-    validate_sequence(space, seq)
-    chosen = [slot.candidates[a] for slot, a in zip(space.slots, seq.actions)]
+    validate_sequence(space, actions)
+    chosen = [slot.candidates[a] for slot, a in zip(space.slots, actions)]
     if space.kind == "alexnet":
         return AlexNetArch(layers=(tuple(chosen[0:3]), tuple(chosen[3:6])))
     if space.kind == "condensenet":
@@ -198,8 +183,8 @@ def decode(space: SearchSpace, seq: ActionSequence) -> Architecture:
     raise ValueError(f"cannot decode space kind {space.kind!r}")
 
 
-def encode(space: SearchSpace, arch: Architecture) -> ActionSequence:
-    """Inverse of decode; log_probs are left empty."""
+def encode(space: SearchSpace, arch: Architecture) -> tuple[int, ...]:
+    """Inverse of decode."""
     if space.kind == "alexnet":
         if not isinstance(arch, AlexNetArch):
             raise ValueError("alexnet space expects an AlexNetArch")
@@ -226,25 +211,7 @@ def encode(space: SearchSpace, arch: Architecture) -> ActionSequence:
         except ValueError:
             raise ValueError(
                 f"value {value!r} not a candidate of slot {slot.name}") from None
-    return ActionSequence(actions=tuple(actions))
-
-
-def input_token(space: SearchSpace,
-                previous: tuple[int, int] | None = None) -> int | None:
-    """Controller input token for the next step.
-
-    None before the first decision; afterwards the global candidate
-    position (vocabulary index) of the previous (slot, action) choice,
-    the place of the single 1.0 in a one-hot input.
-    """
-    if previous is None:
-        return None
-    slot_index, action = previous
-    if not 0 <= slot_index < len(space.slots):
-        raise ValueError(f"slot index {slot_index} out of range")
-    if not 0 <= action < len(space.slots[slot_index].candidates):
-        raise ValueError(f"action {action} out of range for slot {slot_index}")
-    return space.vocab_offsets[slot_index] + action
+    return tuple(actions)
 
 
 # ---------------------------------------------------------------------------

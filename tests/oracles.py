@@ -174,7 +174,7 @@ def softmax_sample_reference(logits, rng):
     """Inverse-CDF softmax sampling through numpy's module-level functions.
 
     The formula `nn_core.softmax_sample` computes with ndarray methods:
-    returns (index, log prob of index, probs).
+    returns (index, probs).
     """
     shifted = logits - np.max(logits)
     exps = np.exp(shifted)
@@ -182,7 +182,7 @@ def softmax_sample_reference(logits, rng):
     u = rng.random()
     index = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     index = min(index, len(probs) - 1)
-    return index, float(np.log(probs[index])), probs
+    return index, probs
 
 
 def brute_force_front(points):

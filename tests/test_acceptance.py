@@ -5,6 +5,7 @@ from the shipped fixture.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from archsearch.evaluators import LookupEvaluator, fixture_lookup_path, load_loo
 from archsearch.pareto import ParetoFront, ParetoPoint, dominates, front_of
 from archsearch.rewards import EvaluationResult, RewardSpec, compute_reward
 from archsearch.search_space import CondenseNetArch, build_space
-from archsearch.cost_model import op_mac
+from archsearch.cost_model import mac_table
 
 from acceptance_report import report
 from oracles import brute_force_front, central_diff_grads, max_rel_error, missed_lines
@@ -57,11 +58,11 @@ def test_criterion_1_gradient_fidelity():
     for kind, hidden, seed, reward in configs:
         space = build_space(kind)
         state = ctl.create_controller(space, seed=seed, hidden_dim=hidden,
-                                      clip_norm=None)
-        seq, rollout = ctl.sample_sequence(state)
-        analytic = ctl.policy_gradients(state, rollout, reward)
+                                      clip_norm=math.inf)
+        actions, rollout = ctl.sample_sequence(state)
+        analytic = ctl.policy_gradients(state, rollout, reward, out=state.params.like())
         numeric = central_diff_grads(
-            lambda: ctl.action_log_prob(state, seq) * reward, state.params)
+            lambda: ctl.action_log_prob(state, actions) * reward, state.params)
         worst = max(worst, max_rel_error(analytic, numeric, floor=1e-3))
     elapsed = time.time() - start
     report(1, "gradient fidelity", worst < 1e-4 and elapsed < 60.0,
@@ -76,9 +77,10 @@ def test_criterion_2_mac_exactness():
             (1, 3, 16, 32, 64), (4, 8, 16, 32), range(12)):
         size = input_size // 2 ** (layer // 4)
         c_in = 3 if layer == 0 else channels
+        row = mac_table(channels, input_size).rows[layer]
         for k in (3, 5):
-            conv = op_mac(f"conv{k}x{k}", layer, channels, input_size)
-            sep = op_mac(f"sep_conv{k}x{k}", layer, channels, input_size)
+            conv = row[f"conv{k}x{k}"]
+            sep = row[f"sep_conv{k}x{k}"]
             exact = exact and conv == k * k * c_in * size * size * channels
             exact = exact and sep == c_in * size * size * (k * k + channels)
         cases += 1

@@ -224,7 +224,7 @@ class TestParetoCommand:
         for i, (arch, row) in enumerate(sorted(
                 table.rows.items(), key=lambda kv: kv[1].energy_j), start=1):
             try:
-                actions = ":".join(str(a) for a in encode(space, arch).actions)
+                actions = ":".join(str(a) for a in encode(space, arch))
             except ValueError:
                 actions = ""
             accuracy = 1.0 - row.error_pct / 100.0
@@ -353,6 +353,10 @@ class TestSampleCommand:
             json.dumps({"version": 1}).encode(), dtype=np.uint8))),
         ("meta record is not JSON", lambda contents: contents.__setitem__(
             "meta", np.frombuffer(b"\x00garbage", dtype=np.uint8))),
+        # resuming from these ran on, the first with nan grad_norm
+        ("timestep must be an int >= 0", lambda contents: set_meta(contents, "adam", "t", -1)),
+        ("baseline_decay must lie in [0, 1)",
+         lambda contents: set_meta(contents, None, "baseline_decay", 7)),
     ])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, named, edit):
         out = tmp_path / "run"
@@ -365,12 +369,21 @@ class TestSampleCommand:
         capsys.readouterr()
         assert run_cli("sample", "--checkpoint", str(path), "--n", "3",
                        "--out", str(tmp_path / "s")) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and f"{path}: " in err
         # search --resume checks the same file before the run starts
         resumed = tmp_path / "resumed"
         assert run_cli(*search_args(resumed), "--resume", str(path)) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and f"{path}: " in err
         assert not resumed.exists()
+
+
+def set_meta(contents, record, key, value):
+    """Set ``key`` of the checkpoint's meta record, or of its ``record`` entry."""
+    meta = json.loads(bytes(contents["meta"]).decode())
+    (meta if record is None else meta[record])[key] = value
+    contents["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
 
 
 def macro_checkpoint(tmp_path):
@@ -424,9 +437,8 @@ class TestIncompatibleSettings:
 
 def surrogate_file(**values):
     """A condensenet surrogate constants file, 1.0 for every key not given."""
-    return "version = 1\n" + "\n".join(
-        f"condensenet.{k} = {values.get(k, '1.0')}"
-        for k in ("a_max", "kappa", "e0", "e1", "p0", "p1", "sigma"))
+    values = dict.fromkeys(("a_max", "kappa", "e0", "e1", "p0", "p1", "sigma"), "1.0") | values
+    return "version = 1\n" + "\n".join(f"condensenet.{k} = {v}" for k, v in values.items())
 
 
 class TestBadInputFiles:
@@ -451,10 +463,27 @@ class TestBadInputFiles:
          "ghost.txt: condensenet.kappa must be finite"),
         ("--surrogate-config", surrogate_file(sigma="nan"),
          "ghost.txt: condensenet.sigma must be finite"),
+        # a zero kappa divided by zero mid-run, a negative one made every accuracy 0
+        ("--surrogate-config", surrogate_file(kappa="0"),
+         "ghost.txt: condensenet.kappa must be > 0"),
+        ("--surrogate-config", surrogate_file(kappa="-3"),
+         "ghost.txt: condensenet.kappa must be > 0"),
+        ("--surrogate-config", surrogate_file(e1="-5"),
+         "ghost.txt: condensenet.e1 must be >= 0"),
+        ("--surrogate-config", surrogate_file(p0="-1"),
+         "ghost.txt: condensenet.p0 must be >= 0"),
+        ("--surrogate-config", surrogate_file(a_max="1.5"),
+         "ghost.txt: condensenet.a_max must lie in (0, 1]"),
+        ("--surrogate-config", surrogate_file(a_max="0"),
+         "ghost.txt: condensenet.a_max must lie in (0, 1]"),
+        ("--surrogate-config", surrogate_file(capacity_weight="0"),
+         "ghost.txt: condensenet.capacity_weight must be > 0"),
     ], ids=["fixture-missing", "fixture-header", "fixture-row", "fixture-nan-energy",
             "fixture-inf-energy", "fixture-negative-energy", "surrogate-missing",
             "surrogate-version", "surrogate-value", "surrogate-range", "surrogate-nonfinite",
-            "surrogate-nan-sigma"])
+            "surrogate-nan-sigma", "surrogate-zero-kappa", "surrogate-negative-kappa",
+            "surrogate-negative-e1", "surrogate-negative-p0", "surrogate-a-max-above-1",
+            "surrogate-zero-a-max", "surrogate-zero-capacity-weight"])
     def test_run_and_sample_exit_2(self, tmp_path, capsys, flag, content, named):
         path = tmp_path / "ghost.txt"
         if content is not None:

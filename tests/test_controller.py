@@ -21,54 +21,74 @@ def snapshot(state):
     return {name: arr.copy() for name, arr in state.params.items()}
 
 
+def uniform_controller(space, seed):
+    """A controller with every weight zero: each slot's policy is uniform."""
+    state = ctl.create_controller(space, seed=seed)
+    state.params.flat[:] = 0.0
+    return state
+
+
+def gradients(state, rollout, scale):
+    """`ctl.policy_gradients` into a new buffer."""
+    return ctl.policy_gradients(state, rollout, scale, out=state.params.like())
+
+
+def rollout_log_prob(state, actions, rollout):
+    """Step-order sum of the logs of the probabilities sampling gave the actions."""
+    total = 0.0
+    for slot, action in zip(state.slots, actions):
+        total += float(np.log(rollout.probs[slot.head][slot.row][action]))
+    return total
+
+
 class TestSampling:
     def test_zero_controller_is_uniform_on_condensenet(self):
         space = build_space("condensenet")
-        state = ctl.create_controller(space, seed=0, init_scale=0.0)
-        seq, rollout = ctl.sample_sequence(state)
+        state = uniform_controller(space, seed=0)
+        actions, rollout = ctl.sample_sequence(state)
         for probs in rollout.probs.values():
             np.testing.assert_allclose(probs, 0.2, rtol=1e-15)
-        assert seq.total_log_prob == pytest.approx(6.0 * math.log(0.2), rel=1e-12)
+        assert rollout_log_prob(state, actions, rollout) == pytest.approx(
+            6.0 * math.log(0.2), rel=1e-12)
 
     def test_fixed_seed_reproduces_rollouts(self):
         space = build_space("alexnet")
         runs = []
         for _ in range(2):
             state = ctl.create_controller(space, seed=11)
-            runs.append([ctl.sample_sequence(state)[0].actions
-                         for _ in range(5)])
+            runs.append([ctl.sample_sequence(state)[0] for _ in range(5)])
         assert runs[0] == runs[1]
 
     def test_sequence_matches_space_arity(self):
         space = build_space("macro")
         state = ctl.create_controller(space, seed=0)
-        seq, _ = ctl.sample_sequence(state)
-        assert len(seq.actions) == 78
-        for slot, action in zip(space.slots, seq.actions):
+        actions, _ = ctl.sample_sequence(state)
+        assert type(actions) is tuple and len(actions) == 78
+        for slot, action in zip(space.slots, actions):
             assert 0 <= action < len(slot.candidates)
 
 
 class TestActionLogProb:
     def test_zero_controller_value(self):
         space = build_space("condensenet")
-        state = ctl.create_controller(space, seed=0, init_scale=0.0)
-        seq, _ = ctl.sample_sequence(state)
-        assert ctl.action_log_prob(state, seq) == pytest.approx(-9.65663, abs=1e-4)
+        state = uniform_controller(space, seed=0)
+        actions, _ = ctl.sample_sequence(state)
+        assert ctl.action_log_prob(state, actions) == pytest.approx(-9.65663, abs=1e-4)
 
     def test_recompute_matches_sampling_exactly(self):
-        space = build_space("condensenet")
-        state = ctl.create_controller(space, seed=4)
-        for _ in range(100):
-            seq, _ = ctl.sample_sequence(state)
-            assert abs(ctl.action_log_prob(state, seq) - seq.total_log_prob) < 1e-12
+        for kind in ("alexnet", "condensenet", "macro"):
+            state = ctl.create_controller(build_space(kind), seed=4)
+            for _ in range(30):
+                actions, rollout = ctl.sample_sequence(state)
+                assert ctl.action_log_prob(state, actions) == rollout_log_prob(
+                    state, actions, rollout), kind
 
     def test_invalid_sequence_rejected(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=0)
-        seq, _ = ctl.sample_sequence(state)
-        bad = type(seq)(actions=seq.actions[:-1])
+        actions, _ = ctl.sample_sequence(state)
         with pytest.raises(ValueError):
-            ctl.action_log_prob(state, bad)
+            ctl.action_log_prob(state, actions[:-1])
 
 
 class TestReinforceUpdate:
@@ -76,7 +96,7 @@ class TestReinforceUpdate:
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=1)
         before = snapshot(state)
-        seq, rollout = ctl.sample_sequence(state)
+        actions, rollout = ctl.sample_sequence(state)
         norm = ctl.reinforce_update_batch(state, [rollout], [0.0])
         assert norm == 0.0
         for name, arr in state.params.items():
@@ -85,32 +105,32 @@ class TestReinforceUpdate:
     def test_positive_reward_raises_sequence_log_prob(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=2)
-        seq, rollout = ctl.sample_sequence(state)
-        before = ctl.action_log_prob(state, seq)
+        actions, rollout = ctl.sample_sequence(state)
+        before = ctl.action_log_prob(state, actions)
         ctl.reinforce_update_batch(state, [rollout], [1.0])
-        assert ctl.action_log_prob(state, seq) > before
+        assert ctl.action_log_prob(state, actions) > before
 
     def test_negative_reward_lowers_sequence_log_prob(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=2)
-        seq, rollout = ctl.sample_sequence(state)
-        before = ctl.action_log_prob(state, seq)
+        actions, rollout = ctl.sample_sequence(state)
+        before = ctl.action_log_prob(state, actions)
         ctl.reinforce_update_batch(state, [rollout], [-1.0])
-        assert ctl.action_log_prob(state, seq) < before
+        assert ctl.action_log_prob(state, actions) < before
 
     def test_gradient_scales_linearly_in_reward(self):
         space = build_space("alexnet")
-        state = ctl.create_controller(space, seed=3, clip_norm=None)
+        state = ctl.create_controller(space, seed=3, clip_norm=math.inf)
         _, rollout = ctl.sample_sequence(state)
-        g1 = ctl.policy_gradients(state, rollout, 0.35)
-        g2 = ctl.policy_gradients(state, rollout, 0.70)
+        g1 = gradients(state, rollout, 0.35)
+        g2 = gradients(state, rollout, 0.70)
         for name in g1:
             np.testing.assert_array_equal(g2[name], 2.0 * g1[name])
 
     def test_stale_rollout_rejected(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=5)
-        seq, rollout = ctl.sample_sequence(state)
+        actions, rollout = ctl.sample_sequence(state)
         ctl.reinforce_update_batch(state, [rollout], [0.5])
         ctl.sample_sequence(state)
         with pytest.raises(ValueError, match="stale"):
@@ -118,18 +138,18 @@ class TestReinforceUpdate:
 
     def test_gradient_matches_finite_differences(self):
         space = build_space("condensenet")
-        state = ctl.create_controller(space, seed=6, hidden_dim=3, clip_norm=None)
-        seq, rollout = ctl.sample_sequence(state)
+        state = ctl.create_controller(space, seed=6, hidden_dim=3, clip_norm=math.inf)
+        actions, rollout = ctl.sample_sequence(state)
         reward = 1.3
-        analytic = ctl.policy_gradients(state, rollout, reward)
+        analytic = gradients(state, rollout, reward)
         numeric = central_diff_grads(
-            lambda: ctl.action_log_prob(state, seq) * reward, state.params)
+            lambda: ctl.action_log_prob(state, actions) * reward, state.params)
         assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_clip_norm_caps_update_but_reports_raw_norm(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=7, clip_norm=1e-6)
-        seq, rollout = ctl.sample_sequence(state)
+        actions, rollout = ctl.sample_sequence(state)
         norm = ctl.reinforce_update_batch(state, [rollout], [5.0])
         assert norm > 1e-6  # raw norm, not the clipped one
 
@@ -137,11 +157,11 @@ class TestReinforceUpdate:
         space = build_space("condensenet")
         a = ctl.create_controller(space, seed=12)
         b = ctl.create_controller(space, seed=12)
-        seq, rollout_a = ctl.sample_sequence(a)
-        seq_b, rollout_b = ctl.sample_sequence(b)
-        assert seq.actions == seq_b.actions
+        actions_a, rollout_a = ctl.sample_sequence(a)
+        actions_b, rollout_b = ctl.sample_sequence(b)
+        assert actions_a == actions_b
         # the plain update: one rollout's gradient, clipped, one ADAM step
-        grads = ctl.policy_gradients(a, rollout_a, 0.8)
+        grads = gradients(a, rollout_a, 0.8)
         clip_by_global_norm(ctl._norm_blocks(grads), a.clip_norm)
         adam_step(a.params, grads, a.adam)
         ctl.reinforce_update_batch(b, [rollout_b], [0.8])
@@ -150,17 +170,17 @@ class TestReinforceUpdate:
 
     def test_batch_gradient_is_mean_of_samples(self):
         space = build_space("condensenet")
-        state = ctl.create_controller(space, seed=13, clip_norm=None)
+        state = ctl.create_controller(space, seed=13, clip_norm=math.inf)
         rollouts = []
         rewards = [0.4, -1.2, 0.9]
         for _ in rewards:
             _, rollout = ctl.sample_sequence(state)
             rollouts.append(rollout)
-        per_sample = [ctl.policy_gradients(state, ro, rw)
+        per_sample = [gradients(state, ro, rw)
                       for ro, rw in zip(rollouts, rewards)]
         for name in state.params:
             mean = sum(g[name] for g in per_sample) / len(per_sample)
-            batched = sum(ctl.policy_gradients(state, ro, rw / len(rewards))[name]
+            batched = sum(gradients(state, ro, rw / len(rewards))[name]
                           for ro, rw in zip(rollouts, rewards))
             np.testing.assert_allclose(batched, mean, rtol=1e-12, atol=1e-15)
 
@@ -182,7 +202,7 @@ class TestGradientWorkspace:
         space = build_space(kind)
         state = ctl.create_controller(space, seed=5)
         _, rollout = ctl.sample_sequence(state)
-        fresh = ctl.policy_gradients(state, rollout, 0.7)
+        fresh = gradients(state, rollout, 0.7)
         out = state.params.like()
         out.flat.fill(np.nan)
         assert ctl.policy_gradients(state, rollout, 0.7, out=out) is out
@@ -210,7 +230,7 @@ class TestGradientWorkspace:
 
             grads = ref.params.like()
             for rollout, reward in zip(ref_rollouts, rewards):
-                grads.flat += ctl.policy_gradients(ref, rollout, reward / len(rewards)).flat
+                grads.flat += gradients(ref, rollout, reward / len(rewards)).flat
             ref_norm = clip_by_global_norm(ctl._norm_blocks(grads), ref.clip_norm)
             adam_step(ref.params, grads, ref.adam)
             ref.revision += 1
@@ -227,10 +247,10 @@ class TestLearningDynamics:
         space = bandit_space(2)
         state = ctl.create_controller(space, seed=3, hidden_dim=4, lr=0.05)
         for _ in range(500):
-            seq, rollout = ctl.sample_sequence(state)
-            reward = 1.0 if seq.actions[0] == 1 else 0.0
+            actions, rollout = ctl.sample_sequence(state)
+            reward = 1.0 if actions[0] == 1 else 0.0
             ctl.reinforce_update_batch(state, [rollout], [reward])
-        hits = sum(ctl.sample_sequence(state)[0].actions[0] == 1
+        hits = sum(ctl.sample_sequence(state)[0][0] == 1
                    for _ in range(1000))
         assert hits / 1000 > 0.95
 
@@ -239,10 +259,10 @@ class TestLearningDynamics:
         state = ctl.create_controller(space, seed=5, hidden_dim=6, lr=0.05)
         target = (1, 2)
         for _ in range(2000):
-            seq, rollout = ctl.sample_sequence(state)
+            actions, rollout = ctl.sample_sequence(state)
             ctl.reinforce_update_batch(state, [rollout],
-                                       [1.0 if seq.actions == target else 0.0])
-        hits = sum(ctl.sample_sequence(state)[0].actions == target
+                                       [1.0 if actions == target else 0.0])
+        hits = sum(ctl.sample_sequence(state)[0] == target
                    for _ in range(1000))
         assert hits / 1000 > 0.9
 
@@ -251,10 +271,10 @@ class TestLearningDynamics:
         state = ctl.create_controller(space, seed=9, hidden_dim=4, lr=0.05,
                                       use_baseline=True)
         for _ in range(500):
-            seq, rollout = ctl.sample_sequence(state)
-            reward = 1.0 if seq.actions[0] == 0 else 0.0
+            actions, rollout = ctl.sample_sequence(state)
+            reward = 1.0 if actions[0] == 0 else 0.0
             ctl.reinforce_update_batch(state, [rollout], [reward])
-        hits = sum(ctl.sample_sequence(state)[0].actions[0] == 0
+        hits = sum(ctl.sample_sequence(state)[0][0] == 0
                    for _ in range(1000))
         assert hits / 1000 > 0.95
         assert 0.0 < state.baseline <= 1.0
@@ -265,7 +285,7 @@ class TestCheckpoint:
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=8)
         for _ in range(10):
-            seq, rollout = ctl.sample_sequence(state)
+            actions, rollout = ctl.sample_sequence(state)
             ctl.reinforce_update_batch(state, [rollout], [0.3])
         path = tmp_path / "controller.npz"
         ctl.save_checkpoint(state, path)
@@ -279,10 +299,30 @@ class TestCheckpoint:
 
         # both copies continue bit-identically, rng state included
         for _ in range(5):
-            a, _ = ctl.sample_sequence(state)
-            b, _ = ctl.sample_sequence(restored)
-            assert a.actions == b.actions
-            assert a.log_probs == b.log_probs
+            a, rollout_a = ctl.sample_sequence(state)
+            b, rollout_b = ctl.sample_sequence(restored)
+            assert a == b
+            assert rollout_log_prob(state, a, rollout_a) == rollout_log_prob(
+                restored, b, rollout_b)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("adam.lr", math.nan, "learning rate"),
+        ("adam.lr", 0.0, "learning rate"),
+        ("adam.beta1", 1.5, "decay rates"),
+        ("adam.eps", 0.0, "eps"),
+        ("adam.t", -1, "timestep"),
+        ("adam.t", 2.5, "timestep"),
+        ("clip_norm", 0.0, "clip_norm"),
+        ("baseline_decay", 7, "baseline_decay"),
+        ("baseline", math.inf, "baseline must be finite"),
+        ("revision", -4, "revision"),
+    ])
+    def test_bad_meta_value_rejected(self, tmp_path, key, value, message):
+        """Values no run writes; resuming from them gave nan gradient norms or none."""
+        path = saved_checkpoint(tmp_path)
+        rewrite(path, lambda contents: set_meta(contents, key, value))
+        with pytest.raises(ValueError, match=message):
+            ctl.load_checkpoint(path)
 
     def test_version_gate(self, tmp_path):
         for version in (1, 99):
@@ -340,10 +380,19 @@ def rewrite(path, edit):
     np.savez(path, **contents)
 
 
-def set_version(contents, version):
+def set_meta(contents, key, value):
+    """Set one value of the meta record; a dotted key reaches into a nested record."""
     meta = json.loads(bytes(contents["meta"]).decode())
-    meta["version"] = version
+    *outer, name = key.split(".")
+    record = meta
+    for part in outer:
+        record = record[part]
+    record[name] = value
     contents["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+def set_version(contents, version):
+    set_meta(contents, "version", version)
     if version == 1:  # version 1 stored the LSTM one tensor per gate
         for prefix in ("param", "adam_m", "adam_v"):
             for kind in "wub":

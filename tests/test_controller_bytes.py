@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from archsearch import controller as ctl
 from archsearch.cli import main
-from archsearch.search_space import SPACE_KINDS, ActionSequence, build_space
+from archsearch.search_space import SPACE_KINDS, build_space
 
 RUNS = {
     "macro": (
@@ -68,8 +68,7 @@ RANDOM_RUNS = {
 
 def fixed_sequence(space):
     """Candidate t mod arity at slot t: touches every head and many tokens."""
-    return ActionSequence(actions=tuple(t % len(slot.candidates)
-                                        for t, slot in enumerate(space.slots)))
+    return tuple(t % len(slot.candidates) for t, slot in enumerate(space.slots))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -9,6 +9,7 @@ from archsearch.search_space import MACRO_LAYERS, MACRO_OPS, MacroArch
 from strategies import architectures
 
 NO_SKIPS = ((),) * 12
+DEFAULT = cm.mac_table(cm.DEFAULT_CHANNELS, cm.DEFAULT_INPUT_SIZE)
 
 
 def plain_arch(op):
@@ -31,35 +32,34 @@ def formula_mac(op, layer, channels, input_size):
 class TestConvMac:
     def test_hand_computed_values(self):
         # 3x3 on the 3-channel 32x32 image into 16 channels
-        assert cm.op_mac("conv3x3", 0, channels=16) == 442_368
+        assert cm.mac_table(16, 32).rows[0]["conv3x3"] == 442_368
         # 5x5 at half resolution, 32 channels in and out
-        assert cm.op_mac("conv5x5", 4) == 6_553_600
+        assert DEFAULT.rows[4]["conv5x5"] == 6_553_600
 
     def test_wrong_op_rejected(self):
+        # an op outside the table never reaches it: the architecture refuses it
         for op in ("conv7x7", "sep_conv1x1", "identity"):
-            with pytest.raises(ValueError, match="unknown operation"):
-                cm.op_mac(op, 3)
+            assert op not in DEFAULT.rows[3]
+            with pytest.raises(ValueError, match="unknown op"):
+                plain_arch(op)
 
     def test_nonpositive_dimension_rejected(self):
         for channels, input_size in ((0, 32), (-1, 32), (32, 3), (32, 0), (32, -8)):
             with pytest.raises(ValueError):
-                cm.op_mac("conv3x3", 0, channels=channels, input_size=input_size)
-        for layer in (-1, 12):
-            with pytest.raises(ValueError, match="layer must be in"):
-                cm.op_mac("conv3x3", layer)
+                cm.mac_table(channels, input_size)
 
 
 class TestSepConvMac:
     def test_hand_computed_value(self):
         # 3x3 separable at half resolution, 32 channels in and out
-        assert cm.op_mac("sep_conv3x3", 4) == 335_872
+        assert DEFAULT.rows[4]["sep_conv3x3"] == 335_872
 
     def test_cheaper_than_full_conv_across_macro_geometries(self):
         # K*K + C_out < K*K * C_out holds for every geometry the space uses
         for layer in range(12):
             for k in (3, 5):
-                sep = cm.op_mac(f"sep_conv{k}x{k}", layer)
-                full = cm.op_mac(f"conv{k}x{k}", layer)
+                sep = DEFAULT.rows[layer][f"sep_conv{k}x{k}"]
+                full = DEFAULT.rows[layer][f"conv{k}x{k}"]
                 assert sep < full
 
 
@@ -102,7 +102,7 @@ class TestMacroMac:
     def test_monotone_in_op_cost(self):
         # swapping any single layer to a cheaper op never raises the total
         rng = np.random.default_rng(1)
-        costs = {op: cm.op_mac(op, 5) for op in MACRO_OPS}  # mid-network ordering
+        costs = DEFAULT.rows[5]  # mid-network ordering
         for _ in range(50):
             ops = list(rng.choice(MACRO_OPS, size=12))
             base = cm.macro_mac(MacroArch(ops=tuple(ops), skips=NO_SKIPS)).total_mac
@@ -131,12 +131,11 @@ class TestMacTable:
     def test_table_equals_docstring_formulas(self, channels, input_size, arch):
         rows = [{op: formula_mac(op, layer, channels, input_size) for op in MACRO_OPS}
                 for layer in range(MACRO_LAYERS)]
-        for layer, row in enumerate(rows):
-            for op, mac in row.items():
-                assert cm.op_mac(op, layer, channels, input_size) == mac
-            assert cm.max_layer_mac(layer, channels, input_size) == max(row.values())
+        table = cm.mac_table(channels, input_size)
+        assert [dict(row) for row in table.rows] == rows
+        assert table.layer_max == tuple(max(row.values()) for row in rows)
         space_max = sum(max(row.values()) for row in rows)
-        assert cm.max_space_mac(channels, input_size) == space_max
+        assert table.space_max == space_max
 
         report = cm.macro_mac(arch, channels=channels, input_size=input_size)
         per_layer = [formula_mac(op, layer, channels, input_size)

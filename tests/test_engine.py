@@ -46,7 +46,7 @@ class TestRunSearch:
         a = engine.run_search(cfg)
         b = engine.run_search(cfg)
         for ra, rb in zip(a.records, b.records):
-            assert ra.seq.actions == rb.seq.actions
+            assert ra.actions == rb.actions
             assert ra.result == rb.result
             assert ra.reward == rb.reward
             assert ra.grad_norm == rb.grad_norm
@@ -112,7 +112,7 @@ class TestRunSearch:
                                              resume_path=str(ckpt)))
         tail = full.records[30:]
         for resumed, original in zip(second.records, tail):
-            assert resumed.seq.actions == original.seq.actions
+            assert resumed.actions == original.actions
             assert resumed.result == original.result
             assert resumed.reward == original.reward
 
@@ -185,14 +185,14 @@ class TestRunRandom:
         for t, slot in enumerate(space.slots):
             counts = np.zeros(len(slot.candidates))
             for r in result.records:
-                counts[r.seq.actions[t]] += 1
+                counts[r.actions[t]] += 1
             np.testing.assert_allclose(counts / len(result.records), 0.2, atol=0.02)
 
     def test_deterministic_under_seed(self):
         cfg = power_cfg(n_iterations=30)
         a = engine.run_random(cfg)
         b = engine.run_random(cfg)
-        assert [r.seq.actions for r in a.records] == [r.seq.actions for r in b.records]
+        assert [r.actions for r in a.records] == [r.actions for r in b.records]
 
     def test_no_controller_and_zero_grad_norms(self):
         result = engine.run_random(power_cfg(n_iterations=10))
@@ -211,7 +211,7 @@ class TestComputeStats:
             ev = EvaluationResult(accuracy=0.9, energy_joules=10.0,
                                   peak_power_watts=60.0 if ok else 80.0)
             records.append(engine.IterationRecord(
-                iteration=i, seq=None, arch=None, result=ev,
+                iteration=i, actions=(), arch=None, result=ev,
                 reward=0.0, grad_norm=0.0))
         return records
 
@@ -258,7 +258,8 @@ class TestComputeStats:
 class TestSampleTrainedController:
     def test_untrained_controller_samples_ops_uniformly(self):
         space = build_space("macro")
-        state = create_controller(space, seed=0, init_scale=0.0)
+        state = create_controller(space, seed=0)
+        state.params.flat[:] = 0.0  # a uniform policy
         evaluator = engine.make_evaluator("macro")
         samples = engine.sample_trained_controller(state, evaluator, n=300)
         ops_hist, _ = engine.histogram_of(a for a, _ in samples)
@@ -293,7 +294,7 @@ class TestFileEmission:
         assert len(rows) == 25
         for row, record in zip(rows, result.records):
             assert row.iteration == record.iteration
-            assert row.actions == record.seq.actions
+            assert row.actions == record.actions
             assert row.accuracy == record.result.accuracy
             assert row.energy == record.result.energy_joules
             assert row.reward == record.reward

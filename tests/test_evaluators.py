@@ -1,14 +1,16 @@
 import itertools
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from archsearch.evaluators import (LookupEvaluator, SurrogateConfig,
-                                   UnknownArchitectureError, fixture_lookup_path,
-                                   load_lookup, load_surrogate_config,
+from archsearch.evaluators import (SURROGATE_FIXTURE, LookupEvaluator, SurrogateConfig,
+                                   SurrogateEvaluator, UnknownArchitectureError,
+                                   fixture_lookup_path, load_lookup, load_surrogate_config,
                                    make_surrogate)
-from archsearch.search_space import (ActionSequence, AlexNetArch, CondenseNetArch,
-                                     MacroArch, build_space, decode)
+from archsearch.search_space import (AlexNetArch, CondenseNetArch, MacroArch, build_space,
+                                     decode)
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +20,11 @@ def table():
 
 def condensenet(st, gr):
     return CondenseNetArch(stages=tuple(st), growths=tuple(gr))
+
+
+def noiseless(space):
+    """The shipped surrogate of a space with sigma 0."""
+    return SurrogateEvaluator(replace(load_surrogate_config(space), sigma=0.0))
 
 
 class TestLookupTable:
@@ -94,20 +101,24 @@ class TestSurrogateConfig:
         with pytest.raises(ValueError, match="version"):
             load_surrogate_config("condensenet", p)
 
-    def test_sigma_override(self):
-        assert make_surrogate("condensenet", sigma=0.0).config.sigma == 0.0
+    def test_sigma_override(self, tmp_path):
+        # a run sets sigma, like every constant, through a constants file
+        p = tmp_path / "surr.cfg"
+        shipped = resources.files("archsearch.data").joinpath(SURROGATE_FIXTURE).read_text()
+        p.write_text(shipped.replace("condensenet.sigma = 0.01", "condensenet.sigma = 0"))
+        assert make_surrogate("condensenet", config_path=p).config.sigma == 0.0
 
 
 class TestSurrogateEvaluator:
     def test_minimal_arch_cheaper_than_maximal(self):
-        surrogate = make_surrogate("condensenet", sigma=0.0)
+        surrogate = noiseless("condensenet")
         small = surrogate.evaluate(condensenet((6, 6, 6), (4, 4, 4)))
         large = surrogate.evaluate(condensenet((14, 14, 14), (32, 32, 32)))
         assert small.energy_joules < large.energy_joules
         assert small.peak_power_watts < large.peak_power_watts
 
     def test_noiseless_accuracy_increases_with_capacity(self):
-        surrogate = make_surrogate("condensenet", sigma=0.0)
+        surrogate = noiseless("condensenet")
         accs = [surrogate.evaluate(condensenet((s, s, s), (g, g, g))).accuracy
                 for s, g in [(6, 4), (8, 8), (10, 16), (12, 24), (14, 32)]]
         assert all(a < b for a, b in zip(accs, accs[1:]))
@@ -133,15 +144,14 @@ class TestSurrogateEvaluator:
         rng = np.random.default_rng(0)
         space = build_space("alexnet")
         for _ in range(100):
-            seq = ActionSequence(actions=tuple(
-                int(rng.integers(len(s.candidates))) for s in space.slots))
+            seq = tuple(int(rng.integers(len(s.candidates))) for s in space.slots)
             result = surrogate.evaluate(decode(space, seq))
             assert 0.0 <= result.accuracy <= 1.0
             assert result.energy_joules >= 0.0
             assert result.peak_power_watts >= 0.0
 
     def test_macro_reports_normalized_mac(self):
-        surrogate = make_surrogate("macro", sigma=0.0)
+        surrogate = noiseless("macro")
         pooled = MacroArch(ops=("avg_pool",) * 12, skips=((),) * 12)
         heavy = MacroArch(ops=("conv5x5",) * 12, skips=((),) * 12)
         assert surrogate.evaluate(pooled).mac_normalized == 0.0
@@ -155,7 +165,7 @@ class TestSurrogateEvaluator:
         # the landscape must offer real trade-offs: some pair where one arch
         # has both higher accuracy and higher energy, checked over the
         # entire condensenet space
-        surrogate = make_surrogate("condensenet", sigma=0.0)
+        surrogate = noiseless("condensenet")
         space = build_space("condensenet")
         stages = space.slots[0].candidates
         growths = space.slots[3].candidates

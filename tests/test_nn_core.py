@@ -13,10 +13,37 @@ from oracles import (adam_reference, adam_step_reference, central_diff_grads,
                      softmax_sample_reference, stepwise_lstm_backward)
 
 
+def zero_lstm(input_dim, hidden_dim):
+    """An all-zero cell over its own buffer."""
+    return nc.LstmCellParams.from_tensors(nc.ParamBuffer(nc.lstm_shapes(input_dim, hidden_dim)))
+
+
+def named(cell):
+    """A cell's tensors under the names of `nc.lstm_shapes`."""
+    return {"lstm.w": cell.w, "lstm.u": cell.u, "lstm.b": cell.b}
+
+
 def seeded_lstm(input_dim=3, hidden_dim=2, seed=0, scale=0.5):
-    params = nc.zero_lstm(input_dim, hidden_dim)
-    nc.init_lstm(params, np.random.default_rng(seed), scale=scale)
+    """A cell drawn from [-scale, scale] in the order of `nc.init_lstm`."""
+    params = zero_lstm(input_dim, hidden_dim)
+    rng = np.random.default_rng(seed)
+    for gate in nc.GATE_NAMES:
+        for block in params.gate(gate):
+            block[...] = rng.uniform(-scale, scale, size=block.shape)
     return params
+
+
+def step(params, token, h_prev, c_prev):
+    """One `nc.lstm_forward` step into fresh rows."""
+    n = params.hidden_dim
+    rows = (np.empty(4 * n), np.empty(n), np.empty(n), np.empty(n))
+    return nc.lstm_forward(params, token, h_prev, c_prev, out=rows)
+
+
+def backward(params, record, output_grads):
+    """`nc.lstm_backward` into a fresh cell."""
+    return nc.lstm_backward(params, record, output_grads,
+                            out=zero_lstm(params.input_dim, params.hidden_dim))
 
 
 # signed zeros and subnormals next to ordinary values; bounded so that no
@@ -38,16 +65,18 @@ def dense(token, input_dim):
 
 class TestLstmParams:
     def test_init_draws_per_gate_blocks_in_order(self):
-        params = seeded_lstm(5, 3, seed=4, scale=0.3)
+        params = zero_lstm(5, 3)
+        nc.init_lstm(params, np.random.default_rng(4))
         rng = np.random.default_rng(4)
+        s = nc.INIT_SCALE
         for gate in nc.GATE_NAMES:
             w, u, b = params.gate(gate)
-            np.testing.assert_array_equal(w, rng.uniform(-0.3, 0.3, size=(3, 5)))
-            np.testing.assert_array_equal(u, rng.uniform(-0.3, 0.3, size=(3, 3)))
-            np.testing.assert_array_equal(b, rng.uniform(-0.3, 0.3, size=3))
+            np.testing.assert_array_equal(w, rng.uniform(-s, s, size=(3, 5)))
+            np.testing.assert_array_equal(u, rng.uniform(-s, s, size=(3, 3)))
+            np.testing.assert_array_equal(b, rng.uniform(-s, s, size=3))
 
     def test_gate_blocks_are_row_views(self):
-        params = nc.zero_lstm(4, 2)
+        params = zero_lstm(4, 2)
         params.gate("o")[0][1, 3] = 7.0
         params.gate("g")[2][0] = 5.0
         assert params.w[2 * 2 + 1, 3] == 7.0
@@ -64,20 +93,20 @@ class TestLstmParams:
 
 class TestLstmForward:
     def test_zero_params_give_zero_state(self):
-        params = nc.zero_lstm(4, 3)
+        params = zero_lstm(4, 3)
         for token in (None, 0, 3):
-            h, c = nc.lstm_forward(params, token, np.zeros(3), np.zeros(3))
+            h, c = step(params, token, np.zeros(3), np.zeros(3))
             # gates sit at sigmoid(0)=0.5 but the tanh candidate is 0, so nothing flows
             assert np.all(h == 0.0)
             assert np.all(c == 0.0)
 
     def test_saturated_gates_hand_values(self):
         # all weights zero; input and output gates forced open, candidate tanh(1)
-        params = nc.zero_lstm(1, 1)
+        params = zero_lstm(1, 1)
         params.gate("i")[2][0] = 30.0
         params.gate("o")[2][0] = 30.0
         params.gate("g")[2][0] = 1.0
-        h, c = nc.lstm_forward(params, None, np.zeros(1), np.zeros(1))
+        h, c = step(params, None, np.zeros(1), np.zeros(1))
         assert c[0] == pytest.approx(math.tanh(1.0), abs=1e-9)
         assert h[0] == pytest.approx(math.tanh(math.tanh(1.0)), abs=1e-9)
         assert c[0] == pytest.approx(0.7616, abs=1e-4)
@@ -89,7 +118,7 @@ class TestLstmForward:
         for token in (None, 0, 3):
             h_prev = rng.normal(size=4)
             c_prev = rng.normal(size=4)
-            h, c = nc.lstm_forward(params, token, h_prev, c_prev)
+            h, c = step(params, token, h_prev, c_prev)
             h_ref, c_ref = scalar_lstm_step(params, dense(token, 5), h_prev, c_prev)
             np.testing.assert_allclose(h, h_ref, rtol=1e-12)
             np.testing.assert_allclose(c, c_ref, rtol=1e-12)
@@ -98,9 +127,9 @@ class TestLstmForward:
         params = seeded_lstm(3, 2)
         for token in (3, -1):
             with pytest.raises(ValueError):
-                nc.lstm_forward(params, token, np.zeros(2), np.zeros(2))
+                step(params, token, np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
-            nc.lstm_forward(params, 0, np.zeros(3), np.zeros(2))
+            step(params, 0, np.zeros(3), np.zeros(2))
 
     def test_hidden_state_bounded(self):
         params = seeded_lstm(3, 2, scale=2.0)
@@ -108,26 +137,15 @@ class TestLstmForward:
         h = np.zeros(2)
         c = np.zeros(2)
         for _ in range(50):
-            h, c = nc.lstm_forward(params, int(rng.integers(3)), h, c)
+            h, c = step(params, int(rng.integers(3)), h, c)
             assert np.all(np.abs(h) <= 1.0)
             assert np.all(np.isfinite(c))
 
     def test_determinism(self):
         params = seeded_lstm()
-        h1, c1 = nc.lstm_forward(params, 1, np.zeros(2), np.zeros(2))
-        h2, c2 = nc.lstm_forward(params, 1, np.zeros(2), np.zeros(2))
+        h1, c1 = step(params, 1, np.zeros(2), np.zeros(2))
+        h2, c2 = step(params, 1, np.zeros(2), np.zeros(2))
         assert np.array_equal(h1, h2) and np.array_equal(c1, c2)
-
-    def test_rows_out_equal_fresh_arrays(self):
-        params = seeded_lstm(5, 4, seed=3)
-        rng = np.random.default_rng(8)
-        record = nc.LstmRecord.empty(1, 4)
-        record.h[0], record.c[0] = rng.normal(size=4), rng.normal(size=4)
-        h, c = nc.lstm_forward(params, 2, record.h[0], record.c[0], out=record.rows(0))
-        fresh_h, fresh_c = nc.lstm_forward(params, 2, record.h[0], record.c[0])
-        assert h.base is record.h and c.base is record.c
-        assert bits(h).tolist() == bits(fresh_h).tolist()
-        assert bits(c).tolist() == bits(fresh_c).tolist()
 
     def test_sigmoid_equals_split_by_sign_reference(self):
         # the reference evaluates 1/(1+exp(-x)) and exp(x)/(1+exp(x)) on the
@@ -156,8 +174,8 @@ class TestLstmBackward:
     def test_zero_output_grads_give_zero_param_grads(self):
         params = seeded_lstm()
         record = run_forward(params, [None, 1, 1, 2])
-        grads = nc.lstm_backward(params, record, np.zeros((4, 2)))
-        for g in grads.tensors().values():
+        grads = backward(params, record, np.zeros((4, 2)))
+        for g in named(grads).values():
             assert np.all(g == 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -172,22 +190,22 @@ class TestLstmBackward:
             c = np.zeros(2)
             total = 0.0
             for token, w in zip(tokens, weights):
-                h, c = nc.lstm_forward(params, token, h, c)
+                h, c = step(params, token, h, c)
                 total += float(w @ h)
             return total
 
-        analytic = nc.lstm_backward(params, run_forward(params, tokens), weights).tensors()
-        numeric = central_diff_grads(loss, params.tensors())
+        analytic = named(backward(params, run_forward(params, tokens), weights))
+        numeric = central_diff_grads(loss, named(params))
         assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_single_step_symbolic_gradient(self):
         # hidden 1, input 1, only w_i=a and w_g=b nonzero; token 0 is input x=1:
         # h = 0.5*tanh(sig(a)*tanh(b))
         a, b, x = 0.7, -0.4, 1.0
-        params = nc.zero_lstm(1, 1)
+        params = zero_lstm(1, 1)
         params.gate("i")[0][0, 0] = a
         params.gate("g")[0][0, 0] = b
-        grads = nc.lstm_backward(params, run_forward(params, [0]), np.ones((1, 1)))
+        grads = backward(params, run_forward(params, [0]), np.ones((1, 1)))
 
         sig = 1.0 / (1.0 + math.exp(-a * x))
         g = math.tanh(b * x)
@@ -206,9 +224,9 @@ class TestLstmBackward:
         other = seeded_lstm(4, 2)
         record = run_forward(other, [3] * 2)
         with pytest.raises(ValueError):
-            nc.lstm_backward(params, record, np.zeros((2, 2)))
+            backward(params, record, np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            nc.lstm_backward(params, run_forward(params, []), np.zeros((1, 2)))
+            backward(params, run_forward(params, []), np.zeros((1, 2)))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), input_dim=st.integers(1, 5), hidden_dim=st.integers(1, 4),
@@ -225,10 +243,10 @@ class TestLstmBackward:
                                     min_size=steps, max_size=steps))
         record = run_forward(params, tokens)
         output_grads = data.draw(arrays(np.float64, (steps, hidden_dim), elements=FLOATS))
-        out = nc.zero_lstm(input_dim, hidden_dim)
-        for tensor in out.tensors().values():
+        out = zero_lstm(input_dim, hidden_dim)
+        for tensor in named(out).values():
             tensor.fill(np.nan)  # never read
-        grads = nc.lstm_backward(params, record, output_grads, out=out).tensors()
+        grads = named(nc.lstm_backward(params, record, output_grads, out=out))
         expected = stepwise_lstm_backward(params, record, output_grads)
         for name, tensor in expected.items():
             assert np.array_equal(bits(grads[name]), bits(tensor)), name
@@ -236,7 +254,7 @@ class TestLstmBackward:
     def test_out_of_other_dimensions_rejected(self):
         params = seeded_lstm(3, 2)
         record = run_forward(params, [None, 2])
-        for out in (nc.zero_lstm(4, 2), nc.zero_lstm(3, 3)):
+        for out in (zero_lstm(4, 2), zero_lstm(3, 3)):
             with pytest.raises(ValueError):
                 nc.lstm_backward(params, record, np.zeros((2, 2)), out=out)
 
@@ -285,10 +303,9 @@ class TestSoftmaxSample:
         np.testing.assert_allclose(probs, 0.2, rtol=1e-15)
 
     def test_saturation(self):
-        index, log_prob, probs = nc.softmax_sample(
+        index, probs = nc.softmax_sample(
             np.array([50.0, -50.0, -50.0]), np.random.default_rng(0))
         assert index == 0
-        assert log_prob == pytest.approx(0.0, abs=1e-12)
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_logits_rejected(self):
@@ -310,15 +327,9 @@ class TestSoftmaxSample:
         counts = np.zeros(3)
         draws = 100_000
         for _ in range(draws):
-            index, _, _ = nc.softmax_sample(logits, rng)
+            index, _ = nc.softmax_sample(logits, rng)
             counts[index] += 1
         np.testing.assert_allclose(counts / draws, expected, atol=0.01)
-
-    def test_log_prob_consistent_with_probs(self):
-        rng = np.random.default_rng(9)
-        logits = rng.normal(size=4)
-        index, log_prob, probs = nc.softmax_sample(logits, rng)
-        assert log_prob == float(np.log(probs[index]))
 
     def test_determinism_under_seed(self):
         logits = np.array([0.4, -1.2, 0.9, 0.0])
@@ -335,10 +346,9 @@ class TestSoftmaxSample:
         logits = np.array(logits)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         with np.errstate(all="ignore"):  # extreme logits over/underflow alike
-            index, log_prob, probs = nc.softmax_sample(logits, rng)
-            ref_index, ref_log_prob, ref_probs = softmax_sample_reference(logits, ref_rng)
+            index, probs = nc.softmax_sample(logits, rng)
+            ref_index, ref_probs = softmax_sample_reference(logits, ref_rng)
         assert index == ref_index
-        assert repr(log_prob) == repr(ref_log_prob)
         assert repr(probs.tolist()) == repr(ref_probs.tolist())
         assert rng.random() == ref_rng.random()  # one draw taken by each
 
@@ -446,6 +456,9 @@ class TestAdam:
             nc.AdamState(lr=0.1, beta2=-0.2)
         with pytest.raises(ValueError):
             nc.AdamState(lr=0.1, t=-1)
+        for kw in ({"lr": math.nan}, {"lr": 0.0}, {"eps": 0.0}, {"t": 1.0}):
+            with pytest.raises(ValueError):
+                nc.AdamState(**{"lr": 0.1, **kw})
 
 
 class TestClipping:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from archsearch.search_space import (ActionSequence, AlexNetArch, CondenseNetArch,
-                                     MACRO_OPS, MacroArch, arch_from_compact,
-                                     arch_from_dict, arch_from_text, arch_to_compact,
-                                     arch_to_dict, arch_to_text, build_space, decode,
-                                     encode, input_token)
+from archsearch import controller as ctl
+from archsearch.search_space import (AlexNetArch, CondenseNetArch, MACRO_OPS, MacroArch,
+                                     arch_from_compact, arch_from_dict, arch_from_text,
+                                     arch_to_compact, arch_to_dict, arch_to_text,
+                                     build_space, decode, encode)
 
 from strategies import architectures
 
@@ -26,8 +26,7 @@ TABLE_ARCHS = [
 
 
 def random_sequence(space, rng):
-    return ActionSequence(actions=tuple(
-        int(rng.integers(len(slot.candidates))) for slot in space.slots))
+    return tuple(int(rng.integers(len(slot.candidates))) for slot in space.slots)
 
 
 class TestBuildSpace:
@@ -78,34 +77,33 @@ class TestBuildSpace:
 class TestDecode:
     def test_condensenet_table_row(self):
         space = build_space("condensenet")
-        seq = ActionSequence(actions=(0, 4, 4, 4, 4, 4))
-        arch = decode(space, seq)
+        arch = decode(space, (0, 4, 4, 4, 4, 4))
         assert arch == CondenseNetArch(stages=(6, 14, 14), growths=(32, 32, 32))
 
     def test_alexnet_all_zero_actions(self):
         space = build_space("alexnet")
-        arch = decode(space, ActionSequence(actions=(0,) * 6))
+        arch = decode(space, (0,) * 6)
         assert arch == AlexNetArch(layers=((8, 3, 3), (8, 3, 3)))
 
     def test_macro_all_zero_actions(self):
         space = build_space("macro")
-        arch = decode(space, ActionSequence(actions=(0,) * 78))
+        arch = decode(space, (0,) * 78)
         assert arch.ops == ("conv3x3",) * 12
         assert arch.skips == ((),) * 12
 
     def test_out_of_range_action_rejected(self):
         space = build_space("condensenet")
         with pytest.raises(ValueError):
-            decode(space, ActionSequence(actions=(0, 0, 0, 0, 0, 5)))
+            decode(space, (0, 0, 0, 0, 0, 5))
         with pytest.raises(ValueError):
-            decode(space, ActionSequence(actions=(0, 0, 0)))
+            decode(space, (0, 0, 0))
 
 
 class TestEncode:
     def test_alexnet_max_arch_hits_last_candidates(self):
         space = build_space("alexnet")
         arch = AlexNetArch(layers=((64, 9, 9), (64, 9, 9)))
-        assert encode(space, arch).actions == (4, 3, 3, 4, 3, 3)
+        assert encode(space, arch) == (4, 3, 3, 4, 3, 3)
 
     def test_round_trip_table_rows_inside_the_space(self):
         space = build_space("condensenet")
@@ -124,7 +122,7 @@ class TestEncode:
         for _ in range(1000):
             seq = random_sequence(space, rng)
             arch = decode(space, seq)
-            assert encode(space, arch).actions == seq.actions
+            assert encode(space, arch) == seq
 
     @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro"])
     def test_round_trip_random_sequences(self, kind):
@@ -133,7 +131,7 @@ class TestEncode:
         for _ in range(200):
             seq = random_sequence(space, rng)
             arch = decode(space, seq)
-            assert encode(space, arch).actions == seq.actions
+            assert encode(space, arch) == seq
             assert decode(space, encode(space, arch)) == arch
 
     def test_value_not_in_candidates_rejected(self):
@@ -143,42 +141,38 @@ class TestEncode:
 
 
 class TestOneHotInput:
-    """`input_token` gives the position of the one-hot input's single 1.0."""
+    """A choice's input token, the position of the one-hot input's single 1.0,
+    is its slot's vocabulary offset plus its action."""
 
     def test_absent_choice_gives_zeros(self):
+        # the first step has no previous choice: token -1, an all-zero input
         space = build_space("alexnet")
         assert space.vocab_size == 26
-        assert input_token(space) is None
+        _, rollout = ctl.sample_sequence(ctl.create_controller(space, seed=0))
+        assert rollout.tokens[0] == -1
 
     def test_slot0_action2(self):
         space = build_space("alexnet")
-        assert input_token(space, (0, 2)) == 2
+        assert space.vocab_offsets[0] + 2 == 2
 
     def test_slot1_action0_offset(self):
         # five filter candidates precede the first height candidate
         space = build_space("alexnet")
-        assert input_token(space, (1, 0)) == 5
+        assert space.vocab_offsets[1] + 0 == 5
 
     @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro"])
     def test_l0_norm_is_zero_or_one(self, kind):
+        """Every choice has a token of its own, and a rollout feeds each step's
+        choice to the next step."""
         space = build_space(kind)
-        rng = np.random.default_rng(2)
-        assert input_token(space) is None
-        seen = {}
-        for _ in range(50):
-            slot = int(rng.integers(len(space.slots)))
-            action = int(rng.integers(len(space.slots[slot].candidates)))
-            token = input_token(space, (slot, action))
-            start = space.vocab_offsets[slot]
-            assert start <= token < start + len(space.slots[slot].candidates)
-            assert seen.setdefault(token, (slot, action)) == (slot, action)
-
-    def test_invalid_choice_rejected(self):
-        space = build_space("alexnet")
-        with pytest.raises(ValueError):
-            input_token(space, (6, 0))
-        with pytest.raises(ValueError):
-            input_token(space, (0, 5))
+        tokens = [offset + action for offset, slot in zip(space.vocab_offsets, space.slots)
+                  for action in range(len(slot.candidates))]
+        assert tokens == list(range(space.vocab_size))
+        state = ctl.create_controller(space, seed=2)
+        for _ in range(5):
+            actions, rollout = ctl.sample_sequence(state)
+            fed = [offset + a for offset, a in zip(space.vocab_offsets, actions[:-1])]
+            assert rollout.tokens.tolist() == [-1] + fed
 
 
 class TestMacroArchInvariants:

@@ -12,8 +12,7 @@ from archsearch import engine, textio
 from archsearch.evaluators import LOOKUP_HEADER, load_lookup
 from archsearch.pareto import ParetoFront, ParetoPoint
 from archsearch.rewards import EvaluationResult
-from archsearch.search_space import (MACRO_LAYERS, MACRO_OPS, ActionSequence,
-                                     CondenseNetArch, build_space)
+from archsearch.search_space import MACRO_LAYERS, MACRO_OPS, CondenseNetArch, build_space
 
 from strategies import architectures
 
@@ -148,7 +147,7 @@ def records(draw):
     for i in range(1, n + 1):
         actions = tuple(draw(st.lists(st.integers(0, 9), max_size=8)))
         out.append(engine.IterationRecord(
-            iteration=i, seq=ActionSequence(actions=actions),
+            iteration=i, actions=actions,
             arch=None, result=draw(scores()), reward=draw(finite),
             grad_norm=draw(nonneg)))
     return out
@@ -159,7 +158,7 @@ def check_results(path, recs):
     rows = engine.read_results_csv(path)
     assert [(r.iteration, r.actions, r.accuracy, r.energy, r.peak_power, r.mac_normalized,
              r.reward, r.grad_norm) for r in rows] == \
-        [(r.iteration, r.seq.actions, r.result.accuracy, r.result.energy_joules,
+        [(r.iteration, r.actions, r.result.accuracy, r.result.energy_joules,
           r.result.peak_power_watts, r.result.mac_normalized, r.reward, r.grad_norm)
          for r in recs]
 
