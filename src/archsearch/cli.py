@@ -24,7 +24,7 @@ from . import controller as ctl
 from . import engine, textio
 from .cost_model import DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE, macro_mac
 from .evaluators import Evaluator
-from .rewards import REWARD_KINDS, RewardSpec
+from .rewards import READ_BY, REWARD_KINDS, RewardSpec
 from .search_space import (SPACE_KINDS, MacroArch, arch_from_text, arch_to_compact,
                            build_space)
 
@@ -85,6 +85,8 @@ SETTINGS = {
                           "controller checkpoint to continue from"),
     "out.dir": Setting("--out", "out_dir", _path, "output directory"),
 }
+# a resumed search continues the checkpoint's controller and never reads these
+RESUME_UNREAD = ("controller.hidden", "adam.lr", "controller.baseline")
 SAMPLE_KEYS = ("run.seed", "evaluator.kind", "evaluator.fixture", "evaluator.surrogate",
                "evaluator.fallback", "out.dir")
 
@@ -130,9 +132,17 @@ def _build_run_config(args: argparse.Namespace
         cfg = engine.RunConfig(reward=reward, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key in values:
+        field = SETTINGS[key].field
+        if key.startswith("reward.") and reward.kind not in READ_BY.get(field, REWARD_KINDS):
+            raise ConfigError(f"{key} ({field}) is not read by the {reward.kind} reward")
     if cfg.resume_path is not None:
         if args.command == "random":
             raise ConfigError(engine.RANDOM_RESUME_ERROR)
+        unread = [key for key in RESUME_UNREAD if key in values]
+        if unread:
+            raise ConfigError(f"{unread[0]} is not read with run.resume: the run continues "
+                              "the checkpoint's controller as it was saved")
         if not Path(cfg.resume_path).is_file():
             raise ConfigError(f"resume checkpoint not found: {cfg.resume_path}")
     try:

@@ -31,6 +31,13 @@ DEFAULT_LR = {"alexnet": 0.03, "condensenet": 0.008, "macro": 0.0075}
 DEFAULT_CLIP_NORM = 5.0
 DEFAULT_BASELINE_DECAY = 0.95
 CHECKPOINT_VERSION = 2
+# the JSON type of the checkpoint meta values `load_checkpoint` reads into
+# the state ("adam." names one of the nested adam record); AdamState checks
+# adam.t's type itself
+META_TYPES = {"hidden_dim": int, "clip_norm": float, "use_baseline": bool,
+              "baseline_decay": float, "baseline": float, "revision": int,
+              "adam.lr": float, "adam.beta1": float, "adam.beta2": float,
+              "adam.eps": float}
 
 
 @dataclass
@@ -238,10 +245,9 @@ def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
         dlogits[rows, rollout.actions[steps]] += scale
         ordered_outer_sum(dlogits, rollout.h[h_rows], out=out[f"head.{head}.w"])
         ordered_row_sum(dlogits, out=out[f"head.{head}.b"])
-        # one product per step: a single w.T @ dlogits.T rounds differently
-        w_t = w.T
-        for dl, t in zip(dlogits, steps.tolist()):
-            np.matmul(w_t, dl, out=dh[t])
+        # a stacked product, one gemv per step: a single w.T @ dlogits.T
+        # (one gemm) rounds differently
+        dh[steps] = np.matmul(w.T, dlogits[:, :, None])[:, :, 0]
     lstm_backward(state.lstm, rollout, dh, out=LstmCellParams.from_tensors(out))
     return out
 
@@ -317,8 +323,9 @@ def load_checkpoint(path: str | Path) -> ControllerState:
     empty or truncated file), on another format version, and, naming the
     array, on a missing or extra array or one of the wrong shape or dtype:
     numpy would otherwise broadcast a wrong-shaped array into place silently.
-    Meta values out of range (an ADAM setting, the clip norm, the baseline,
-    its decay or the revision) are refused, naming the value.
+    Meta values of the wrong JSON type (`META_TYPES`) or out of range (an
+    ADAM setting, the clip norm, the baseline, its decay or the revision)
+    are refused, naming the value.
     """
     try:
         with np.load(path) as data:
@@ -336,6 +343,13 @@ def load_checkpoint(path: str | Path) -> ControllerState:
         raise ValueError(f"checkpoint is not a readable numpy archive: {exc}") from exc
 
     try:
+        for name, kind in META_TYPES.items():
+            record, _, key = name.rpartition(".")
+            value = (meta[record] if record else meta)[key]
+            # a float may be written as an int; a bool is neither
+            if type(value) not in ((int, float) if kind is float else (kind,)):
+                raise ValueError(f"checkpoint meta {name} must be a {kind.__name__}, "
+                                 f"got {value!r}")
         state = create_controller(build_space(meta["space_kind"]), seed=0,
                                   hidden_dim=meta["hidden_dim"], clip_norm=meta["clip_norm"],
                                   use_baseline=meta["use_baseline"],
@@ -347,8 +361,8 @@ def load_checkpoint(path: str | Path) -> ControllerState:
         state.revision = meta["revision"]
         if not math.isfinite(state.baseline):
             raise ValueError(f"baseline must be finite, got {state.baseline}")
-        if type(state.revision) is not int or state.revision < 0:
-            raise ValueError(f"revision must be an int >= 0, got {state.revision!r}")
+        if state.revision < 0:
+            raise ValueError(f"revision must be >= 0, got {state.revision}")
         # JSON turns the inner state ints into plain ints, which numpy accepts
         state.rng.bit_generator.state = meta["rng_state"]
     except (KeyError, TypeError) as exc:

@@ -152,11 +152,11 @@ def make_evaluator(space_kind: str, evaluator_kind: str = "surrogate", seed: int
     if surrogate_path is not None and not lookup_fallback:
         raise ValueError("evaluator.surrogate is read by the lookup evaluator only with "
                          "evaluator.fallback = on")
-    table = load_lookup(fixture_lookup_path() if lookup_path is None else lookup_path)
+    path = fixture_lookup_path() if lookup_path is None else Path(lookup_path)
     fallback = None
     if lookup_fallback:
         fallback = make_surrogate(space_kind, seed=seed, config_path=surrogate_path)
-    return LookupEvaluator(table, fallback=fallback)
+    return LookupEvaluator(load_lookup(path), fallback=fallback, source=str(path))
 
 
 def build_evaluator(cfg: RunConfig) -> Evaluator:
@@ -362,12 +362,6 @@ def write_front_csv(path: str | Path, front: ParetoFront) -> None:
         (fmt_float(p.energy), fmt_float(p.accuracy),
          arch_to_compact(p.arch) if p.arch is not None else "")
         for p in front.points))
-
-
-def read_front_csv(path: str | Path) -> ParetoFront:
-    return ParetoFront(textio.read_table(path, FRONT_HEADER, lambda energy, accuracy, arch: (
-        ParetoPoint(accuracy=float(accuracy), energy=float(energy),
-                    arch=arch_from_compact(arch) if arch else None))))
 
 
 def write_stats_csv(path: str | Path, stats: SearchStats) -> None:

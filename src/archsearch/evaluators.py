@@ -173,70 +173,48 @@ def make_surrogate(space: str, seed: int = 0,
 # Lookup table
 
 
-@dataclass(frozen=True)
-class LookupRow:
-    error_pct: float
-    energy_j: float
-
-
-class LookupTable:
-    """Measured (error %, energy) rows keyed by condensenet architecture."""
-
-    def __init__(self, rows: dict[CondenseNetArch, LookupRow], source: str):
-        self.rows = rows
-        self.source = source
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __contains__(self, arch: Architecture) -> bool:
-        return arch in self.rows
-
-    def get(self, arch: Architecture) -> LookupRow:
-        if arch not in self.rows:
-            raise UnknownArchitectureError(
-                f"no table row for {arch_to_compact(arch)} in {self.source}")
-        return self.rows[arch]
-
-
-def load_lookup(path: str | Path) -> LookupTable:
+def load_lookup(path: str | Path) -> dict[CondenseNetArch, tuple[float, float]]:
     """Parse a lookup file: a header line, then one comma-separated row per
-    architecture (stages, growths, error %, energy)."""
-    rows: dict[CondenseNetArch, LookupRow] = {}
+    architecture (stages, growths, error %, energy). Returns its rows as
+    architecture -> (error %, energy J)."""
+    rows: dict[CondenseNetArch, tuple[float, float]] = {}
 
     def add_row(*fields: str) -> None:
         arch = CondenseNetArch(stages=tuple(int(v) for v in fields[0:3]),
                                growths=tuple(int(v) for v in fields[3:6]))
-        row = LookupRow(error_pct=float(fields[6]), energy_j=float(fields[7]))
-        if not 0.0 <= row.error_pct <= 100.0:
+        error_pct, energy_j = float(fields[6]), float(fields[7])
+        if not 0.0 <= error_pct <= 100.0:
             raise ValueError("error must be in [0, 100]")
-        if not (math.isfinite(row.energy_j) and row.energy_j >= 0):
+        if not (math.isfinite(energy_j) and energy_j >= 0):
             raise ValueError(f"energy must be finite and >= 0, got {fields[7]}")
         if arch in rows:
             raise ValueError(f"duplicate architecture {list(fields[0:6])}")
-        rows[arch] = row
+        rows[arch] = error_pct, energy_j
 
     textio.read_table(path, LOOKUP_HEADER, add_row)
-    return LookupTable(rows, source=str(Path(path)))
+    return rows
 
 
 class LookupEvaluator(Evaluator):
-    """Table-backed evaluator, optionally falling back for unknown rows."""
+    """Measured rows keyed by condensenet architecture, as `load_lookup` gives
+    them; an architecture without a row goes to ``fallback``, or raises
+    `UnknownArchitectureError` naming ``source``."""
 
-    def __init__(self, table: LookupTable, fallback: Evaluator | None = None):
-        self.table = table
+    def __init__(self, rows: dict[CondenseNetArch, tuple[float, float]],
+                 fallback: Evaluator | None = None, source: str = "the lookup table"):
+        self.rows = rows
         self.fallback = fallback
+        self.source = source
 
     def evaluate(self, arch: Architecture) -> EvaluationResult:
         """Table row as an evaluation: accuracy = 1 - error/100, energy as stored."""
-        try:
-            row = self.table.get(arch)
-        except UnknownArchitectureError:
-            if self.fallback is None:
-                raise
-            return self.fallback.evaluate(arch)
-        return EvaluationResult(accuracy=1.0 - row.error_pct / 100.0,
-                                energy_joules=row.energy_j)
+        row = self.rows.get(arch)
+        if row is not None:
+            return EvaluationResult(accuracy=1.0 - row[0] / 100.0, energy_joules=row[1])
+        if self.fallback is None:
+            raise UnknownArchitectureError(
+                f"no table row for {arch_to_compact(arch)} in {self.source}")
+        return self.fallback.evaluate(arch)
 
 
 def fixture_lookup_path() -> Path:

@@ -22,6 +22,10 @@ REWARD_KINDS = ("mixed", "power_constraint", "accuracy_constraint", "mac_constra
 
 DEFAULT_VIOLATION_REWARD = -1.0
 DEFAULT_ENERGY_NORM_MAX = 130.0  # covers the largest energy in the lookup fixture
+# the kinds whose reward reads each RewardSpec setting
+READ_BY = {"alpha": ("mixed",), "threshold": REWARD_KINDS[1:],
+           "energy_norm_max": ("mixed", "accuracy_constraint"),
+           "violation_reward": ("mac_constraint",)}
 
 
 @dataclass(frozen=True)

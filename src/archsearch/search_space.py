@@ -3,8 +3,8 @@
 A space is an ordered list of decision slots, each slot an enumerated
 candidate list. The controller predicts one slot per time step, so slot
 order is generation order. A sample is its actions, a tuple of per-slot
-candidate indices; ``decode``/``encode`` convert between those and typed
-architecture descriptions.
+candidate indices; ``decode`` maps those to typed architecture
+descriptions.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ class SearchSpace:
             total += len(slot.candidates)
         object.__setattr__(self, "vocab_size", total)
         object.__setattr__(self, "vocab_offsets", tuple(offsets))
-
-    def __len__(self) -> int:
-        return len(self.slots)
 
     def size(self) -> int:
         """Exact number of architectures in the space (big integer)."""
@@ -183,65 +180,10 @@ def decode(space: SearchSpace, actions: tuple[int, ...]) -> Architecture:
     raise ValueError(f"cannot decode space kind {space.kind!r}")
 
 
-def encode(space: SearchSpace, arch: Architecture) -> tuple[int, ...]:
-    """Inverse of decode."""
-    if space.kind == "alexnet":
-        if not isinstance(arch, AlexNetArch):
-            raise ValueError("alexnet space expects an AlexNetArch")
-        values = [v for layer in arch.layers for v in layer]
-    elif space.kind == "condensenet":
-        if not isinstance(arch, CondenseNetArch):
-            raise ValueError("condensenet space expects a CondenseNetArch")
-        values = list(arch.stages) + list(arch.growths)
-    elif space.kind == "macro":
-        if not isinstance(arch, MacroArch):
-            raise ValueError("macro space expects a MacroArch")
-        values = []
-        for layer in range(MACRO_LAYERS):
-            values.append(arch.ops[layer])
-            for src in range(layer):
-                values.append(1 if src in arch.skips[layer] else 0)
-    else:
-        raise ValueError(f"cannot encode space kind {space.kind!r}")
-
-    actions = []
-    for slot, value in zip(space.slots, values):
-        try:
-            actions.append(slot.candidates.index(value))
-        except ValueError:
-            raise ValueError(
-                f"value {value!r} not a candidate of slot {slot.name}") from None
-    return tuple(actions)
-
-
 # ---------------------------------------------------------------------------
-# Text forms. The key-value form is the on-disk architecture file format;
-# the compact form is a single token used to annotate CSV rows. Skip inputs
-# are written 1-based in both forms (layer numbers as a person counts them).
-
-def arch_to_text(arch: Architecture) -> str:
-    lines = []
-    if isinstance(arch, AlexNetArch):
-        lines.append("kind = alexnet")
-        for n, (flt, h, w) in enumerate(arch.layers, start=1):
-            lines.append(f"conv{n}.filters = {flt}")
-            lines.append(f"conv{n}.height = {h}")
-            lines.append(f"conv{n}.width = {w}")
-    elif isinstance(arch, CondenseNetArch):
-        lines.append("kind = condensenet")
-        for n in range(3):
-            lines.append(f"block{n + 1}.stage = {arch.stages[n]}")
-            lines.append(f"block{n + 1}.growth = {arch.growths[n]}")
-    elif isinstance(arch, MacroArch):
-        lines.append("kind = macro")
-        for n in range(MACRO_LAYERS):
-            lines.append(f"layer{n + 1}.op = {arch.ops[n]}")
-            skips = " ".join(str(s + 1) for s in arch.skips[n])
-            lines.append(f"layer{n + 1}.skips = {skips}".rstrip())
-    else:
-        raise ValueError(f"unsupported architecture type: {type(arch).__name__}")
-    return "\n".join(lines) + "\n"
-
+# Text forms. The key-value form is the architecture file `mac` reads; the
+# compact form is a single token used to annotate CSV rows. Skip inputs are
+# written 1-based in every form (layer numbers as a person counts them).
 
 def arch_from_text(text: str) -> Architecture:
     kv = textio.read_key_values(text, "architecture text")
@@ -277,18 +219,6 @@ def arch_to_dict(arch: Architecture) -> dict:
         return {"kind": "macro", "ops": list(arch.ops),
                 "skips": [[s + 1 for s in sk] for sk in arch.skips]}
     raise ValueError(f"unsupported architecture type: {type(arch).__name__}")
-
-
-def arch_from_dict(data: dict) -> Architecture:
-    kind = data.get("kind")
-    if kind == "alexnet":
-        return AlexNetArch(layers=tuple(tuple(layer) for layer in data["layers"]))
-    if kind == "condensenet":
-        return CondenseNetArch(stages=tuple(data["stages"]), growths=tuple(data["growths"]))
-    if kind == "macro":
-        return MacroArch(ops=tuple(data["ops"]),
-                         skips=tuple(tuple(sorted(s - 1 for s in sk)) for sk in data["skips"]))
-    raise ValueError(f"unknown or missing architecture kind: {kind!r}")
 
 
 def arch_to_compact(arch: Architecture) -> str:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written straight-line (scalar loops, no
 shared code with the package) so the tests compare two separate routes to
-the same answer.
+the same answer. The architecture forms at the end build the package's
+architecture records, whose constructors check them, and nothing else of it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import sys
 from types import CodeType
 
 import numpy as np
+
+from archsearch.search_space import AlexNetArch, CondenseNetArch, MacroArch
 
 
 def scalar_lstm_step(params, x, h_prev, c_prev):
@@ -283,3 +286,69 @@ def missed_lines(codes, run) -> dict[CodeType, set[int]]:
     finally:
         sys.settrace(previous)
     return {code: executable_lines(code) - lines for code, lines in seen.items()}
+
+
+# ---------------------------------------------------------------------------
+# Architecture forms the package has only one direction of. Skip inputs are
+# 1-based in the text and dict forms, as the package writes and reads them.
+
+
+def encode(space, arch) -> tuple[int, ...]:
+    """The actions that `decode` maps to ``arch``: per slot, the index of the
+    value the architecture holds there (ValueError if it is no candidate)."""
+    if space.kind == "alexnet":
+        values = [v for layer in arch.layers for v in layer]
+    elif space.kind == "condensenet":
+        values = list(arch.stages) + list(arch.growths)
+    else:
+        values = []
+        for layer, op in enumerate(arch.ops):
+            values.append(op)
+            for src in range(layer):
+                values.append(1 if src in arch.skips[layer] else 0)
+    return tuple(slot.candidates.index(v) for slot, v in zip(space.slots, values))
+
+
+def arch_to_text(arch) -> str:
+    """The key-value architecture file that `arch_from_text` reads."""
+    lines = []
+    if isinstance(arch, AlexNetArch):
+        lines.append("kind = alexnet")
+        for n, (filters, height, width) in enumerate(arch.layers, start=1):
+            lines.append(f"conv{n}.filters = {filters}")
+            lines.append(f"conv{n}.height = {height}")
+            lines.append(f"conv{n}.width = {width}")
+    elif isinstance(arch, CondenseNetArch):
+        lines.append("kind = condensenet")
+        for n in range(3):
+            lines.append(f"block{n + 1}.stage = {arch.stages[n]}")
+            lines.append(f"block{n + 1}.growth = {arch.growths[n]}")
+    else:
+        lines.append("kind = macro")
+        for n, (op, skips) in enumerate(zip(arch.ops, arch.skips), start=1):
+            lines.append(f"layer{n}.op = {op}")
+            refs = " ".join(str(s + 1) for s in skips)
+            lines.append(f"layer{n}.skips = {refs}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def arch_from_dict(data: dict):
+    """The architecture of an `arch_to_dict` record, as summary.json holds it."""
+    if data["kind"] == "alexnet":
+        return AlexNetArch(layers=tuple(tuple(layer) for layer in data["layers"]))
+    if data["kind"] == "condensenet":
+        return CondenseNetArch(stages=tuple(data["stages"]), growths=tuple(data["growths"]))
+    return MacroArch(ops=tuple(data["ops"]),
+                     skips=tuple(tuple(s - 1 for s in refs) for refs in data["skips"]))
+
+
+def read_front_csv(path) -> list[tuple[float, float, str]]:
+    """(accuracy, energy, compact arch token) of each row of a front file."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    assert lines[0] == "energy,accuracy,arch", lines[0]
+    rows = []
+    for line in lines[1:]:
+        energy, accuracy, token = line.split(",")
+        rows.append((float(accuracy), float(energy), token))
+    return rows

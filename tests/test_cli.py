@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from archsearch.cli import SETTINGS, main
-from archsearch.engine import read_front_csv, read_results_csv
+from archsearch.engine import read_results_csv
 from archsearch.evaluators import LOOKUP_HEADER, fixture_lookup_path, load_lookup
-from archsearch.search_space import arch_to_text, build_space, encode, MacroArch
+from archsearch.search_space import build_space, MacroArch
+
+from oracles import arch_to_text, encode, read_front_csv
 
 NO_SKIPS = ((),) * 12
 
@@ -218,17 +220,17 @@ class TestParetoCommand:
         # results rows for the shipped table; rows outside the searchable
         # grid carry scores but no actions
         space = build_space("condensenet")
-        table = load_lookup(fixture_lookup_path())
+        rows = load_lookup(fixture_lookup_path())
         lines = ["iteration,actions,accuracy,energy,peak_power,mac_normalized,"
                  "reward,grad_norm"]
-        for i, (arch, row) in enumerate(sorted(
-                table.rows.items(), key=lambda kv: kv[1].energy_j), start=1):
+        for i, (arch, (error_pct, energy)) in enumerate(sorted(
+                rows.items(), key=lambda kv: kv[1][1]), start=1):
             try:
                 actions = ":".join(str(a) for a in encode(space, arch))
             except ValueError:
                 actions = ""
-            accuracy = 1.0 - row.error_pct / 100.0
-            lines.append(f"{i},{actions},{accuracy!r},{row.energy_j!r},,,0.0,0.0")
+            accuracy = 1.0 - error_pct / 100.0
+            lines.append(f"{i},{actions},{accuracy!r},{energy!r},,,0.0,0.0")
         path = tmp_path / "table_results.csv"
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -239,7 +241,7 @@ class TestParetoCommand:
         assert run_cli("pareto", "--results", str(results), "--space", "condensenet",
                        "--out", str(out)) == 0
         front = read_front_csv(out)
-        pairs = [(round(p.accuracy, 4), p.energy) for p in front.points]
+        pairs = [(round(accuracy, 4), energy) for accuracy, energy, _ in front]
         assert (0.9566, 92.16) in pairs
         assert len(front) == 5
 
@@ -308,6 +310,24 @@ class TestResumeFlag:
         assert capsys.readouterr().err.count("not a readable numpy archive") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--hidden", "7", "controller.hidden"),
+        ("--lr", "0.5", "adam.lr"),
+        ("--baseline", "on", "controller.baseline"),
+        ("--baseline", "off", "controller.baseline"),
+    ])
+    def test_controller_setting_with_resume_exits_2(self, tmp_path, capsys, flag, value,
+                                                    key):
+        """The resumed run continues the saved controller, whatever these say."""
+        first = tmp_path / "first"
+        assert run_cli(*search_args(first)) == 0
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert run_cli(*search_args(out), "--resume", str(first / "checkpoint.npz"),
+                       flag, value) == 2
+        assert f"{key} is not read with run.resume" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_from_other_space_exits_2(self, tmp_path, capsys):
         first = tmp_path / "alex"
         assert run_cli("search", "--space", "alexnet", "--reward", "mixed",
@@ -357,6 +377,9 @@ class TestSampleCommand:
         ("timestep must be an int >= 0", lambda contents: set_meta(contents, "adam", "t", -1)),
         ("baseline_decay must lie in [0, 1)",
          lambda contents: set_meta(contents, None, "baseline_decay", 7)),
+        # resumed with the baseline on
+        ("checkpoint meta use_baseline must be a bool",
+         lambda contents: set_meta(contents, None, "use_baseline", "no")),
     ])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, named, edit):
         out = tmp_path / "run"
@@ -616,6 +639,48 @@ class TestRunConfigRefusals:
                        f"run.iterations = 5\n{key} = {value}\n")
         assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert named in capsys.readouterr().err
+
+
+class TestUnreadRewardSettings:
+    """A reward setting the chosen reward kind never reads exits 2, naming the key."""
+
+    @pytest.mark.parametrize("space, kind, extra, named", [
+        ("condensenet", "power_constraint", ["--threshold", "70", "--alpha", "0.3"],
+         "reward.alpha"),
+        ("macro", "mac_constraint", ["--threshold", "0.3", "--alpha", "0.3"], "reward.alpha"),
+        ("condensenet", "mixed", ["--alpha", "0.5", "--threshold", "70"], "reward.threshold"),
+        ("condensenet", "mixed", ["--alpha", "0.5", "--violation-reward", "-5"],
+         "reward.violation"),
+        ("condensenet", "accuracy_constraint", ["--threshold", "0.9",
+                                                "--violation-reward", "-5"],
+         "reward.violation"),
+        ("condensenet", "power_constraint", ["--threshold", "70", "--energy-norm", "9"],
+         "reward.energy_norm_max"),
+        ("macro", "mac_constraint", ["--threshold", "0.3", "--energy-norm", "9"],
+         "reward.energy_norm_max"),
+    ])
+    def test_flag_exits_2(self, tmp_path, capsys, space, kind, extra, named):
+        out = tmp_path / "o"
+        assert run_cli("search", "--space", space, "--reward", kind, *extra,
+                       "--iterations", "5", "--out", str(out)) == 2
+        assert f"{named} ({SETTINGS[named].field}) is not read by the {kind} reward" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("space = condensenet\nreward.kind = power_constraint\n"
+                       "reward.threshold = 70\nreward.violation = -5\nrun.iterations = 5\n")
+        assert run_cli("random", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "reward.violation (violation_reward)" in capsys.readouterr().err
+
+    def test_settings_the_kind_reads_run(self, tmp_path):
+        assert run_cli("search", "--space", "condensenet", "--reward", "accuracy_constraint",
+                       "--threshold", "0.9", "--energy-norm", "120", "--iterations", "5",
+                       "--out", str(tmp_path / "a")) == 0
+        assert run_cli("search", "--space", "macro", "--reward", "mac_constraint",
+                       "--threshold", "0.3", "--violation-reward", "-2", "--iterations", "5",
+                       "--out", str(tmp_path / "m")) == 0
 
 
 class TestUnreadEvaluatorSettings:

@@ -324,6 +324,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             ctl.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("use_baseline", "no"), ("use_baseline", 0.0), ("adam.lr", True),
+        ("clip_norm", True), ("baseline", True), ("baseline_decay", False),
+        ("adam.beta1", False), ("adam.eps", "1e-8"), ("hidden_dim", 20.0),
+        ("hidden_dim", True), ("revision", True),
+    ])
+    def test_wrong_json_type_rejected(self, tmp_path, key, value):
+        """A bool must be a bool, an int an int, a float a number; no bool is a number."""
+        path = saved_checkpoint(tmp_path)
+        rewrite(path, lambda contents: set_meta(contents, key, value))
+        with pytest.raises(ValueError, match=f"checkpoint meta {key} must be a "):
+            ctl.load_checkpoint(path)
+
+    def test_float_written_as_int_loads(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite(path, lambda contents: set_meta(contents, "baseline", 1))
+        rewrite(path, lambda contents: set_meta(contents, "adam.lr", 1))
+        state = ctl.load_checkpoint(path)
+        assert (state.baseline, state.adam.lr) == (1, 1)
+
     def test_version_gate(self, tmp_path):
         for version in (1, 99):
             path = saved_checkpoint(tmp_path)

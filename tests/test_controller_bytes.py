@@ -1,20 +1,23 @@
 """Pins the bytes the controller produces, independent of how it stores them.
 
-Three whole searches are run through the command line: a macro search (the
-78-step, vocab-204, hidden-64 controller, one update per sample), a
-condensenet search with batched updates and the moving-average baseline,
-and an alexnet search with a hidden size of 1, where every gradient sum
-runs over length-1 axes.
+Four whole searches are run through the command line: a macro search (the
+78-step, vocab-204, hidden-64 controller), once with one update per sample
+and once with three samples per update, a condensenet search with batched
+updates and the moving-average baseline, and an alexnet search with a hidden
+size of 1, where every gradient sum runs over length-1 axes.
 The SHA-256 of each ``results.csv`` pins every sampled action, reward and
 gradient norm. The log-probability of a fixed sequence under the reloaded
 final controller pins its parameters without depending on their layout.
 Any change to the numeric path that is not bit-identical fails here.
 
 Random searches on all three spaces are pinned the same way, so the
-uniform sampler's draws cannot change either.
+uniform sampler's draws cannot change either; so are the ``samples.csv``
+files that ``sample`` writes from a macro and a condensenet checkpoint, each
+made by a pinned search here.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from hypothesis import strategies as st
 
 from archsearch import controller as ctl
 from archsearch.cli import main
-from archsearch.search_space import SPACE_KINDS, build_space
+from archsearch.search_space import (CONDENSENET_GROWTHS, CONDENSENET_STAGES, SPACE_KINDS,
+                                     build_space)
 
 RUNS = {
     "macro": (
@@ -31,6 +35,12 @@ RUNS = {
          "--violation-reward", "-1", "--iterations", "60", "--seed", "1"],
         "aa284fd7e29d25bd7aa77c3458dc6fdb81d4a9f0807b0b6a3925761e4369e173",
         "-76.27362597885356",
+    ),
+    "macro-batch3": (
+        ["--space", "macro", "--reward", "mac_constraint", "--threshold", "0.31",
+         "--violation-reward", "-1", "--batch", "3", "--iterations", "60", "--seed", "4"],
+        "aff75c1da87a6c7fe90f5ffd4df7e66048b457a56248cbb84992492a1eee8322",
+        "-356.49175565334326",
     ),
     "condensenet-batch4-baseline": (
         ["--space", "condensenet", "--reward", "power_constraint", "--threshold", "70",
@@ -65,6 +75,34 @@ RANDOM_RUNS = {
     ),
 }
 
+# search args, sample args, SHA-256 of samples.csv; "table.csv" is the table
+# that `write_stage6_table` writes
+SAMPLE_RUNS = {
+    "macro": (
+        RUNS["macro"][0],
+        ["--n", "100", "--seed", "2"],
+        "32b483e6f1f0f91c9fb5781dbabfd3aaa3db208a6918e0aa7fdf46f78a22f6c2",
+    ),
+    "condensenet-lookup-fallback": (
+        ["--space", "condensenet", "--reward", "mixed", "--alpha", "0.5",
+         "--iterations", "50", "--seed", "3"],
+        ["--n", "400", "--evaluator", "lookup", "--fixture", "table.csv",
+         "--fallback", "on", "--seed", "3"],
+        "a1e99a8de62b50c6196c28acb280a4a915092ac9c81482ebc9fa1e8784db54fc",
+    ),
+}
+
+
+def write_stage6_table(path):
+    """A lookup table of every condensenet architecture whose first stage is 6,
+    so that samples take both the table rows and the fallback."""
+    lines = ["stage1,stage2,stage3,growth1,growth2,growth3,error_pct,energy_j"]
+    for s2, s3, g1, g2, g3 in itertools.product(CONDENSENET_STAGES, CONDENSENET_STAGES,
+                                                *[CONDENSENET_GROWTHS] * 3):
+        lines.append(f"6,{s2},{s3},{g1},{g2},{g3},{(s2 + s3 + g1) / 16!r},"
+                     f"{(6 * g1 + s2 * g2 + s3 * g3) / 10!r}")
+    path.write_text("\n".join(lines) + "\n")
+
 
 def fixed_sequence(space):
     """Candidate t mod arity at slot t: touches every head and many tokens."""
@@ -87,6 +125,18 @@ def test_random_search_bytes(name, tmp_path):
     out = tmp_path / "run"
     assert main(["random", *args, "--out", str(out)]) == 0
     assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == results_sha
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_RUNS))
+def test_sample_bytes(name, tmp_path, monkeypatch):
+    search_args, sample_args, samples_sha = SAMPLE_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    write_stage6_table(tmp_path / "table.csv")
+    assert main(["search", *search_args, "--out", "run"]) == 0
+    assert main(["sample", "--checkpoint", "run/checkpoint.npz", *sample_args,
+                 "--out", "samples"]) == 0
+    samples = (tmp_path / "samples" / "samples.csv").read_bytes()
+    assert hashlib.sha256(samples).hexdigest() == samples_sha
 
 
 @settings(max_examples=100, deadline=None)

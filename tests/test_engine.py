@@ -8,7 +8,9 @@ from archsearch.controller import create_controller
 from archsearch.evaluators import UnknownArchitectureError
 from archsearch.pareto import front_of
 from archsearch.rewards import EvaluationResult, RewardSpec
-from archsearch.search_space import MACRO_OPS, build_space
+from archsearch.search_space import MACRO_OPS, arch_from_compact, build_space
+
+from oracles import read_front_csv
 
 
 def power_cfg(**kw):
@@ -313,8 +315,8 @@ class TestFileEmission:
         result = engine.run_search(power_cfg(n_iterations=40))
         path = tmp_path / "front.csv"
         engine.write_front_csv(path, result.front)
-        loaded = engine.read_front_csv(path)
-        assert [(p.accuracy, p.energy, p.arch) for p in loaded.points] == \
+        assert [(accuracy, energy, arch_from_compact(token))
+                for accuracy, energy, token in read_front_csv(path)] == \
                [(p.accuracy, p.energy, p.arch) for p in result.front.points]
 
     def test_summary_json_parses(self, tmp_path):
