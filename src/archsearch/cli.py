@@ -85,8 +85,9 @@ SETTINGS = {
                           "controller checkpoint to continue from"),
     "out.dir": Setting("--out", "out_dir", _path, "output directory"),
 }
-# a resumed search continues the checkpoint's controller and never reads these
-RESUME_UNREAD = ("controller.hidden", "adam.lr", "controller.baseline")
+# the controller's settings: random search has no controller, and a resumed
+# search continues the checkpoint's as it was saved
+CONTROLLER_KEYS = ("controller.hidden", "adam.lr", "controller.baseline")
 SAMPLE_KEYS = ("run.seed", "evaluator.kind", "evaluator.fixture", "evaluator.surrogate",
                "evaluator.fallback", "out.dir")
 
@@ -136,10 +137,13 @@ def _build_run_config(args: argparse.Namespace
         field = SETTINGS[key].field
         if key.startswith("reward.") and reward.kind not in READ_BY.get(field, REWARD_KINDS):
             raise ConfigError(f"{key} ({field}) is not read by the {reward.kind} reward")
+    unread = [key for key in CONTROLLER_KEYS if key in values]
+    if unread and args.command == "random":
+        raise ConfigError(f"{unread[0]} is not read by random: random search has no "
+                          "controller")
     if cfg.resume_path is not None:
         if args.command == "random":
             raise ConfigError(engine.RANDOM_RESUME_ERROR)
-        unread = [key for key in RESUME_UNREAD if key in values]
         if unread:
             raise ConfigError(f"{unread[0]} is not read with run.resume: the run continues "
                               "the checkpoint's controller as it was saved")

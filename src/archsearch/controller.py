@@ -328,7 +328,8 @@ def load_checkpoint(path: str | Path) -> ControllerState:
     are refused, naming the value.
     """
     try:
-        with np.load(path) as data:
+        # np.load leaves a file it opened itself open when the archive is cut off
+        with open(path, "rb") as fh, np.load(fh) as data:
             if "meta" not in data.files:
                 raise ValueError("checkpoint has no meta record")
             try:

@@ -77,8 +77,7 @@ def macro_mac(arch: MacroArch, channels: int = DEFAULT_CHANNELS,
     architecture, so it lies in [0, 1] across the whole space.
     """
     table = mac_table(channels, input_size)
-    per_layer = tuple((layer, row[op])
-                      for layer, (row, op) in enumerate(zip(table.rows, arch.ops)))
-    total = sum(mac for _, mac in per_layer)
-    return MacReport(total_mac=total, per_layer=per_layer,
+    macs = [row[op] for row, op in zip(table.rows, arch.ops)]
+    total = sum(macs)
+    return MacReport(total_mac=total, per_layer=tuple(enumerate(macs)),
                      normalized=total / table.space_max)

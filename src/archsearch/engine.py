@@ -36,6 +36,7 @@ FRONT_HEADER = ("energy", "accuracy", "arch")
 STATS_HEADER = ("window", "start_iteration", "end_iteration", "satisfaction_rate")
 HISTOGRAM_HEADER = ("op", "count")
 LAYER_HISTOGRAM_HEADER = ("layer",) + MACRO_OPS
+_OP_COLUMN = {op: column for column, op in enumerate(MACRO_OPS)}
 SAMPLES_HEADER = ("arch", "accuracy", "energy", "peak_power", "mac_normalized")
 
 
@@ -256,7 +257,8 @@ def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResu
     if cfg.resume_path is not None:
         raise ValueError(RANDOM_RESUME_ERROR)
     rng = np.random.default_rng(cfg.seed)
-    arities = [len(slot.candidates) for slot in build_space(cfg.space_kind).slots]
+    # one draw per slot, in slot order, as from a list of the arities
+    arities = np.asarray(build_space(cfg.space_kind).arities)
     return _run(cfg, lambda: (tuple(rng.integers(arities).tolist()), None),
                 lambda rollouts, rewards: 0.0, None, evaluator)
 
@@ -301,7 +303,7 @@ def histogram_of(archs: Iterable[MacroArch]) -> tuple[dict[str, int], list[list[
     for arch in archs:
         for layer, op in enumerate(arch.ops):
             ops_count[op] += 1
-            layer_count[layer][MACRO_OPS.index(op)] += 1
+            layer_count[layer][_OP_COLUMN[op]] += 1
     return ops_count, layer_count
 
 
@@ -428,8 +430,13 @@ def read_samples_csv(path: str | Path) -> list[tuple[Architecture, EvaluationRes
 
 def summary_dict(cfg: RunConfig, result: SearchResult) -> dict:
     best = result.best
+    config = cfg.to_dict()
+    if cfg.resume_path is not None:  # the checkpoint's controller ran, not cfg's defaults
+        state = result.controller
+        config.update(hidden_dim=state.hidden_dim, lr=state.adam.lr,
+                      use_baseline=state.use_baseline)
     return {
-        "config": cfg.to_dict(),
+        "config": config,
         "best": {
             "iteration": best.iteration,
             "actions": list(best.actions),

@@ -10,7 +10,11 @@ descriptions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
+
+import numpy as np
 
 from . import textio
 
@@ -21,6 +25,16 @@ CONDENSENET_GROWTHS = (4, 8, 16, 24, 32)
 MACRO_OPS = ("conv3x3", "conv5x5", "sep_conv3x3", "sep_conv5x5",
              "avg_pool", "max_pool")
 MACRO_LAYERS = 12
+_MACRO_OP_SET = frozenset(MACRO_OPS)
+# position of each macro layer's op slot in an action sequence; the layer's
+# skip slots, one per earlier layer, follow it
+_MACRO_OP_SLOTS = tuple(layer * (layer + 1) // 2 for layer in range(MACRO_LAYERS))
+_macro_op_actions = operator.itemgetter(*_MACRO_OP_SLOTS)
+# per macro layer: its possible skip sources and the span of its skip slots
+_MACRO_SKIP_SPANS = tuple((range(layer), p + 1, p + 1 + layer)
+                          for layer, p in enumerate(_MACRO_OP_SLOTS))
+# 1-based skip label of each layer index, as the compact form writes it
+_SKIP_LABELS = tuple(str(layer + 1) for layer in range(MACRO_LAYERS))
 
 SPACE_KINDS = ("alexnet", "condensenet", "macro")
 
@@ -44,19 +58,17 @@ class SearchSpace:
     slots: tuple[DecisionSlot, ...]
     vocab_size: int = field(init=False)
     vocab_offsets: tuple[int, ...] = field(init=False)
+    arities: tuple[int, ...] = field(init=False, compare=False)  # candidates per slot
 
     def __post_init__(self) -> None:
-        offsets = []
-        total = 0
-        for slot in self.slots:
-            offsets.append(total)
-            total += len(slot.candidates)
-        object.__setattr__(self, "vocab_size", total)
-        object.__setattr__(self, "vocab_offsets", tuple(offsets))
+        arities = tuple(len(slot.candidates) for slot in self.slots)
+        object.__setattr__(self, "arities", arities)
+        object.__setattr__(self, "vocab_size", sum(arities))
+        object.__setattr__(self, "vocab_offsets", tuple(accumulate(arities, initial=0))[:-1])
 
     def size(self) -> int:
         """Exact number of architectures in the space (big integer)."""
-        return math.prod(len(s.candidates) for s in self.slots)
+        return math.prod(self.arities)
 
     def head_types(self) -> tuple[str, ...]:
         seen: dict[str, int] = {}
@@ -109,6 +121,9 @@ class MacroArch:
     skips: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if _well_formed(self.ops, self.skips):
+            return
+        # the checks below say what is wrong
         if len(self.ops) != MACRO_LAYERS or len(self.skips) != MACRO_LAYERS:
             raise ValueError(f"macro arch needs {MACRO_LAYERS} layers")
         for i, op in enumerate(self.ops):
@@ -119,6 +134,19 @@ class MacroArch:
                 raise ValueError(f"layer {i} skip inputs must come from layers 0..{i - 1}")
             if tuple(sorted(set(sk))) != sk:
                 raise ValueError(f"layer {i} skip inputs must be sorted and distinct")
+
+
+def _well_formed(ops, skips) -> bool:
+    """True if `MacroArch`'s checks would pass: known ops, and every skip
+    tuple strictly increasing within 0..layer-1. False leaves the verdict
+    to those checks."""
+    try:
+        return (len(ops) == MACRO_LAYERS == len(skips) and _MACRO_OP_SET.issuperset(ops)
+                and all(type(sk) is tuple and (not sk or (
+                            sk[0] >= 0 and sk[-1] < layer and all(map(operator.lt, sk, sk[1:]))))
+                        for layer, sk in enumerate(skips)))
+    except TypeError:  # an unhashable op or an unordered skip entry
+        return False
 
 
 Architecture = AlexNetArch | CondenseNetArch | MacroArch
@@ -150,33 +178,40 @@ def build_space(kind: str) -> SearchSpace:
 
 
 def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
-    if len(actions) != len(space.slots):
+    """Refuse a sequence of the wrong length, or an action that is not an
+    integer (a bool, float or string) or not a candidate index of its slot."""
+    if len(actions) != len(space.arities):
         raise ValueError(
-            f"sequence has {len(actions)} actions, space has {len(space.slots)} slots")
-    for t, (slot, a) in enumerate(zip(space.slots, actions)):
-        if not 0 <= a < len(slot.candidates):
-            raise ValueError(f"action {a} out of range for slot {t} ({slot.name})")
+            f"sequence has {len(actions)} actions, space has {len(space.arities)} slots")
+    for arity, a in zip(space.arities, actions):
+        if type(a) is not int or not 0 <= a < arity:
+            break
+    else:
+        return
+    # a numpy integer lands here too, and passes
+    for t, (arity, a) in enumerate(zip(space.arities, actions)):
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+            raise ValueError(f"action {a!r} for slot {t} ({space.slots[t].name}) "
+                             "is not an integer")
+        if not 0 <= a < arity:
+            raise ValueError(f"action {a} out of range for slot {t} ({space.slots[t].name})")
 
 
 def decode(space: SearchSpace, actions: tuple[int, ...]) -> Architecture:
     """Map an action sequence to the architecture it describes."""
     validate_sequence(space, actions)
+    if space.kind == "macro":
+        # build_space's layout: op slots hold MACRO_OPS, and a skip slot's
+        # candidates are (0, 1), so its action is its value
+        return MacroArch(
+            ops=tuple([MACRO_OPS[a] for a in _macro_op_actions(actions)]),
+            skips=tuple([tuple(compress(sources, actions[start:stop]))
+                         for sources, start, stop in _MACRO_SKIP_SPANS]))
     chosen = [slot.candidates[a] for slot, a in zip(space.slots, actions)]
     if space.kind == "alexnet":
         return AlexNetArch(layers=(tuple(chosen[0:3]), tuple(chosen[3:6])))
     if space.kind == "condensenet":
         return CondenseNetArch(stages=tuple(chosen[0:3]), growths=tuple(chosen[3:6]))
-    if space.kind == "macro":
-        ops = []
-        skips = []
-        pos = 0
-        for layer in range(MACRO_LAYERS):
-            ops.append(chosen[pos])
-            pos += 1
-            wired = tuple(src for src in range(layer) if chosen[pos + src] == 1)
-            pos += layer
-            skips.append(wired)
-        return MacroArch(ops=tuple(ops), skips=tuple(skips))
     raise ValueError(f"cannot decode space kind {space.kind!r}")
 
 
@@ -230,13 +265,8 @@ def arch_to_compact(arch: Architecture) -> str:
         gr = ".".join(str(g) for g in arch.growths)
         return f"st{st}+gr{gr}"
     if isinstance(arch, MacroArch):
-        parts = []
-        for op, sk in zip(arch.ops, arch.skips):
-            if sk:
-                parts.append(op + "[" + ".".join(str(s + 1) for s in sk) + "]")
-            else:
-                parts.append(op)
-        return "+".join(parts)
+        return "+".join([f"{op}[{'.'.join([_SKIP_LABELS[s] for s in sk])}]" if sk else op
+                         for op, sk in zip(arch.ops, arch.skips)])
     raise ValueError(f"unsupported architecture type: {type(arch).__name__}")
 
 

@@ -352,3 +352,69 @@ def read_front_csv(path) -> list[tuple[float, float, str]]:
         energy, accuracy, token = line.split(",")
         rows.append((float(accuracy), float(energy), token))
     return rows
+
+
+def decode_reference(space, actions):
+    """`decode` as a slot-by-slot walk: each action picks its slot's candidate,
+    and a macro layer's skip slots wire in the earlier layers whose value is 1."""
+    if len(actions) != len(space.slots):
+        raise ValueError(
+            f"sequence has {len(actions)} actions, space has {len(space.slots)} slots")
+    chosen = []
+    for t, (slot, a) in enumerate(zip(space.slots, actions)):
+        if not 0 <= a < len(slot.candidates):
+            raise ValueError(f"action {a} out of range for slot {t} ({slot.name})")
+        chosen.append(slot.candidates[a])
+    if space.kind == "alexnet":
+        return AlexNetArch(layers=(tuple(chosen[0:3]), tuple(chosen[3:6])))
+    if space.kind == "condensenet":
+        return CondenseNetArch(stages=tuple(chosen[0:3]), growths=tuple(chosen[3:6]))
+    ops = []
+    skips = []
+    pos = 0
+    for layer in range(12):
+        ops.append(chosen[pos])
+        pos += 1
+        wired = []
+        for src in range(layer):
+            if chosen[pos + src] == 1:
+                wired.append(src)
+        pos += layer
+        skips.append(tuple(wired))
+    return MacroArch(ops=tuple(ops), skips=tuple(skips))
+
+
+def compact_reference(arch) -> str:
+    """`arch_to_compact` part by part, skip references counted from 1."""
+    if isinstance(arch, AlexNetArch):
+        return "+".join(f"{flt}x{h}x{w}" for flt, h, w in arch.layers)
+    if isinstance(arch, CondenseNetArch):
+        return ("st" + ".".join(str(s) for s in arch.stages)
+                + "+gr" + ".".join(str(g) for g in arch.growths))
+    parts = []
+    for op, sk in zip(arch.ops, arch.skips):
+        if sk:
+            parts.append(op + "[" + ".".join(str(s + 1) for s in sk) + "]")
+        else:
+            parts.append(op)
+    return "+".join(parts)
+
+
+def macro_arch_refusal(ops, skips):
+    """The exception `MacroArch(ops, skips)` must raise, by its checks in
+    order, or None if it must accept them."""
+    try:
+        if len(ops) != 12 or len(skips) != 12:
+            raise ValueError("macro arch needs 12 layers")
+        for i, op in enumerate(ops):
+            if op not in ("conv3x3", "conv5x5", "sep_conv3x3", "sep_conv5x5",
+                          "avg_pool", "max_pool"):
+                raise ValueError(f"layer {i} has unknown op {op!r}")
+        for i, sk in enumerate(skips):
+            if any(j < 0 or j >= i for j in sk):
+                raise ValueError(f"layer {i} skip inputs must come from layers 0..{i - 1}")
+            if tuple(sorted(set(sk))) != sk:
+                raise ValueError(f"layer {i} skip inputs must be sorted and distinct")
+    except (TypeError, ValueError) as exc:
+        return exc
+    return None

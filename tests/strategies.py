@@ -6,8 +6,12 @@ from archsearch.search_space import build_space, decode
 
 
 @st.composite
-def architectures(draw, kinds=("alexnet", "condensenet", "macro")):
-    """A random architecture of one of the shipped spaces."""
+def action_sequences(draw, kinds=("alexnet", "condensenet", "macro")):
+    """(space, a valid action sequence of it) for one of the shipped spaces."""
     space = build_space(draw(st.sampled_from(kinds)))
-    actions = tuple(draw(st.integers(0, len(slot.candidates) - 1)) for slot in space.slots)
-    return decode(space, actions)
+    return space, tuple(draw(st.integers(0, n - 1)) for n in space.arities)
+
+
+def architectures(kinds=("alexnet", "condensenet", "macro")):
+    """A random architecture of one of the shipped spaces."""
+    return action_sequences(kinds).map(lambda drawn: decode(*drawn))

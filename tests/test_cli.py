@@ -295,6 +295,22 @@ class TestResumeFlag:
                        str(first / "checkpoint.npz")) == 0
         assert (resumed / "results.csv").is_file()
 
+    def test_summary_records_the_resumed_controller(self, tmp_path):
+        """The config record names the checkpoint's controller settings, not
+        the defaults of settings a resumed run may not be given."""
+        first = tmp_path / "first"
+        assert run_cli(*search_args(first), "--hidden", "9", "--baseline", "on",
+                       "--lr", "0.02") == 0
+        resumed = tmp_path / "resumed"
+        assert run_cli(*search_args(resumed), "--resume",
+                       str(first / "checkpoint.npz")) == 0
+        config = json.loads((resumed / "summary.json").read_text())["config"]
+        assert (config["hidden_dim"], config["lr"], config["use_baseline"]) == (9, 0.02, True)
+        assert config["resume_path"] == str(first / "checkpoint.npz")
+        # a fresh run records the settings as given
+        config = json.loads((first / "summary.json").read_text())["config"]
+        assert (config["hidden_dim"], config["lr"], config["use_baseline"]) == (9, 0.02, True)
+
     def test_missing_resume_checkpoint_exits_2(self, tmp_path):
         out = tmp_path / "r"
         assert run_cli(*search_args(out), "--resume",
@@ -427,6 +443,30 @@ class TestIncompatibleSettings:
         assert run_cli(*args) == 2
         assert "search only" in capsys.readouterr().err
         assert not out.exists()
+
+    CONTROLLER_SETTINGS = [("controller.hidden", "7"), ("adam.lr", "0.5"),
+                           ("controller.baseline", "on"), ("controller.baseline", "off")]
+
+    @pytest.mark.parametrize("key, value", CONTROLLER_SETTINGS)
+    def test_random_refuses_controller_flag(self, tmp_path, capsys, key, value):
+        out = tmp_path / "r"
+        assert run_cli("random", *search_args(out)[1:], SETTINGS[key].flag, value) == 2
+        assert (f"{key} is not read by random: random search has no controller"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", CONTROLLER_SETTINGS)
+    def test_random_refuses_controller_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("space = condensenet\nreward.kind = mixed\nreward.alpha = 0.5\n"
+                       f"run.iterations = 5\n{key} = {value}\n")
+        out = tmp_path / "r"
+        assert run_cli("random", "--config", str(cfg), "--out", str(out)) == 2
+        assert (f"{key} is not read by random: random search has no controller"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        # the same file drives a search
+        assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 0
 
     def test_mac_constraint_needs_macro_space(self, tmp_path, capsys):
         out = tmp_path / "a"

@@ -143,13 +143,17 @@ def test_sample_bytes(name, tmp_path, monkeypatch):
 @given(kind=st.sampled_from(SPACE_KINDS), seed=st.integers(0, 2**32 - 1),
        sequences=st.integers(1, 4), warmup=st.integers(0, 5))
 def test_one_draw_per_sequence_equals_one_draw_per_slot(kind, seed, sequences, warmup):
-    """rng.integers(arities) yields the per-slot scalar draws and the same generator state."""
-    arities = [len(slot.candidates) for slot in build_space(kind).slots]
-    whole, per_slot = np.random.default_rng(seed), np.random.default_rng(seed)
-    whole.random(warmup)
-    per_slot.random(warmup)
+    """rng.integers(arities) yields the per-slot scalar draws and the same generator
+    state, with the arities as a list of Python ints or, as `run_random` passes
+    them, as an int array."""
+    arities = list(build_space(kind).arities)
+    whole, per_slot, as_array = (np.random.default_rng(seed) for _ in range(3))
+    for rng in (whole, per_slot, as_array):
+        rng.random(warmup)
     for _ in range(sequences):
         drawn = whole.integers(arities).tolist()
         assert drawn == [int(per_slot.integers(n)) for n in arities]
+        assert drawn == as_array.integers(np.asarray(arities)).tolist()
         assert all(type(a) is int for a in drawn)
     assert whole.bit_generator.state == per_slot.bit_generator.state
+    assert whole.bit_generator.state == as_array.bit_generator.state

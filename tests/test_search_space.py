@@ -1,14 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archsearch import controller as ctl
 from archsearch.search_space import (AlexNetArch, CondenseNetArch, MACRO_OPS, MacroArch,
                                      arch_from_compact, arch_from_text, arch_to_compact,
                                      arch_to_dict, build_space, decode)
 
-from oracles import arch_from_dict, arch_to_text, encode
-from strategies import architectures
+from oracles import (arch_from_dict, arch_to_text, compact_reference, decode_reference, encode,
+                     macro_arch_refusal)
+from strategies import action_sequences, architectures
 
 # every CondenseNet-family row used in the results table fixture
 TABLE_ARCHS = [
@@ -273,3 +277,109 @@ class TestSerialization:
             arch_from_text("kind = resnet\n")
         with pytest.raises(ValueError):
             arch_from_text("not a key value line\n")
+
+
+class TestAgainstStraightLineOracles:
+    """The table-driven `decode`, `validate_sequence`, `arch_to_compact` and
+    `MacroArch` checks against the slot-by-slot forms in `oracles`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=action_sequences())
+    def test_decode_and_compact_match_oracles(self, drawn):
+        space, actions = drawn
+        arch = decode(space, actions)
+        assert arch == decode_reference(space, actions)
+        assert arch_to_compact(arch) == compact_reference(arch)
+        # numpy integers are integers too
+        assert decode(space, tuple(np.asarray(actions))) == arch
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=action_sequences(), data=st.data())
+    def test_out_of_range_action_refused_as_the_oracle_refuses_it(self, drawn, data):
+        space, actions = drawn
+        t = data.draw(st.integers(0, len(actions) - 1), label="slot")
+        bad = data.draw(st.one_of(st.integers(max_value=-1),
+                                  st.integers(min_value=space.arities[t])), label="action")
+        actions = actions[:t] + (bad,) + actions[t + 1:]
+        with pytest.raises(ValueError) as raised:
+            decode(space, actions)
+        with pytest.raises(ValueError) as expected:
+            decode_reference(space, actions)
+        assert str(raised.value) == str(expected.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=action_sequences(), data=st.data())
+    def test_non_integer_action_refused_naming_its_slot(self, drawn, data):
+        space, actions = drawn
+        t = data.draw(st.integers(0, len(actions) - 1), label="slot")
+        bad = data.draw(st.one_of(st.booleans(), st.floats(0, 1), st.just(float(actions[t])),
+                                  st.just(str(actions[t]))), label="action")
+        with pytest.raises(ValueError, match=re.escape(
+                f"action {bad!r} for slot {t} ({space.slots[t].name}) is not an integer")):
+            decode(space, actions[:t] + (bad,) + actions[t + 1:])
+
+    def test_half_skip_action_is_refused_not_wired(self):
+        space = build_space("macro")
+        actions = [0] * len(space.slots)
+        actions[2] = 0.5  # layer 2's skip from layer 1
+        with pytest.raises(ValueError, match="slot 2 .layer2.skip1. is not an integer"):
+            decode(space, tuple(actions))
+
+    def test_wrong_length_message_unchanged(self):
+        space = build_space("macro")
+        for actions in ((0,) * 77, (0,) * 79, ()):
+            with pytest.raises(ValueError) as raised:
+                decode(space, actions)
+            with pytest.raises(ValueError) as expected:
+                decode_reference(space, actions)
+            assert str(raised.value) == str(expected.value)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_macro_arch_refuses_as_the_checks_did(self, data):
+        """Unsorted, duplicate and out-of-range skips, list skips, unknown ops
+        and wrong lengths raise the exception and message the straight
+        checks raise; whatever they accept, MacroArch accepts."""
+        n_layers = data.draw(st.sampled_from([12, 12, 12, 11, 13]), label="layers")
+        ops = data.draw(st.lists(st.sampled_from(MACRO_OPS), min_size=n_layers,
+                                 max_size=n_layers), label="ops")
+        if data.draw(st.booleans(), label="unknown op"):
+            ops[data.draw(st.integers(0, n_layers - 1), label="at")] = data.draw(
+                st.sampled_from(["conv7x7", "", "pool"]), label="op")
+        skips = []
+        for layer in range(data.draw(st.sampled_from([n_layers, 12]), label="skip layers")):
+            in_range = st.integers(0, max(layer - 1, 0))
+            skips.append(tuple(data.draw(st.one_of(
+                st.lists(in_range, max_size=3, unique=True).map(sorted),
+                st.lists(in_range, max_size=3),  # unsorted or repeated
+                st.lists(st.integers(-2, 13), max_size=3)), label=f"skips {layer}")))
+        if data.draw(st.booleans(), label="a list"):
+            at = data.draw(st.integers(0, len(skips) - 1), label="at")
+            skips[at] = list(skips[at])
+        ops, skips = tuple(ops), tuple(skips)
+        expected = macro_arch_refusal(ops, skips)
+        if expected is None:
+            assert MacroArch(ops=ops, skips=skips).skips == skips
+        else:
+            with pytest.raises(type(expected)) as raised:
+                MacroArch(ops=ops, skips=skips)
+            assert str(raised.value) == str(expected)
+
+    @pytest.mark.parametrize("ops, skips", [
+        (("conv3x3",) * 12, ((), (), (1, 0)) + ((),) * 9),        # unsorted
+        (("conv3x3",) * 12, ((), (), (0, 0)) + ((),) * 9),        # duplicate
+        (("conv3x3",) * 12, ((), (), (2,)) + ((),) * 9),          # from itself
+        (("conv3x3",) * 12, ((), (-1,)) + ((),) * 10),            # negative
+        (("conv3x3",) * 12, ((), [0]) + ((),) * 10),              # a list
+        (("conv3x3",) * 12, ((), []) + ((),) * 10),               # an empty list
+        (("conv3x3",) * 11 + (["conv3x3"],), ((),) * 12),         # an unhashable op
+        (("conv3x3",) * 12, ((), ("0",)) + ((),) * 10),           # a string skip
+        (None, ((),) * 12),                                       # no ops at all
+    ], ids=["unsorted", "duplicate", "self", "negative", "list", "empty-list",
+            "unhashable-op", "string-skip", "none-ops"])
+    def test_macro_arch_refusal_examples(self, ops, skips):
+        expected = macro_arch_refusal(ops, skips)
+        assert expected is not None
+        with pytest.raises(type(expected)) as raised:
+            MacroArch(ops=ops, skips=skips)
+        assert str(raised.value) == str(expected)
