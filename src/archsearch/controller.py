@@ -21,9 +21,9 @@ import numpy as np
 
 from . import textio
 from .nn_core import (GATE_NAMES, INIT_SCALE, AdamState, LstmCellParams, LstmRecord,
-                      ParamBuffer, adam_step, clip_by_global_norm, init_lstm, lstm_backward,
-                      lstm_forward, lstm_shapes, ordered_outer_sum, ordered_row_sum,
-                      softmax_probs, softmax_sample)
+                      NormBlocks, ParamBuffer, adam_step, clip_by_global_norm, init_lstm,
+                      lstm_backward, lstm_forward, lstm_shapes, ordered_outer_sum,
+                      ordered_row_sum, softmax_probs, softmax_sample)
 from .search_space import SearchSpace, build_space, validate_sequence
 
 DEFAULT_HIDDEN = {"alexnet": 24, "condensenet": 20, "macro": 64}
@@ -31,13 +31,14 @@ DEFAULT_LR = {"alexnet": 0.03, "condensenet": 0.008, "macro": 0.0075}
 DEFAULT_CLIP_NORM = 5.0
 DEFAULT_BASELINE_DECAY = 0.95
 CHECKPOINT_VERSION = 2
-# the JSON type of the checkpoint meta values `load_checkpoint` reads into
-# the state ("adam." names one of the nested adam record); AdamState checks
-# adam.t's type itself
-META_TYPES = {"hidden_dim": int, "clip_norm": float, "use_baseline": bool,
-              "baseline_decay": float, "baseline": float, "revision": int,
-              "adam.lr": float, "adam.beta1": float, "adam.beta2": float,
-              "adam.eps": float}
+# the checkpoint meta values `save_checkpoint` writes from the state and
+# `load_checkpoint` reads back, in the order written, with their JSON type
+# ("adam." names one of the nested adam record, read from `state.adam`);
+# adam.t follows adam.eps, and AdamState checks its type itself
+META_TYPES = {"hidden_dim": int, "adam.lr": float, "adam.beta1": float,
+              "adam.beta2": float, "adam.eps": float, "clip_norm": float,
+              "use_baseline": bool, "baseline_decay": float, "baseline": float,
+              "revision": int}
 
 
 @dataclass
@@ -91,10 +92,11 @@ class ControllerState:
     # blocks its global norm is summed over; rewritten by every update.
     # A batch's further rollouts go through a second one, made on first use.
     grads: ParamBuffer = field(init=False, repr=False)
-    grad_blocks: dict[str, np.ndarray] = field(init=False, repr=False)
+    grad_blocks: NormBlocks = field(init=False, repr=False)
     batch_grads: ParamBuffer | None = field(default=None, init=False, repr=False)
     # where each step and head type sits in a rollout, fixed by the space
     slots: tuple[SlotHead, ...] = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)  # each slot's vocabulary offset
     heads: tuple[HeadSteps, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -109,6 +111,7 @@ class ControllerState:
             SlotHead(head, heads[:t].count(head), self.params[f"head.{head}.w"],
                      self.params[f"head.{head}.b"], offset)
             for t, (head, offset) in enumerate(zip(heads, self.space.vocab_offsets)))
+        self.offsets = np.asarray(self.space.vocab_offsets)
         steps_of = {head: np.flatnonzero([h == head for h in heads])
                     for head in self.space.head_types()}
         self.heads = tuple(
@@ -154,22 +157,19 @@ def _param_shapes(space: SearchSpace, hidden_dim: int) -> dict[str, tuple[int, .
     return shapes
 
 
-def _norm_blocks(grads: ParamBuffer) -> dict[str, np.ndarray]:
-    """Views that cut a gradient into the blocks its global norm is summed over.
+def _norm_blocks(grads: ParamBuffer) -> NormBlocks:
+    """A gradient cut into the blocks its global norm is summed over.
 
     Each gate's w, u and b in turn, then the heads. The norm adds one float
     sum per block, so the blocks and their order fix its rounding, which
     results.csv records as grad_norm.
     """
-    cell = LstmCellParams.from_tensors(grads)
-    blocks = {}
-    for gate in GATE_NAMES:
-        for kind, block in zip("wub", cell.gate(gate)):
-            blocks[f"lstm.{kind}_{gate}"] = block
-    for name, tensor in grads.items():
-        if not name.startswith("lstm."):
-            blocks[name] = tensor
-    return blocks
+    def cut(buffer: ParamBuffer) -> list[np.ndarray]:
+        cell = LstmCellParams.from_tensors(buffer)
+        blocks = [block for gate in GATE_NAMES for block in cell.gate(gate)]
+        return blocks + [tensor for name, tensor in buffer.items()
+                         if not name.startswith("lstm.")]
+    return NormBlocks(grads, cut)
 
 
 def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
@@ -177,25 +177,31 @@ def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
 
     Returns its actions and the rollout the update reads. The input of
     step t > 0 is the token of the previous choice: the previous slot's
-    vocabulary offset plus its action.
+    vocabulary offset plus its action. The rollout's uniforms are drawn
+    up front, the same values and generator state as one draw per step.
     """
     steps = len(state.slots)
     rollout = Rollout.empty(
         steps, state.hidden_dim, actions=np.empty(steps, dtype=int),
         probs={head.head: np.empty((len(head.steps), len(head.w))) for head in state.heads},
         revision=state.revision)
+    uniforms = state.rng.random(steps).tolist()
+    h, c = list(rollout.h), list(rollout.c)
+    outs = zip(list(rollout.gates), c[1:], list(rollout.tanh_c), h[1:])  # `LstmRecord.rows`
+    probs = {head: list(rows) for head, rows in rollout.probs.items()}
+    scratch = np.empty(())
     actions: list[int] = []
     token = None
-    for t, slot in enumerate(state.slots):
-        if token is not None:
-            rollout.tokens[t] = token
-        h, _ = lstm_forward(state.lstm, token, rollout.h[t], rollout.c[t],
-                            out=rollout.rows(t))
-        action, probs = softmax_sample(slot.w @ h + slot.b, state.rng)
-        rollout.probs[slot.head][slot.row] = probs
+    for slot, u, h_prev, c_prev, out in zip(state.slots, uniforms, h, c, outs):
+        h_t, _ = lstm_forward(state.lstm, token, h_prev, c_prev, out)
+        scores = probs[slot.head][slot.row]  # the logits, turned into probabilities
+        np.dot(slot.w, h_t, scores)
+        scores += slot.b
+        action = softmax_sample(scores, u, scratch)
         actions.append(action)
         token = slot.offset + action
     rollout.actions[:] = actions
+    rollout.tokens[1:] = state.offsets[:-1] + rollout.actions[:-1]
     return tuple(actions), rollout
 
 
@@ -293,19 +299,15 @@ def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
 
 def save_checkpoint(state: ControllerState, path: str | Path) -> None:
     """Write a resumable snapshot. Only the shipped space kinds can resume."""
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "space_kind": state.space.kind,
-        "hidden_dim": state.hidden_dim,
-        "adam": {"lr": state.adam.lr, "beta1": state.adam.beta1,
-                 "beta2": state.adam.beta2, "eps": state.adam.eps, "t": state.adam.t},
-        "clip_norm": state.clip_norm,
-        "use_baseline": state.use_baseline,
-        "baseline_decay": state.baseline_decay,
-        "baseline": state.baseline,
-        "revision": state.revision,
-        "rng_state": state.rng.bit_generator.state,
-    }
+    meta = {"version": CHECKPOINT_VERSION, "space_kind": state.space.kind}
+    for name in META_TYPES:
+        record, _, key = name.rpartition(".")
+        if record:
+            meta.setdefault(record, {})[key] = getattr(getattr(state, record), key)
+        else:
+            meta[key] = getattr(state, key)
+    meta["adam"]["t"] = state.adam.t
+    meta["rng_state"] = state.rng.bit_generator.state
     arrays: dict[str, np.ndarray] = {}
     for name, p in state.params.items():
         arrays[f"param/{name}"] = p

@@ -19,7 +19,7 @@ same order, and so to the same bits, as accumulating them step by step.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +27,14 @@ import numpy as np
 INIT_SCALE = 0.08  # uniform init range, keeps early softmax near-uniform
 
 GATE_NAMES = ("i", "f", "o", "g")
+
+# 0-d operands for the per-step kernels: a ufunc converts a Python float
+# operand on every call, an array it takes as it is
+_ONE = np.array(1.0)
+_MINUS_ONE = np.array(-1.0)
+_ZERO = np.array(0.0)
+for _constant in (_ONE, _MINUS_ONE, _ZERO):
+    _constant.flags.writeable = False
 
 
 class ParamBuffer(Mapping):
@@ -61,12 +69,22 @@ class ParamBuffer(Mapping):
         return len(self._views)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
-    # give the same values as evaluating each sign on its own subset
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+def sigmoid(x: np.ndarray, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]
+            ) -> np.ndarray:
+    """Overwrite ``x`` with its logistic sigmoid and return it.
+
+    exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
+    give the same values as evaluating each sign on its own subset.
+    ``scratch`` is three arrays of x's shape: float for e (then the
+    numerator), float for 1 + e, and bool for the sign mask.
+    """
+    num, den, nonneg = scratch
+    np.copysign(x, _MINUS_ONE, num)  # -|x|
+    np.exp(num, num)
+    np.add(num, _ONE, den)
+    np.greater_equal(x, _ZERO, nonneg)
+    np.putmask(num, nonneg, _ONE)
+    return np.divide(num, den, x)
 
 
 @dataclass
@@ -82,6 +100,10 @@ class LstmCellParams:
     w: np.ndarray
     u: np.ndarray
     b: np.ndarray
+    # `lstm_forward`'s temporaries, rewritten by every step: the `sigmoid`
+    # scratch for the 3H rows of i, f and o, and i * g
+    sigmoid_scratch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    ig_scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.u.ndim != 2 or self.u.shape[0] != 4 * self.u.shape[1]:
@@ -91,6 +113,9 @@ class LstmCellParams:
             raise ValueError(f"w must have shape ({four_h}, D), got {self.w.shape}")
         if self.b.shape != (four_h,):
             raise ValueError(f"b must have shape ({four_h},), got {self.b.shape}")
+        n = self.hidden_dim
+        self.sigmoid_scratch = (np.empty(3 * n), np.empty(3 * n), np.empty(3 * n, dtype=bool))
+        self.ig_scratch = np.empty(n)
 
     @property
     def input_dim(self) -> int:
@@ -175,17 +200,20 @@ def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
         raise ValueError(f"state must have shape ({n},)")
     gates, c, tanh_c, h = out
 
-    np.matmul(params.u, h_prev, out=gates)  # the pre-activations, squashed in place
+    # the pre-activations, squashed in place; np.dot runs the same gemv as
+    # np.matmul with less dispatch
+    np.dot(params.u, h_prev, gates)
     if token is not None:
         gates += params.w[:, token]
     gates += params.b
-    gates[:3 * n] = sigmoid(gates[:3 * n])
-    np.tanh(gates[3 * n:], out=gates[3 * n:])
-    i, f, o, g = gates[:n], gates[n:2 * n], gates[2 * n:3 * n], gates[3 * n:]
-    np.multiply(f, c_prev, out=c)
-    c += i * g
-    np.tanh(c, out=tanh_c)
-    np.multiply(o, tanh_c, out=h)
+    sigmoid(gates[:3 * n], params.sigmoid_scratch)
+    g = gates[3 * n:]
+    np.tanh(g, g)
+    np.multiply(gates[n:2 * n], c_prev, c)
+    ig = np.multiply(gates[:n], g, params.ig_scratch)
+    c += ig
+    np.tanh(c, tanh_c)
+    np.multiply(gates[2 * n:3 * n], tanh_c, h)
     return h, c
 
 
@@ -236,54 +264,71 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
         raise ValueError("record does not match params dimensions")
     if out.w.shape != params.w.shape or out.u.shape != params.u.shape:
         raise ValueError("gradient cell does not match params dimensions")
-    u_t = params.u.T  # its column blocks are each gate's u.T
-    u_i, u_f, u_o, u_g = u_t[:, :n], u_t[:, n:2 * n], u_t[:, 2 * n:3 * n], u_t[:, 3 * n:]
+    # gate k's u.T, so one stacked product gives the four per-gate products
+    u_blocks = params.u.reshape(4, n, n).transpose(0, 2, 1)
 
     # the factors that do not depend on the incoming gradient, for all steps
     gates, tanh_c = record.gates, record.tanh_c
     d_tanh_c = 1.0 - tanh_c * tanh_c
     d_sig = 1.0 - gates[:, :3 * n]
     d_cand = 1.0 - gates[:, 3 * n:] * gates[:, 3 * n:]
+    # what dc, dc and dh multiply first in the rows of i, f and o
+    firsts = np.concatenate((gates[:, 3 * n:], record.c[:steps], tanh_c), axis=1)
     # row k holds the pre-activation gradient of step steps-1-k: the rows
     # are in the order the parameter gradients add them
     d_pre_rows = np.empty((steps, 4 * n))
+    # the row views each step reads and writes, made once; the steps run
+    # from the last to the first
+    back = slice(None, None, -1)
+    step_rows = zip(*(list(a[back]) for a in (
+        output_grads, gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n],
+        gates[:, :3 * n], d_tanh_c, d_sig, d_cand, firsts)),
+        *(list(a) for a in (d_pre_rows[:, :3 * n], d_pre_rows[:, 3 * n:],
+                            d_pre_rows.reshape(steps, 4, n, 1))))
+    # each step's temporaries, all of them 1-D: a ufunc that broadcasts
+    # or reduces costs more per call than the arithmetic on H entries
+    dc_dc_dh = np.empty(3 * n)
+    dc, dc_copy, dh = dc_dc_dh[:n], dc_dc_dh[n:2 * n], dc_dc_dh[2 * n:]
     dh_next = np.zeros(n)
     dc_next = np.zeros(n)
-    for k, t in enumerate(range(steps - 1, -1, -1)):
-        gate = gates[t]
-        i, f, o, g = gate[:n], gate[n:2 * n], gate[2 * n:3 * n], gate[3 * n:]
-        dh = output_grads[t] + dh_next
-        dc = dc_next + dh * o * d_tanh_c[t]
+    gate_products = np.empty((4, n, 1))
+    p_i, p_f, p_o, p_g = gate_products[:, :, 0]
+    for (out_grad, i, f, o, ifo, d_tanh_c_t, d_sig_t, d_cand_t, first,
+         d_pre_ifo, d_pre_g, d_pre_blocks) in step_rows:
+        np.add(out_grad, dh_next, dh)
+        np.multiply(dh, o, dc)
+        dc *= d_tanh_c_t
+        dc += dc_next
+        np.copyto(dc_copy, dc)
 
         # gradient at the pre-activations, in the gate rows of w; a sigmoid
         # gate a takes ((x * y) * a) * (1 - a), multiplied in that order
-        d_pre = d_pre_rows[k]
-        np.multiply(dc, g, out=d_pre[:n])
-        np.multiply(dc, record.c[t], out=d_pre[n:2 * n])
-        np.multiply(dh, tanh_c[t], out=d_pre[2 * n:3 * n])
-        sig = d_pre[:3 * n]
-        sig *= gate[:3 * n]
-        sig *= d_sig[t]
-        np.multiply(dc * i, d_cand[t], out=d_pre[3 * n:])
+        np.multiply(dc_dc_dh, first, d_pre_ifo)
+        d_pre_ifo *= ifo
+        d_pre_ifo *= d_sig_t
+        np.multiply(dc, i, d_pre_g)
+        d_pre_g *= d_cand_t
 
-        # four per-gate products added in this order: one fused u.T @ d_pre
-        # sums in another order and rounds differently
-        dh_next = u_o @ d_pre[2 * n:3 * n]
-        dh_next += u_i @ d_pre[:n]
-        dh_next += u_f @ d_pre[n:2 * n]
-        dh_next += u_g @ d_pre[3 * n:]
-        dc_next = dc * f
+        # one gemv per gate, as four separate products round, added in the
+        # order o, i, f, g: one fused u.T @ d_pre sums in another order and
+        # rounds differently
+        np.matmul(u_blocks, d_pre_blocks, gate_products)
+        np.add(p_o, p_i, dh_next)
+        dh_next += p_f
+        dh_next += p_g
+        np.multiply(dc, f, dc_next)
 
     ordered_outer_sum(d_pre_rows, record.h[:steps][::-1], out=out.u)
     ordered_row_sum(d_pre_rows, out=out.b)
     tokens = record.tokens[::-1]  # in the order of the rows
-    fed = np.flatnonzero(tokens >= 0)
-    tokens, columns = tokens[fed], d_pre_rows[fed].T
+    fed = tokens >= 0
+    tokens, columns = tokens[fed], d_pre_rows[fed]
+    columns += _ZERO  # 0 + d, as a loop's first add gives (-0.0 becomes 0.0)
     out.w.fill(0.0)
     if len(set(tokens.tolist())) == len(tokens):
-        out.w[:, tokens] += columns  # one add per column: 0 + d, as a loop gives
+        out.w.T[tokens] = columns
     else:  # a repeated token's column adds its steps in row order
-        np.add.at(out.w, (slice(None), tokens), columns)
+        np.add.at(out.w, (slice(None), tokens), columns.T)
     return out
 
 
@@ -298,18 +343,25 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum()
 
 
-def softmax_sample(logits: np.ndarray, rng: np.random.Generator
-                   ) -> tuple[int, np.ndarray]:
-    """Sample an index from softmax(logits) with one uniform draw.
+def softmax_sample(scores: np.ndarray, u: float, scratch: np.ndarray) -> int:
+    """Turn the logits in ``scores`` into their softmax, in place, and pick
+    an index with the uniform draw ``u``.
 
+    The probabilities are `softmax_probs`'s, bit for bit: the same max and
+    sum reductions, each written into the 0-d float array ``scratch``.
     Inverse CDF: the index is the first position whose cumulative
-    probability exceeds the draw. Returns (index, probs).
+    probability exceeds ``u``, capped at the last one. With two entries
+    that is ``u >= p0``, since the second sum p0 + p1 is never below p0.
     """
-    probs = softmax_probs(logits)
-    u = rng.random()
-    index = int(probs.cumsum().searchsorted(u, side="right"))
-    index = min(index, len(probs) - 1)  # guard against cumsum rounding below 1
-    return index, probs
+    np.maximum.reduce(scores, None, None, scratch)
+    np.subtract(scores, scratch, scores)
+    np.exp(scores, scores)
+    np.add.reduce(scores, None, None, scratch)
+    np.divide(scores, scratch, scores)
+    if len(scores) == 2:
+        return 1 if u >= scores[0] else 0
+    index = int(scores.cumsum().searchsorted(u, side="right"))
+    return min(index, len(scores) - 1)  # guard against cumsum rounding below 1
 
 
 @dataclass
@@ -382,22 +434,37 @@ def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None
     params.flat += s
 
 
-def global_norm(grads: Mapping[str, np.ndarray]) -> float:
-    """L2 norm over all entries of all tensors, summed tensor by tensor."""
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    return float(np.sqrt(total))
+class NormBlocks:
+    """A flat gradient cut into the blocks its global norm adds, in order.
 
-
-def clip_by_global_norm(grads: Mapping[str, np.ndarray], max_norm: float) -> float:
-    """Scale grads in place so their global norm is at most max_norm.
-
-    Returns the norm before clipping.
+    The norm adds one float sum per block, so the blocks and their order
+    fix its rounding. ``cut`` maps a buffer of the gradient's layout to its
+    block views in that order (default: one block per tensor); each block
+    must be contiguous, as a tensor or a row block of one is. ``squares``
+    is scratch as long as the gradient, and ``blocks`` its cut.
     """
-    norm = global_norm(grads)
+
+    def __init__(self, grads: ParamBuffer,
+                 cut: Callable[[ParamBuffer], Iterable[np.ndarray]] = ParamBuffer.values
+                 ) -> None:
+        squares = grads.like()
+        self.flat = grads.flat
+        self.squares = squares.flat
+        self.blocks = tuple(cut(squares))
+
+
+def clip_by_global_norm(grads: NormBlocks, max_norm: float) -> float:
+    """Scale the gradient in place so its global norm is at most max_norm.
+
+    The norm squares every entry in one pass, then sums each block and adds
+    the sums in block order, as summing each block's squares on its own
+    does. Returns the norm before clipping.
+    """
+    np.multiply(grads.flat, grads.flat, grads.squares)
+    total = 0.0
+    for block in grads.blocks:
+        total += float(block.sum())
+    norm = math.sqrt(total)
     if norm > max_norm > 0.0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads.flat *= max_norm / norm
     return norm

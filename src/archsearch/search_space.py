@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -26,6 +26,7 @@ MACRO_OPS = ("conv3x3", "conv5x5", "sep_conv3x3", "sep_conv5x5",
              "avg_pool", "max_pool")
 MACRO_LAYERS = 12
 _MACRO_OP_SET = frozenset(MACRO_OPS)
+_INT_TYPE = frozenset((int,))
 # position of each macro layer's op slot in an action sequence; the layer's
 # skip slots, one per earlier layer, follow it
 _MACRO_OP_SLOTS = tuple(layer * (layer + 1) // 2 for layer in range(MACRO_LAYERS))
@@ -130,6 +131,8 @@ class MacroArch:
             if op not in MACRO_OPS:
                 raise ValueError(f"layer {i} has unknown op {op!r}")
         for i, sk in enumerate(self.skips):
+            if any(type(j) is not int for j in sk):
+                raise ValueError(f"layer {i} skip inputs must be integers, got {sk!r}")
             if any(j < 0 or j >= i for j in sk):
                 raise ValueError(f"layer {i} skip inputs must come from layers 0..{i - 1}")
             if tuple(sorted(set(sk))) != sk:
@@ -138,13 +141,14 @@ class MacroArch:
 
 def _well_formed(ops, skips) -> bool:
     """True if `MacroArch`'s checks would pass: known ops, and every skip
-    tuple strictly increasing within 0..layer-1. False leaves the verdict
-    to those checks."""
+    tuple strictly increasing ints within 0..layer-1. False leaves the
+    verdict to those checks."""
     try:
         return (len(ops) == MACRO_LAYERS == len(skips) and _MACRO_OP_SET.issuperset(ops)
                 and all(type(sk) is tuple and (not sk or (
                             sk[0] >= 0 and sk[-1] < layer and all(map(operator.lt, sk, sk[1:]))))
-                        for layer, sk in enumerate(skips)))
+                        for layer, sk in enumerate(skips))
+                and _INT_TYPE.issuperset(map(type, chain.from_iterable(skips))))
     except TypeError:  # an unhashable op or an unordered skip entry
         return False
 
@@ -183,10 +187,9 @@ def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
     if len(actions) != len(space.arities):
         raise ValueError(
             f"sequence has {len(actions)} actions, space has {len(space.arities)} slots")
-    for arity, a in zip(space.arities, actions):
-        if type(a) is not int or not 0 <= a < arity:
-            break
-    else:
+    # one pass each, in C: all plain ints, none negative, each below its arity
+    if (_INT_TYPE.issuperset(map(type, actions)) and min(actions, default=0) >= 0
+            and all(map(operator.lt, actions, space.arities))):
         return
     # a numpy integer lands here too, and passes
     for t, (arity, a) in enumerate(zip(space.arities, actions)):

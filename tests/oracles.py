@@ -46,6 +46,14 @@ def scalar_lstm_step(params, x, h_prev, c_prev):
     return np.array(h), np.array(c)
 
 
+def sigmoid_reference(x):
+    """The logistic sigmoid through fresh arrays: exp of -|x|, then
+    1/(1+e) where x >= 0 and e/(1+e) below."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def central_diff_grads(loss_fn, tensors: dict[str, np.ndarray],
                        eps: float = 1e-5) -> dict[str, np.ndarray]:
     """Central finite differences of loss_fn() w.r.t. every tensor entry.
@@ -186,6 +194,55 @@ def softmax_sample_reference(logits, rng):
     index = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     index = min(index, len(probs) - 1)
     return index, probs
+
+
+def global_norm_reference(blocks) -> float:
+    """L2 norm over all entries of the blocks of a mapping, one float sum of
+    fresh squares per block, the sums added in block order."""
+    total = 0.0
+    for g in blocks.values():
+        total += float((g * g).sum())
+    return float(np.sqrt(total))
+
+
+def lstm_step_reference(params, token, h_prev, c_prev):
+    """One LSTM step through fresh arrays, the gates' pre-activations added
+    as u @ h, then the token's column of w, then b: (gates, c, tanh_c, h)."""
+    n = params.hidden_dim
+    pre = params.u @ h_prev
+    if token is not None:
+        pre = pre + params.w[:, token]
+    pre = pre + params.b
+    gates = np.concatenate([sigmoid_reference(pre[:3 * n]), np.tanh(pre[3 * n:])])
+    i, f, o, g = gates[:n], gates[n:2 * n], gates[2 * n:3 * n], gates[3 * n:]
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return gates, c, tanh_c, o * tanh_c
+
+
+def sample_reference(state, rng):
+    """A rollout of the controller ``state`` drawn step by step from ``rng``:
+    per step an LSTM step, the head's logits ``w @ h + b`` and one scalar
+    draw through `softmax_sample_reference`; the next input is the previous
+    slot's vocabulary offset plus its action. Returns (actions, record),
+    the record a dict of per-step lists: tokens, gates, c, tanh_c, h, probs.
+    """
+    n = state.hidden_dim
+    h, c = np.zeros(n), np.zeros(n)
+    token = None
+    actions = []
+    record = {key: [] for key in ("tokens", "gates", "c", "tanh_c", "h", "probs")}
+    for slot, offset in zip(state.space.slots, state.space.vocab_offsets):
+        gates, c, tanh_c, h = lstm_step_reference(state.lstm, token, h, c)
+        logits = state.params[f"head.{slot.head}.w"] @ h + state.params[f"head.{slot.head}.b"]
+        action, probs = softmax_sample_reference(logits, rng)
+        record["tokens"].append(-1 if token is None else token)
+        for key, value in zip(("gates", "c", "tanh_c", "h", "probs"),
+                              (gates, c, tanh_c, h, probs)):
+            record[key].append(value)
+        actions.append(action)
+        token = offset + action
+    return tuple(actions), record
 
 
 def brute_force_front(points):
@@ -411,6 +468,8 @@ def macro_arch_refusal(ops, skips):
                           "avg_pool", "max_pool"):
                 raise ValueError(f"layer {i} has unknown op {op!r}")
         for i, sk in enumerate(skips):
+            if any(type(j) is not int for j in sk):
+                raise ValueError(f"layer {i} skip inputs must be integers, got {sk!r}")
             if any(j < 0 or j >= i for j in sk):
                 raise ValueError(f"layer {i} skip inputs must come from layers 0..{i - 1}")
             if tuple(sorted(set(sk))) != sk:

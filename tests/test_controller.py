@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archsearch import controller as ctl
 from archsearch.nn_core import adam_step, clip_by_global_norm
 from archsearch.search_space import DecisionSlot, SearchSpace, build_space
 
-from oracles import central_diff_grads, max_rel_error
+from oracles import central_diff_grads, max_rel_error, sample_reference
 
 
 def bandit_space(*arities):
@@ -66,6 +68,34 @@ class TestSampling:
         assert type(actions) is tuple and len(actions) == 78
         for slot, action in zip(space.slots, actions):
             assert 0 <= action < len(slot.candidates)
+
+
+class TestAgainstStepwiseSampler:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["alexnet", "condensenet", "macro"]),
+           seed=st.integers(0, 2**32 - 1), updates=st.integers(0, 3))
+    def test_rollout_equals_step_by_step_draws(self, kind, seed, updates):
+        """Uniforms drawn up front, the in-place softmax and the two-way pick
+        give the actions, every recorded row and the generator state of
+        one scalar draw and fresh arrays per step."""
+        state = ctl.create_controller(build_space(kind), seed=seed)
+        for _ in range(updates):  # weights away from their initial range
+            _, rollout = ctl.sample_sequence(state)
+            ctl.reinforce_update_batch(state, [rollout], [5.0])
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state.rng.bit_generator.state
+        expected_actions, expected = sample_reference(state, rng)
+        actions, rollout = ctl.sample_sequence(state)
+        assert actions == expected_actions
+        assert rollout.actions.tolist() == list(actions)
+        assert rollout.tokens.tolist() == expected["tokens"]
+        for key in ("gates", "tanh_c"):
+            assert getattr(rollout, key).tobytes() == np.array(expected[key]).tobytes()
+        for key in ("c", "h"):  # row 0 is the zero state
+            assert getattr(rollout, key)[1:].tobytes() == np.array(expected[key]).tobytes()
+        for slot, probs in zip(state.slots, expected["probs"]):
+            assert rollout.probs[slot.head][slot.row].tobytes() == probs.tobytes()
+        assert state.rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestActionLogProb:
@@ -383,6 +413,34 @@ class TestCheckpoint:
         rewrite(path, lambda contents: contents.__setitem__("param/lstm.w_i", np.zeros(3)))
         with pytest.raises(ValueError, match="unexpected array 'param/lstm.w_i'"):
             ctl.load_checkpoint(path)
+
+
+class TestCheckpointMeta:
+    def test_every_meta_key_round_trips_with_its_type(self, tmp_path):
+        state = ctl.create_controller(build_space("macro"), seed=3, hidden_dim=5, lr=0.02,
+                                      clip_norm=2.5, use_baseline=True, baseline_decay=0.7)
+        for reward in (0.4, -0.3):
+            _, rollout = ctl.sample_sequence(state)
+            ctl.reinforce_update_batch(state, [rollout], [reward])
+        path = tmp_path / "c.npz"
+        ctl.save_checkpoint(state, path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        restored = ctl.load_checkpoint(path)
+        for name, kind in ctl.META_TYPES.items():
+            record, _, key = name.rpartition(".")
+            value = (meta[record] if record else meta)[key]
+            assert type(value) is kind, name
+            owner, restored_owner = ((state.adam, restored.adam) if record
+                                     else (state, restored))
+            assert value == getattr(owner, key) == getattr(restored_owner, key), name
+        # the record's layout: the keys of META_TYPES in their order, adam
+        # nested, with adam.t after them
+        assert list(meta) == ["version", "space_kind", "hidden_dim", "adam", "clip_norm",
+                              "use_baseline", "baseline_decay", "baseline", "revision",
+                              "rng_state"]
+        assert list(meta["adam"]) == ["lr", "beta1", "beta2", "eps", "t"]
+        assert meta["adam"]["t"] == restored.adam.t == 2
 
 
 def saved_checkpoint(tmp_path):

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 from archsearch import nn_core as nc
 
 from oracles import (adam_reference, adam_step_reference, central_diff_grads,
-                     max_rel_error, scalar_lstm_step, sequential_outer_sum,
+                     global_norm_reference, lstm_step_reference, max_rel_error,
+                     scalar_lstm_step, sequential_outer_sum, sigmoid_reference,
                      softmax_sample_reference, stepwise_lstm_backward)
 
 
@@ -21,6 +22,11 @@ def zero_lstm(input_dim, hidden_dim):
 def named(cell):
     """A cell's tensors under the names of `nc.lstm_shapes`."""
     return {"lstm.w": cell.w, "lstm.u": cell.u, "lstm.b": cell.b}
+
+
+def sigmoid_scratch(size):
+    """The scratch `nc.sigmoid` takes for ``size`` entries."""
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
 
 
 def seeded_lstm(input_dim=3, hidden_dim=2, seed=0, scale=0.5):
@@ -158,7 +164,8 @@ class TestLstmForward:
         ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         ref[~pos] = ex / (1.0 + ex)
-        np.testing.assert_array_equal(nc.sigmoid(x).view(np.int64), ref.view(np.int64))
+        got = nc.sigmoid(x.copy(), sigmoid_scratch(len(x)))
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def run_forward(params, tokens):
@@ -259,6 +266,108 @@ class TestLstmBackward:
                 nc.lstm_backward(params, record, np.zeros((2, 2)), out=out)
 
 
+class TestKernelFacts:
+    """The numeric facts the per-step kernels rely on, each against the
+    plain computation it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_gate_products_equal_four_gemvs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(4 * n, n))
+        d_pre = rng.normal(size=4 * n)
+        stacked = np.matmul(u.reshape(4, n, n).transpose(0, 2, 1), d_pre.reshape(4, n, 1))
+        u_t = u.T  # its column blocks are each gate's u.T
+        for k in range(4):
+            gemv = u_t[:, k * n:(k + 1) * n] @ d_pre[k * n:(k + 1) * n]
+            assert np.array_equal(bits(stacked[k, :, 0]), bits(gemv)), k
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -3e-310,
+                         745.0, -745.0, 1e300, -1e300, math.inf, -math.inf]),
+        st.floats(allow_nan=False))))
+    def test_scratch_sigmoid_equals_fresh_arrays(self, x):
+        got = nc.sigmoid(x.copy(), sigmoid_scratch(len(x)))
+        assert np.array_equal(bits(got), bits(sigmoid_reference(x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=st.lists(st.floats(-800.0, 800.0), min_size=2, max_size=2),
+           u=st.floats(0.0, 1.0, exclude_max=True), nudge=st.sampled_from([None, -1, 0, 1]))
+    def test_two_way_pick_equals_searchsorted(self, logits, u, nudge):
+        """u >= p0 picks what the capped searchsorted on the cumsum picks,
+        also at u == p0 and one step either side of it."""
+        probs = np.array(logits)
+        nc.softmax_sample(probs, 0.5, np.empty(()))
+        if nudge is not None:
+            u = float(np.nextafter(probs[0], (-1.0, probs[0], 2.0)[nudge + 1]))
+        expected = min(int(probs.cumsum().searchsorted(u, side="right")), 1)
+        assert nc.softmax_sample(np.array(logits), u, np.empty(())) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1), steps=st.integers(0, 100),
+           warmup=st.integers(0, 3))
+    def test_uniforms_drawn_at_once_equal_scalar_draws(self, seed, steps, warmup):
+        whole, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole.random(warmup)
+        scalar.random(warmup)
+        drawn = whole.random(steps).tolist()
+        assert drawn == [scalar.random() for _ in range(steps)]
+        assert whole.bit_generator.state == scalar.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), shapes=st.lists(
+        st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple), min_size=1, max_size=5))
+    def test_block_norm_equals_norm_of_fresh_squares(self, data, shapes):
+        """One pass of squares, then one sum per block, gives the norm of
+        summing each block's fresh squares, with all-zero blocks, and
+        clips only above the bound: a norm equal to it leaves the gradient."""
+        tensors = {f"t{k}": data.draw(arrays(np.float64, shape, elements=st.one_of(
+            st.just(0.0), st.floats(-1e100, 1e100))), label=f"t{k}")
+            for k, shape in enumerate(shapes)}
+        grads = buffer(**tensors)
+        expected = global_norm_reference(grads)
+        before = grads.flat.copy()
+        max_norm = data.draw(st.sampled_from([expected, 1.0, math.inf]), label="max_norm")
+        norm = nc.clip_by_global_norm(nc.NormBlocks(grads), max_norm)
+        assert repr(norm) == repr(expected)
+        if norm > max_norm:
+            assert np.array_equal(bits(grads.flat), bits(before * (max_norm / norm)))
+        else:
+            assert np.array_equal(bits(grads.flat), bits(before))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), hidden_dim=st.sampled_from([1, 7, 20, 24, 64]),
+           input_dim=st.sampled_from([1, 30, 204]), seed=st.integers(0, 2**32 - 1))
+    def test_forward_equals_fresh_array_step(self, data, hidden_dim, input_dim, seed):
+        params = seeded_lstm(input_dim, hidden_dim, seed=seed, scale=1.5)
+        rng = np.random.default_rng(seed)
+        h, c = rng.normal(size=hidden_dim), rng.normal(size=hidden_dim) * 3
+        token = data.draw(st.one_of(st.none(), st.integers(0, input_dim - 1)), label="token")
+        rows = (np.empty(4 * hidden_dim), np.empty(hidden_dim), np.empty(hidden_dim),
+                np.empty(hidden_dim))
+        nc.lstm_forward(params, token, h, c, out=rows)
+        for got, expected in zip(rows, lstm_step_reference(params, token, h, c)):
+            assert np.array_equal(bits(got), bits(expected))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), hidden_dim=st.sampled_from([20, 24, 64]),
+           steps=st.integers(1, 78), seed=st.integers(0, 2**32 - 1))
+    def test_backward_equals_stepwise_at_controller_sizes(self, data, hidden_dim, steps,
+                                                          seed):
+        """As `TestLstmBackward`'s oracle test, at the shipped spaces' hidden
+        sizes and up to the macro space's 78 steps and 204 tokens."""
+        params = seeded_lstm(204, hidden_dim, seed=seed, scale=0.3)
+        rng = np.random.default_rng(seed)
+        tokens = [None] + rng.choice(204, size=steps - 1, replace=False).tolist()
+        record = run_forward(params, tokens)
+        output_grads = rng.normal(size=(steps, hidden_dim))
+        grads = named(backward(params, record, output_grads))
+        expected = stepwise_lstm_backward(params, record, output_grads)
+        for name, tensor in expected.items():
+            assert np.array_equal(bits(grads[name]), bits(tensor)), name
+
+
 class TestOrderedSums:
     """The gradient sums: einsum along t, bit for bit the sequential loop."""
 
@@ -303,8 +412,8 @@ class TestSoftmaxSample:
         np.testing.assert_allclose(probs, 0.2, rtol=1e-15)
 
     def test_saturation(self):
-        index, probs = nc.softmax_sample(
-            np.array([50.0, -50.0, -50.0]), np.random.default_rng(0))
+        probs = np.array([50.0, -50.0, -50.0])
+        index = nc.softmax_sample(probs, np.random.default_rng(0).random(), np.empty(()))
         assert index == 0
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -327,14 +436,18 @@ class TestSoftmaxSample:
         counts = np.zeros(3)
         draws = 100_000
         for _ in range(draws):
-            index, _ = nc.softmax_sample(logits, rng)
+            index = nc.softmax_sample(logits.copy(), rng.random(), np.empty(()))
             counts[index] += 1
         np.testing.assert_allclose(counts / draws, expected, atol=0.01)
 
     def test_determinism_under_seed(self):
         logits = np.array([0.4, -1.2, 0.9, 0.0])
-        draws1 = [nc.softmax_sample(logits, np.random.default_rng(11))[0] for _ in range(1)]
-        draws2 = [nc.softmax_sample(logits, np.random.default_rng(11))[0] for _ in range(1)]
+        draws1 = [nc.softmax_sample(logits.copy(), np.random.default_rng(11).random(),
+                                     np.empty(()))
+                  for _ in range(1)]
+        draws2 = [nc.softmax_sample(logits.copy(), np.random.default_rng(11).random(),
+                                     np.empty(()))
+                  for _ in range(1)]
         assert draws1 == draws2
 
 
@@ -346,7 +459,8 @@ class TestSoftmaxSample:
         logits = np.array(logits)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         with np.errstate(all="ignore"):  # extreme logits over/underflow alike
-            index, probs = nc.softmax_sample(logits, rng)
+            probs = logits.copy()  # turned into the probabilities in place
+            index = nc.softmax_sample(probs, rng.random(), np.empty(()))
             ref_index, ref_probs = softmax_sample_reference(logits, ref_rng)
         assert index == ref_index
         assert repr(probs.tolist()) == repr(ref_probs.tolist())
@@ -463,12 +577,12 @@ class TestAdam:
 
 class TestClipping:
     def test_norm_reported_and_clipped(self):
-        grads = {"a": np.array([3.0, 4.0])}
-        norm = nc.clip_by_global_norm(grads, 1.0)
+        grads = buffer(a=np.array([3.0, 4.0]))
+        norm = nc.clip_by_global_norm(nc.NormBlocks(grads), 1.0)
         assert norm == pytest.approx(5.0)
-        assert nc.global_norm(grads) == pytest.approx(1.0)
+        assert global_norm_reference(grads) == pytest.approx(1.0)
 
     def test_no_clip_below_threshold(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        nc.clip_by_global_norm(grads, 1.0)
+        grads = buffer(a=np.array([0.3, 0.4]))
+        nc.clip_by_global_norm(nc.NormBlocks(grads), 1.0)
         np.testing.assert_allclose(grads["a"], [0.3, 0.4])

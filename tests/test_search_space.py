@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from archsearch import controller as ctl
 from archsearch.search_space import (AlexNetArch, CondenseNetArch, MACRO_OPS, MacroArch,
                                      arch_from_compact, arch_from_text, arch_to_compact,
-                                     arch_to_dict, build_space, decode)
+                                     arch_to_dict, build_space, decode, _well_formed)
 
 from oracles import (arch_from_dict, arch_to_text, compact_reference, decode_reference, encode,
                      macro_arch_refusal)
@@ -187,6 +187,24 @@ class TestMacroArchInvariants:
         with pytest.raises(ValueError):
             MacroArch(ops=("conv3x3",) * 12,
                       skips=((), (), (1, 0)) + ((),) * 9)
+
+    @pytest.mark.parametrize("skip, layer", [
+        ((0.5,), 1), ((False,), 1), ((True,), 2), ((0, 1.0), 2), ((np.int64(0),), 1)],
+        ids=["half", "false", "true", "float-one", "numpy-int"])
+    def test_non_integer_skip_rejected_naming_the_layer(self, skip, layer):
+        """In range and increasing, so only the entry type is wrong: the fast
+        accept turns it down and the checks name the layer."""
+        skips = tuple(skip if i == layer else () for i in range(12))
+        assert not _well_formed(("conv3x3",) * 12, skips)
+        with pytest.raises(ValueError, match=f"layer {layer} skip inputs must be integers"):
+            MacroArch(ops=("conv3x3",) * 12, skips=skips)
+
+    def test_non_integer_skip_named_when_another_layer_is_a_list(self):
+        """The same refusal on the checks' path alone: a list in a later
+        layer already rules out the fast accept."""
+        skips = ((), (0.5,), [0]) + ((),) * 9
+        with pytest.raises(ValueError, match="layer 1 skip inputs must be integers"):
+            MacroArch(ops=("conv3x3",) * 12, skips=skips)
 
 
 class TestArchitectureShape:
@@ -374,9 +392,11 @@ class TestAgainstStraightLineOracles:
         (("conv3x3",) * 12, ((), []) + ((),) * 10),               # an empty list
         (("conv3x3",) * 11 + (["conv3x3"],), ((),) * 12),         # an unhashable op
         (("conv3x3",) * 12, ((), ("0",)) + ((),) * 10),           # a string skip
+        (("conv3x3",) * 12, ((), (0.5,)) + ((),) * 10),           # a float skip
+        (("conv3x3",) * 12, ((), (False,)) + ((),) * 10),         # a bool skip
         (None, ((),) * 12),                                       # no ops at all
     ], ids=["unsorted", "duplicate", "self", "negative", "list", "empty-list",
-            "unhashable-op", "string-skip", "none-ops"])
+            "unhashable-op", "string-skip", "float-skip", "bool-skip", "none-ops"])
     def test_macro_arch_refusal_examples(self, ops, skips):
         expected = macro_arch_refusal(ops, skips)
         assert expected is not None
