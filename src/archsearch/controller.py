@@ -96,7 +96,6 @@ class ControllerState:
     batch_grads: ParamBuffer | None = field(default=None, init=False, repr=False)
     # where each step and head type sits in a rollout, fixed by the space
     slots: tuple[SlotHead, ...] = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)  # each slot's vocabulary offset
     heads: tuple[HeadSteps, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -111,7 +110,6 @@ class ControllerState:
             SlotHead(head, heads[:t].count(head), self.params[f"head.{head}.w"],
                      self.params[f"head.{head}.b"], offset)
             for t, (head, offset) in enumerate(zip(heads, self.space.vocab_offsets)))
-        self.offsets = np.asarray(self.space.vocab_offsets)
         steps_of = {head: np.flatnonzero([h == head for h in heads])
                     for head in self.space.head_types()}
         self.heads = tuple(
@@ -191,6 +189,7 @@ def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
     probs = {head: list(rows) for head, rows in rollout.probs.items()}
     scratch = np.empty(())
     actions: list[int] = []
+    tokens: list[int] = []  # the input of each next step
     token = None
     for slot, u, h_prev, c_prev, out in zip(state.slots, uniforms, h, c, outs):
         h_t, _ = lstm_forward(state.lstm, token, h_prev, c_prev, out)
@@ -200,8 +199,9 @@ def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
         action = softmax_sample(scores, u, scratch)
         actions.append(action)
         token = slot.offset + action
+        tokens.append(token)
     rollout.actions[:] = actions
-    rollout.tokens[1:] = state.offsets[:-1] + rollout.actions[:-1]
+    rollout.tokens[1:] = tokens[:-1]
     return tuple(actions), rollout
 
 

@@ -439,14 +439,13 @@ class NormBlocks:
 
     The norm adds one float sum per block, so the blocks and their order
     fix its rounding. ``cut`` maps a buffer of the gradient's layout to its
-    block views in that order (default: one block per tensor); each block
-    must be contiguous, as a tensor or a row block of one is. ``squares``
-    is scratch as long as the gradient, and ``blocks`` its cut.
+    block views in that order; each block must be contiguous, as a tensor
+    or a row block of one is. ``squares`` is scratch as long as the
+    gradient, and ``blocks`` its cut.
     """
 
     def __init__(self, grads: ParamBuffer,
-                 cut: Callable[[ParamBuffer], Iterable[np.ndarray]] = ParamBuffer.values
-                 ) -> None:
+                 cut: Callable[[ParamBuffer], Iterable[np.ndarray]]) -> None:
         squares = grads.like()
         self.flat = grads.flat
         self.squares = squares.flat

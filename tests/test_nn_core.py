@@ -329,12 +329,20 @@ class TestKernelFacts:
         expected = global_norm_reference(grads)
         before = grads.flat.copy()
         max_norm = data.draw(st.sampled_from([expected, 1.0, math.inf]), label="max_norm")
-        norm = nc.clip_by_global_norm(nc.NormBlocks(grads), max_norm)
+        norm = nc.clip_by_global_norm(nc.NormBlocks(grads, nc.ParamBuffer.values), max_norm)
         assert repr(norm) == repr(expected)
         if norm > max_norm:
             assert np.array_equal(bits(grads.flat), bits(before * (max_norm / norm)))
         else:
             assert np.array_equal(bits(grads.flat), bits(before))
+
+    def test_block_sums_added_in_block_order(self):
+        """1.0 and then eight squares of 2**-54 each: added one by one to the
+        first block's sum they vanish, though together they would not."""
+        grads = buffer(a=np.ones(1), **{f"b{k}": np.full(1, 2.0**-27) for k in range(8)})
+        assert global_norm_reference(grads) == 1.0
+        assert math.sqrt(1.0 + 8 * 2.0**-54) > 1.0
+        assert nc.clip_by_global_norm(nc.NormBlocks(grads, nc.ParamBuffer.values), 5.0) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), hidden_dim=st.sampled_from([1, 7, 20, 24, 64]),
@@ -578,11 +586,11 @@ class TestAdam:
 class TestClipping:
     def test_norm_reported_and_clipped(self):
         grads = buffer(a=np.array([3.0, 4.0]))
-        norm = nc.clip_by_global_norm(nc.NormBlocks(grads), 1.0)
+        norm = nc.clip_by_global_norm(nc.NormBlocks(grads, nc.ParamBuffer.values), 1.0)
         assert norm == pytest.approx(5.0)
         assert global_norm_reference(grads) == pytest.approx(1.0)
 
     def test_no_clip_below_threshold(self):
         grads = buffer(a=np.array([0.3, 0.4]))
-        nc.clip_by_global_norm(nc.NormBlocks(grads), 1.0)
+        nc.clip_by_global_norm(nc.NormBlocks(grads, nc.ParamBuffer.values), 1.0)
         np.testing.assert_allclose(grads["a"], [0.3, 0.4])
