@@ -185,7 +185,7 @@ def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
         revision=state.revision)
     uniforms = state.rng.random(steps).tolist()
     h, c = list(rollout.h), list(rollout.c)
-    outs = zip(list(rollout.gates), c[1:], list(rollout.tanh_c), h[1:])  # `LstmRecord.rows`
+    outs = zip(list(rollout.gates), c[1:], list(rollout.tanh_c), h[1:])
     probs = {head: list(rows) for head, rows in rollout.probs.items()}
     scratch = np.empty(())
     actions: list[int] = []

@@ -18,6 +18,7 @@ same order, and so to the same bits, as accumulating them step by step.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -100,10 +101,6 @@ class LstmCellParams:
     w: np.ndarray
     u: np.ndarray
     b: np.ndarray
-    # `lstm_forward`'s temporaries, rewritten by every step: the `sigmoid`
-    # scratch for the 3H rows of i, f and o, and i * g
-    sigmoid_scratch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    ig_scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.u.ndim != 2 or self.u.shape[0] != 4 * self.u.shape[1]:
@@ -113,9 +110,19 @@ class LstmCellParams:
             raise ValueError(f"w must have shape ({four_h}, D), got {self.w.shape}")
         if self.b.shape != (four_h,):
             raise ValueError(f"b must have shape ({four_h},), got {self.b.shape}")
+
+    # `lstm_forward`'s temporaries, made on a cell's first step (a gradient
+    # cell never takes one) and rewritten by every step
+    @functools.cached_property
+    def sigmoid_scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The `sigmoid` scratch for the 3H rows of i, f and o."""
         n = self.hidden_dim
-        self.sigmoid_scratch = (np.empty(3 * n), np.empty(3 * n), np.empty(3 * n, dtype=bool))
-        self.ig_scratch = np.empty(n)
+        return np.empty(3 * n), np.empty(3 * n), np.empty(3 * n, dtype=bool)
+
+    @functools.cached_property
+    def ig_scratch(self) -> np.ndarray:
+        """Where i * g goes."""
+        return np.empty(self.hidden_dim)
 
     @property
     def input_dim(self) -> int:
@@ -177,10 +184,6 @@ class LstmRecord:
                    h=np.zeros((steps + 1, hidden_dim)), c=np.zeros((steps + 1, hidden_dim)),
                    tanh_c=np.empty((steps, hidden_dim)), **fields)
 
-    def rows(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Where step t's (gates, c, tanh_c, h) go: the ``out`` of `lstm_forward`."""
-        return self.gates[t], self.c[t + 1], self.tanh_c[t], self.h[t + 1]
-
 
 def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
                  c_prev: np.ndarray, out: tuple[np.ndarray, ...]
@@ -191,7 +194,7 @@ def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
         c = f * c_prev + i * g
         h = o * tanh(c)
     Returns (h, c). ``out`` is the rows (gates, c, tanh_c, h) to write the
-    step into, as `LstmRecord.rows` gives them.
+    step into: of an `LstmRecord`, gates[t], c[t + 1], tanh_c[t], h[t + 1].
     """
     n = params.hidden_dim
     if token is not None and not 0 <= token < params.input_dim:

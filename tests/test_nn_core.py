@@ -173,7 +173,8 @@ def run_forward(params, tokens):
     record = nc.LstmRecord.empty(len(tokens), params.hidden_dim)
     for t, token in enumerate(tokens):
         record.tokens[t] = -1 if token is None else token
-        nc.lstm_forward(params, token, record.h[t], record.c[t], out=record.rows(t))
+        nc.lstm_forward(params, token, record.h[t], record.c[t],
+                        out=(record.gates[t], record.c[t + 1], record.tanh_c[t], record.h[t + 1]))
     return record
 
 
