@@ -162,12 +162,11 @@ def _norm_blocks(grads: ParamBuffer) -> NormBlocks:
     sum per block, so the blocks and their order fix its rounding, which
     results.csv records as grad_norm.
     """
-    def cut(buffer: ParamBuffer) -> list[np.ndarray]:
-        cell = LstmCellParams.from_tensors(buffer)
-        blocks = [block for gate in GATE_NAMES for block in cell.gate(gate)]
-        return blocks + [tensor for name, tensor in buffer.items()
-                         if not name.startswith("lstm.")]
-    return NormBlocks(grads, cut)
+    squares = grads.like()
+    cell = LstmCellParams.from_tensors(squares)
+    blocks = [block for gate in GATE_NAMES for block in cell.gate(gate)]
+    blocks += [tensor for name, tensor in squares.items() if not name.startswith("lstm.")]
+    return NormBlocks(grads.flat, squares.flat, tuple(blocks))
 
 
 def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
@@ -220,11 +219,16 @@ def action_log_prob(state: ControllerState, actions: tuple[int, ...]) -> float:
     c = np.zeros(n)
     # (gates, c, tanh_c, h), as lstm_forward writes them
     rows = [(np.empty(4 * n), np.empty(n), np.empty(n), np.empty(n)) for _ in range(2)]
+    scores = {head.head: np.empty(len(head.w)) for head in state.heads}
+    scratch = np.empty(())
     token = None
     total = 0.0
     for t, (slot, action) in enumerate(zip(state.slots, actions)):
         h, c = lstm_forward(state.lstm, token, h, c, out=rows[t % 2])
-        probs = softmax_probs(slot.w @ h + slot.b)
+        probs = scores[slot.head]  # the logits, turned into probabilities
+        np.dot(slot.w, h, probs)
+        probs += slot.b
+        softmax_probs(probs, scratch)
         total += float(np.log(probs[action]))
         token = slot.offset + action
     return total

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .search_space import (Architecture, MACRO_OPS, SPACE_KINDS, MacroArch, Sear
 
 DEFAULT_WINDOW = 50
 RANDOM_RESUME_ERROR = "run.resume is for search only: random search has no controller"
-RANDOM_CHUNK = 64  # action sequences random search draws per generator call
 
 RESULTS_HEADER = ("iteration", "actions", "accuracy", "energy", "peak_power",
                   "mac_normalized", "reward", "grad_norm")
@@ -257,21 +256,11 @@ def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResu
     """Uniform random search through the same loop, no updates; refuses ``resume_path``."""
     if cfg.resume_path is not None:
         raise ValueError(RANDOM_RESUME_ERROR)
-    rows = _random_rows(np.random.default_rng(cfg.seed), build_space(cfg.space_kind).arities)
-    return _run(cfg, lambda: (next(rows), None), lambda rollouts, rewards: 0.0, None,
-                evaluator)
-
-
-def _random_rows(rng: np.random.Generator, arities: tuple[int, ...]
-                 ) -> Iterator[tuple[int, ...]]:
-    """Uniform action sequences, one draw per slot in slot order.
-
-    Drawn RANDOM_CHUNK rows per generator call: the same values, and at
-    each chunk's end the same generator state, as one call per row.
-    """
-    bounds = np.broadcast_to(np.asarray(arities), (RANDOM_CHUNK, len(arities)))
-    while True:
-        yield from map(tuple, rng.integers(bounds).tolist())
+    rng = np.random.default_rng(cfg.seed)
+    # one draw per slot, in slot order, as from a list of the arities
+    arities = np.asarray(build_space(cfg.space_kind).arities)
+    return _run(cfg, lambda: (tuple(rng.integers(arities).tolist()), None),
+                lambda rollouts, rewards: 0.0, None, evaluator)
 
 
 def compute_stats(records: list[IterationRecord], spec: RewardSpec,

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,32 +336,31 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
     return out
 
 
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max subtraction)."""
-    if logits.size == 0:
-        raise ValueError("softmax of empty logits")
-    # the ndarray methods run the same reductions as np.max/np.sum without
-    # the dispatch of the module-level wrappers
-    shifted = logits - logits.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
+def softmax_probs(scores: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Turn the logits in ``scores`` into their softmax, in place, and
+    return ``scores``.
 
-
-def softmax_sample(scores: np.ndarray, u: float, scratch: np.ndarray) -> int:
-    """Turn the logits in ``scores`` into their softmax, in place, and pick
-    an index with the uniform draw ``u``.
-
-    The probabilities are `softmax_probs`'s, bit for bit: the same max and
-    sum reductions, each written into the 0-d float array ``scratch``.
-    Inverse CDF: the index is the first position whose cumulative
-    probability exceeds ``u``, capped at the last one. With two entries
-    that is ``u >= p0``, since the second sum p0 + p1 is never below p0.
+    Numerically stable: the max is subtracted before the exp. The max and
+    then the sum are written into the 0-d float array ``scratch``. Empty
+    logits raise ValueError, as their max has no value.
     """
     np.maximum.reduce(scores, None, None, scratch)
     np.subtract(scores, scratch, scores)
     np.exp(scores, scores)
     np.add.reduce(scores, None, None, scratch)
     np.divide(scores, scratch, scores)
+    return scores
+
+
+def softmax_sample(scores: np.ndarray, u: float, scratch: np.ndarray) -> int:
+    """Turn the logits in ``scores`` into their softmax with
+    `softmax_probs`, in place, and pick an index with the uniform draw ``u``.
+
+    Inverse CDF: the index is the first position whose cumulative
+    probability exceeds ``u``, capped at the last one. With two entries
+    that is ``u >= p0``, since the second sum p0 + p1 is never below p0.
+    """
+    softmax_probs(scores, scratch)
     if len(scores) == 2:
         return 1 if u >= scores[0] else 0
     index = int(scores.cumsum().searchsorted(u, side="right"))
@@ -437,22 +437,18 @@ def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None
     params.flat += s
 
 
-class NormBlocks:
-    """A flat gradient cut into the blocks its global norm adds, in order.
+class NormBlocks(NamedTuple):
+    """A flat gradient and the blocks its global norm adds, in order.
 
     The norm adds one float sum per block, so the blocks and their order
-    fix its rounding. ``cut`` maps a buffer of the gradient's layout to its
-    block views in that order; each block must be contiguous, as a tensor
-    or a row block of one is. ``squares`` is scratch as long as the
-    gradient, and ``blocks`` its cut.
+    fix its rounding. ``squares`` is scratch as long as ``flat``, and
+    ``blocks`` are contiguous views of it in that order, each a tensor or
+    a row block of one.
     """
 
-    def __init__(self, grads: ParamBuffer,
-                 cut: Callable[[ParamBuffer], Iterable[np.ndarray]]) -> None:
-        squares = grads.like()
-        self.flat = grads.flat
-        self.squares = squares.flat
-        self.blocks = tuple(cut(squares))
+    flat: np.ndarray
+    squares: np.ndarray
+    blocks: tuple[np.ndarray, ...]
 
 
 def clip_by_global_norm(grads: NormBlocks, max_norm: float) -> float:
@@ -462,11 +458,12 @@ def clip_by_global_norm(grads: NormBlocks, max_norm: float) -> float:
     the sums in block order, as summing each block's squares on its own
     does. Returns the norm before clipping.
     """
-    np.multiply(grads.flat, grads.flat, grads.squares)
+    flat, squares, blocks = grads
+    np.multiply(flat, flat, squares)
     total = 0.0
-    for block in grads.blocks:
+    for block in blocks:
         total += float(block.sum())
     norm = math.sqrt(total)
     if norm > max_norm > 0.0:
-        grads.flat *= max_norm / norm
+        flat *= max_norm / norm
     return norm

@@ -187,9 +187,10 @@ def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
     if len(actions) != len(space.arities):
         raise ValueError(
             f"sequence has {len(actions)} actions, space has {len(space.arities)} slots")
-    # one pass each, in C: all plain ints, none negative, each below its arity
-    if (_INT_TYPE.issuperset(map(type, actions)) and min(actions, default=0) >= 0
-            and all(map(operator.lt, actions, space.arities))):
+    for arity, a in zip(space.arities, actions):
+        if type(a) is not int or not 0 <= a < arity:
+            break
+    else:
         return
     # a numpy integer lands here too, and passes
     for t, (arity, a) in enumerate(zip(space.arities, actions)):

@@ -205,23 +205,6 @@ class TestRunRandom:
         with pytest.raises(ValueError, match="search only"):
             engine.run_random(power_cfg(n_iterations=2, resume_path="nope.npz"))
 
-    @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro"])
-    def test_chunked_draws_equal_one_draw_per_sequence(self, kind):
-        """Across chunk boundaries, for a count that is no multiple of the
-        chunk: the same sequences as one generator call per sequence, and
-        at a chunk's end the same generator state."""
-        arities = build_space(kind).arities
-        n = 2 * engine.RANDOM_CHUNK + 5
-        chunked, single = np.random.default_rng(17), np.random.default_rng(17)
-        rows = engine._random_rows(chunked, arities)
-        drawn = [next(rows) for _ in range(n)]
-        expected = [tuple(single.integers(np.asarray(arities)).tolist()) for _ in range(n)]
-        assert drawn == expected
-        assert all(type(a) is int for row in drawn for a in row)
-        for _ in range(engine.RANDOM_CHUNK - 5):  # to the end of the third chunk
-            single.integers(np.asarray(arities))
-        assert chunked.bit_generator.state == single.bit_generator.state
-
 
 class TestComputeStats:
     def make_records(self, flags):

@@ -330,7 +330,7 @@ class TestKernelFacts:
         expected = global_norm_reference(grads)
         before = grads.flat.copy()
         max_norm = data.draw(st.sampled_from([expected, 1.0, math.inf]), label="max_norm")
-        norm = nc.clip_by_global_norm(nc.NormBlocks(grads, nc.ParamBuffer.values), max_norm)
+        norm = nc.clip_by_global_norm(norm_blocks(grads), max_norm)
         assert repr(norm) == repr(expected)
         if norm > max_norm:
             assert np.array_equal(bits(grads.flat), bits(before * (max_norm / norm)))
@@ -343,7 +343,7 @@ class TestKernelFacts:
         grads = buffer(a=np.ones(1), **{f"b{k}": np.full(1, 2.0**-27) for k in range(8)})
         assert global_norm_reference(grads) == 1.0
         assert math.sqrt(1.0 + 8 * 2.0**-54) > 1.0
-        assert nc.clip_by_global_norm(nc.NormBlocks(grads, nc.ParamBuffer.values), 5.0) == 1.0
+        assert nc.clip_by_global_norm(norm_blocks(grads), 5.0) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), hidden_dim=st.sampled_from([1, 7, 20, 24, 64]),
@@ -417,7 +417,7 @@ class TestOrderedSums:
 
 class TestSoftmaxSample:
     def test_uniform_for_equal_logits(self):
-        probs = nc.softmax_probs(np.full(5, 1.3))
+        probs = nc.softmax_probs(np.full(5, 1.3), np.empty(()))
         np.testing.assert_allclose(probs, 0.2, rtol=1e-15)
 
     def test_saturation(self):
@@ -428,19 +428,19 @@ class TestSoftmaxSample:
 
     def test_empty_logits_rejected(self):
         with pytest.raises(ValueError):
-            nc.softmax_probs(np.array([]))
+            nc.softmax_probs(np.array([]), np.empty(()))
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             logits = rng.normal(scale=30.0, size=rng.integers(1, 8))
-            probs = nc.softmax_probs(logits)
+            probs = nc.softmax_probs(logits.copy(), np.empty(()))
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(np.isfinite(probs))
 
     def test_monte_carlo_frequencies(self):
         logits = np.array([0.1, 0.3, -0.2])
-        expected = nc.softmax_probs(logits)
+        expected = nc.softmax_probs(logits.copy(), np.empty(()))
         rng = np.random.default_rng(12345)
         counts = np.zeros(3)
         draws = 100_000
@@ -474,6 +474,24 @@ class TestSoftmaxSample:
         assert index == ref_index
         assert repr(probs.tolist()) == repr(ref_probs.tolist())
         assert rng.random() == ref_rng.random()  # one draw taken by each
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=8))
+    def test_probs_in_place_match_module_function_formula(self, logits):
+        logits = np.array(logits)
+        scores = logits.copy()
+        with np.errstate(all="ignore"):
+            probs = nc.softmax_probs(scores, np.empty(()))
+            _, ref_probs = softmax_sample_reference(logits, np.random.default_rng(0))
+        assert probs is scores
+        assert repr(probs.tolist()) == repr(ref_probs.tolist())
+
+
+def norm_blocks(grads):
+    """The gradient with one norm block per tensor, in tensor order."""
+    squares = grads.like()
+    return nc.NormBlocks(grads.flat, squares.flat, tuple(squares.values()))
 
 
 def buffer(**tensors):
@@ -587,11 +605,11 @@ class TestAdam:
 class TestClipping:
     def test_norm_reported_and_clipped(self):
         grads = buffer(a=np.array([3.0, 4.0]))
-        norm = nc.clip_by_global_norm(nc.NormBlocks(grads, nc.ParamBuffer.values), 1.0)
+        norm = nc.clip_by_global_norm(norm_blocks(grads), 1.0)
         assert norm == pytest.approx(5.0)
         assert global_norm_reference(grads) == pytest.approx(1.0)
 
     def test_no_clip_below_threshold(self):
         grads = buffer(a=np.array([0.3, 0.4]))
-        nc.clip_by_global_norm(nc.NormBlocks(grads, nc.ParamBuffer.values), 1.0)
+        nc.clip_by_global_norm(norm_blocks(grads), 1.0)
         np.testing.assert_allclose(grads["a"], [0.3, 0.4])
