@@ -229,11 +229,14 @@ def cmd_mac(args: argparse.Namespace) -> int:
 def cmd_pareto(args: argparse.Namespace) -> int:
     try:
         rows = engine.read_results_csv(args.results)
-        front = engine.rebuild_front(rows, build_space(args.space))
     except FileNotFoundError as exc:
         raise ConfigError(f"results file not found: {args.results}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # it names the file and line
         raise ConfigError(str(exc)) from exc
+    try:
+        front = engine.rebuild_front(rows, build_space(args.space))
+    except ValueError as exc:
+        raise ConfigError(f"{args.results}, {exc}") from exc
     engine.write_front_csv(args.out, front)
     print(f"front of {len(rows)} rows has {len(front)} points; wrote {args.out}")
     return 0

@@ -471,15 +471,18 @@ def rebuild_front(rows: list[ResultRow], space: SearchSpace) -> ParetoFront:
     """Front over a results file's rows, dropping rows without an energy.
 
     Rows without actions still compete on (accuracy, energy); they just
-    carry no architecture annotation.
+    carry no architecture annotation. A row that is no point of the space
+    (actions of another space, an accuracy outside [0, 1]) raises
+    ValueError naming its iteration.
     """
     points = []
     for row in rows:
         if row.energy is None:
             continue
-        arch = None
-        if row.actions:
-            arch = decode(space, row.actions)
-        points.append(ParetoPoint(accuracy=row.accuracy, energy=row.energy,
-                                  arch=arch, iteration=row.iteration))
+        try:
+            arch = decode(space, row.actions) if row.actions else None
+            points.append(ParetoPoint(accuracy=row.accuracy, energy=row.energy,
+                                      arch=arch, iteration=row.iteration))
+        except ValueError as exc:
+            raise ValueError(f"iteration {row.iteration}: {exc}") from exc
     return front_of(points)

@@ -22,11 +22,8 @@ import functools
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-
-INIT_SCALE = 0.08  # uniform init range, keeps early softmax near-uniform
 
 GATE_NAMES = ("i", "f", "o", "g")
 
@@ -151,16 +148,6 @@ def lstm_shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
     four_h = 4 * hidden_dim
     return {"lstm.w": (four_h, input_dim), "lstm.u": (four_h, hidden_dim),
             "lstm.b": (four_h,)}
-
-
-def init_lstm(params: LstmCellParams, rng: np.random.Generator) -> None:
-    """Fill a cell in place with weights drawn uniformly from [-INIT_SCALE, INIT_SCALE].
-
-    Draws gate by gate, w then u then b, each in its per-gate shape.
-    """
-    for gate in GATE_NAMES:
-        for block in params.gate(gate):
-            block[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=block.shape)
 
 
 @dataclass
@@ -437,32 +424,17 @@ def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None
     params.flat += s
 
 
-class NormBlocks(NamedTuple):
-    """A flat gradient and the blocks its global norm adds, in order.
+def clip_by_global_norm(flat: np.ndarray, blocks: tuple[np.ndarray, ...],
+                        max_norm: float) -> float:
+    """Scale the gradient ``flat`` in place so its global norm is at most max_norm.
 
-    The norm adds one float sum per block, so the blocks and their order
-    fix its rounding. ``squares`` is scratch as long as ``flat``, and
-    ``blocks`` are contiguous views of it in that order, each a tensor or
-    a row block of one.
+    ``blocks`` are views of ``flat`` that partition it. The norm adds one
+    float sum of fresh squares per block, in block order, so the blocks and
+    their order fix its rounding. Returns the norm before clipping.
     """
-
-    flat: np.ndarray
-    squares: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-
-
-def clip_by_global_norm(grads: NormBlocks, max_norm: float) -> float:
-    """Scale the gradient in place so its global norm is at most max_norm.
-
-    The norm squares every entry in one pass, then sums each block and adds
-    the sums in block order, as summing each block's squares on its own
-    does. Returns the norm before clipping.
-    """
-    flat, squares, blocks = grads
-    np.multiply(flat, flat, squares)
     total = 0.0
     for block in blocks:
-        total += float(block.sum())
+        total += float((block * block).sum())
     norm = math.sqrt(total)
     if norm > max_norm > 0.0:
         flat *= max_norm / norm

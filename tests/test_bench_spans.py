@@ -1,18 +1,22 @@
-"""The benchmark's span and marker names must name callables of archsearch.
+"""The benchmark's span and marker names must name callables of archsearch,
+and the names its output checks use must exist.
 
 `bench/spans.py` wraps functions by module and attribute name. A renamed
 or deleted kernel or marker would leave its span empty, and a missing
 marker would stop every benchmark run with "the run never entered its
-loop", while the rest of the suite still passes. This reads bench/ and
-edits nothing there.
+loop", while the rest of the suite still passes. `bench/checks.py` calls
+archsearch's functions on every run's outputs, so a renamed one would fail
+every benchmark run. This reads bench/ and edits nothing there.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+CHECKS_FILE = SPANS_FILE.with_name("checks.py")
 # wrapped by the benchmark though the function is gone: its metrics read 0
 # until the benchmark drops it
 STALE = {"search_space.one_hot_input"}
@@ -47,3 +51,25 @@ def test_every_span_and_marker_names_a_callable():
     assert unresolved <= STALE
     for name in spans.TOP.values():
         assert callable(resolve("archsearch.engine", name)), name
+
+
+def test_every_archsearch_name_in_checks_resolves():
+    """Each `from archsearch.<m> import <name>` and each `engine.<name>`."""
+    tree = ast.parse(CHECKS_FILE.read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "archsearch" for alias in node.names]
+    engine_names = {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "engine"}
+    assert ("archsearch", "engine") in imported and engine_names
+    unresolved = []
+    for module, name in imported:
+        owner = importlib.import_module(module)
+        # `from archsearch import engine` names a submodule
+        if not hasattr(owner, name) and importlib.util.find_spec(f"{module}.{name}") is None:
+            unresolved.append(f"{module}.{name}")
+    engine = importlib.import_module("archsearch.engine")
+    unresolved += [f"engine.{name}" for name in sorted(engine_names)
+                   if not hasattr(engine, name)]
+    assert not unresolved

@@ -279,6 +279,37 @@ class TestParetoCommand:
         assert f"{results}, line 2: energy must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def results_of_actions(path, *actions):
+        """A results file with one row per action sequence, iterations from 1."""
+        lines = ["iteration,actions,accuracy,energy,peak_power,mac_normalized,"
+                 "reward,grad_norm"]
+        lines += [f"{i},{':'.join(map(str, seq))},0.9,40.0,,,0.0,0.0"
+                  for i, seq in enumerate(actions, start=1)]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_macro_results_as_alexnet_name_file_and_iteration(self, tmp_path, capsys):
+        results = self.results_of_actions(tmp_path / "macro.csv", (0,) * 78)
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--results", str(results), "--space", "alexnet",
+                       "--out", str(out)) == 2
+        assert (f"{results}, iteration 1: sequence has 78 actions, space has 6 slots"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_condensenet_row_out_of_alexnet_range_names_its_iteration(self, tmp_path,
+                                                                       capsys):
+        """The first row's actions fit alexnet too; the second's last does not."""
+        results = self.results_of_actions(tmp_path / "condensenet.csv", (0,) * 6,
+                                          (0, 0, 0, 0, 0, 4))
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--results", str(results), "--space", "alexnet",
+                       "--out", str(out)) == 2
+        assert (f"{results}, iteration 2: action 4 out of range for slot 5 (conv2.width)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_malformed_results_exit_2(self, tmp_path):
         results = tmp_path / "bad.csv"
         results.write_text("nope\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archsearch import controller as ctl
-from archsearch.nn_core import adam_step, clip_by_global_norm
+from archsearch.nn_core import GATE_NAMES, adam_step, clip_by_global_norm
 from archsearch.search_space import DecisionSlot, SearchSpace, build_space
 
 from oracles import central_diff_grads, max_rel_error, sample_reference
@@ -41,6 +41,49 @@ def rollout_log_prob(state, actions, rollout):
     for slot, action in zip(state.slots, actions):
         total += float(np.log(rollout.probs[slot.head][slot.row][action]))
     return total
+
+
+class TestParamBlocks:
+    def test_init_draws_per_gate_blocks_in_order(self):
+        """Each gate's w, u and b, then each head's w and b, each drawn in
+        its own shape."""
+        space = bandit_space(2, 3)  # 5 tokens, heads "slot0" and "slot1"
+        state = ctl.create_controller(space, seed=4, hidden_dim=3)
+        rng = np.random.default_rng(4)
+        s = ctl.INIT_SCALE
+        for gate in GATE_NAMES:
+            w, u, b = state.lstm.gate(gate)
+            np.testing.assert_array_equal(w, rng.uniform(-s, s, size=(3, 5)))
+            np.testing.assert_array_equal(u, rng.uniform(-s, s, size=(3, 3)))
+            np.testing.assert_array_equal(b, rng.uniform(-s, s, size=3))
+        for head, arity in (("slot0", 2), ("slot1", 3)):
+            np.testing.assert_array_equal(state.params[f"head.{head}.w"],
+                                          rng.uniform(-s, s, size=(arity, 3)))
+            np.testing.assert_array_equal(state.params[f"head.{head}.b"],
+                                          rng.uniform(-s, s, size=arity))
+        assert rng.bit_generator.state == state.rng.bit_generator.state
+
+    @pytest.mark.parametrize("hidden_dim", [1, None])
+    @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro", "bandit"])
+    def test_blocks_partition_the_buffer(self, kind, hidden_dim):
+        space = bandit_space(2, 3, 2) if kind == "bandit" else build_space(kind)
+        state = ctl.create_controller(space, seed=0, hidden_dim=hidden_dim)
+        for buffer, blocks in ((state.params, ctl.param_blocks(state.params)),
+                               (state.grads, state.grad_blocks)):
+            assert all(np.shares_memory(block, buffer.flat) for block in blocks)
+            assert sum(block.size for block in blocks) == buffer.flat.size
+            buffer.flat.fill(0.0)
+            for block in blocks:
+                block += 1.0
+            assert np.all(buffer.flat == 1.0)  # every entry in exactly one block
+
+    def test_state_derives_the_cell_from_params(self):
+        state = ctl.create_controller(build_space("condensenet"), seed=0, hidden_dim=7)
+        assert state.hidden_dim == 7
+        assert state.lstm.u.base is state.params.flat
+        with pytest.raises(TypeError):
+            ctl.ControllerState(space=state.space, params=state.params, adam=state.adam,
+                                rng=state.rng, hidden_dim=9)
 
 
 class TestSampling:
@@ -112,6 +155,17 @@ class TestActionLogProb:
                 actions, rollout = ctl.sample_sequence(state)
                 assert ctl.action_log_prob(state, actions) == rollout_log_prob(
                     state, actions, rollout), kind
+
+    @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro"])
+    def test_leaves_generator_and_params_unchanged(self, kind):
+        state = ctl.create_controller(build_space(kind), seed=8)
+        actions, rollout = ctl.sample_sequence(state)
+        ctl.reinforce_update_batch(state, [rollout], [0.6])
+        rng_state = state.rng.bit_generator.state
+        params = state.params.flat.tobytes()
+        ctl.action_log_prob(state, actions)
+        assert state.rng.bit_generator.state == rng_state
+        assert state.params.flat.tobytes() == params
 
     def test_invalid_sequence_rejected(self):
         space = build_space("condensenet")
@@ -192,7 +246,7 @@ class TestReinforceUpdate:
         assert actions_a == actions_b
         # the plain update: one rollout's gradient, clipped, one ADAM step
         grads = gradients(a, rollout_a, 0.8)
-        clip_by_global_norm(ctl._norm_blocks(grads), a.clip_norm)
+        clip_by_global_norm(grads.flat, ctl.param_blocks(grads), a.clip_norm)
         adam_step(a.params, grads, a.adam)
         ctl.reinforce_update_batch(b, [rollout_b], [0.8])
         for name, arr in a.params.items():
@@ -261,7 +315,7 @@ class TestGradientWorkspace:
             grads = ref.params.like()
             for rollout, reward in zip(ref_rollouts, rewards):
                 grads.flat += gradients(ref, rollout, reward / len(rewards)).flat
-            ref_norm = clip_by_global_norm(ctl._norm_blocks(grads), ref.clip_norm)
+            ref_norm = clip_by_global_norm(grads.flat, ctl.param_blocks(grads), ref.clip_norm)
             adam_step(ref.params, grads, ref.adam)
             ref.revision += 1
 

@@ -30,7 +30,7 @@ def sigmoid_scratch(size):
 
 
 def seeded_lstm(input_dim=3, hidden_dim=2, seed=0, scale=0.5):
-    """A cell drawn from [-scale, scale] in the order of `nc.init_lstm`."""
+    """A cell drawn from [-scale, scale] gate by gate, w then u then b."""
     params = zero_lstm(input_dim, hidden_dim)
     rng = np.random.default_rng(seed)
     for gate in nc.GATE_NAMES:
@@ -70,17 +70,6 @@ def dense(token, input_dim):
 
 
 class TestLstmParams:
-    def test_init_draws_per_gate_blocks_in_order(self):
-        params = zero_lstm(5, 3)
-        nc.init_lstm(params, np.random.default_rng(4))
-        rng = np.random.default_rng(4)
-        s = nc.INIT_SCALE
-        for gate in nc.GATE_NAMES:
-            w, u, b = params.gate(gate)
-            np.testing.assert_array_equal(w, rng.uniform(-s, s, size=(3, 5)))
-            np.testing.assert_array_equal(u, rng.uniform(-s, s, size=(3, 3)))
-            np.testing.assert_array_equal(b, rng.uniform(-s, s, size=3))
-
     def test_gate_blocks_are_row_views(self):
         params = zero_lstm(4, 2)
         params.gate("o")[0][1, 3] = 7.0
@@ -320,9 +309,9 @@ class TestKernelFacts:
     @given(data=st.data(), shapes=st.lists(
         st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple), min_size=1, max_size=5))
     def test_block_norm_equals_norm_of_fresh_squares(self, data, shapes):
-        """One pass of squares, then one sum per block, gives the norm of
-        summing each block's fresh squares, with all-zero blocks, and
-        clips only above the bound: a norm equal to it leaves the gradient."""
+        """The norm of one float sum of fresh squares per block, added in
+        block order, with all-zero blocks, and clipping only above the
+        bound: a norm equal to it leaves the gradient."""
         tensors = {f"t{k}": data.draw(arrays(np.float64, shape, elements=st.one_of(
             st.just(0.0), st.floats(-1e100, 1e100))), label=f"t{k}")
             for k, shape in enumerate(shapes)}
@@ -330,7 +319,7 @@ class TestKernelFacts:
         expected = global_norm_reference(grads)
         before = grads.flat.copy()
         max_norm = data.draw(st.sampled_from([expected, 1.0, math.inf]), label="max_norm")
-        norm = nc.clip_by_global_norm(norm_blocks(grads), max_norm)
+        norm = nc.clip_by_global_norm(grads.flat, tuple(grads.values()), max_norm)
         assert repr(norm) == repr(expected)
         if norm > max_norm:
             assert np.array_equal(bits(grads.flat), bits(before * (max_norm / norm)))
@@ -343,7 +332,7 @@ class TestKernelFacts:
         grads = buffer(a=np.ones(1), **{f"b{k}": np.full(1, 2.0**-27) for k in range(8)})
         assert global_norm_reference(grads) == 1.0
         assert math.sqrt(1.0 + 8 * 2.0**-54) > 1.0
-        assert nc.clip_by_global_norm(norm_blocks(grads), 5.0) == 1.0
+        assert nc.clip_by_global_norm(grads.flat, tuple(grads.values()), 5.0) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), hidden_dim=st.sampled_from([1, 7, 20, 24, 64]),
@@ -488,12 +477,6 @@ class TestSoftmaxSample:
         assert repr(probs.tolist()) == repr(ref_probs.tolist())
 
 
-def norm_blocks(grads):
-    """The gradient with one norm block per tensor, in tensor order."""
-    squares = grads.like()
-    return nc.NormBlocks(grads.flat, squares.flat, tuple(squares.values()))
-
-
 def buffer(**tensors):
     """A ParamBuffer holding copies of the given arrays."""
     buf = nc.ParamBuffer({name: np.shape(value) for name, value in tensors.items()})
@@ -605,11 +588,11 @@ class TestAdam:
 class TestClipping:
     def test_norm_reported_and_clipped(self):
         grads = buffer(a=np.array([3.0, 4.0]))
-        norm = nc.clip_by_global_norm(norm_blocks(grads), 1.0)
+        norm = nc.clip_by_global_norm(grads.flat, tuple(grads.values()), 1.0)
         assert norm == pytest.approx(5.0)
         assert global_norm_reference(grads) == pytest.approx(1.0)
 
     def test_no_clip_below_threshold(self):
         grads = buffer(a=np.array([0.3, 0.4]))
-        nc.clip_by_global_norm(norm_blocks(grads), 1.0)
+        nc.clip_by_global_norm(grads.flat, tuple(grads.values()), 1.0)
         np.testing.assert_allclose(grads["a"], [0.3, 0.4])
