@@ -233,6 +233,16 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         raise ConfigError(f"results file not found: {args.results}") from exc
     except ValueError as exc:  # it names the file and line
         raise ConfigError(str(exc)) from exc
+    # results.csv does not record its space; the run's summary beside it does
+    summary = Path(args.results).with_name("summary.json")
+    if summary.is_file():
+        try:
+            space = json.loads(summary.read_text())["config"]["space"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{summary}: unreadable run summary: {exc!r}") from exc
+        if space != args.space:
+            raise ConfigError(f"{args.results} holds {space} results (per {summary}), "
+                              f"not --space {args.space}")
     try:
         front = engine.rebuild_front(rows, build_space(args.space))
     except ValueError as exc:

@@ -15,7 +15,7 @@ import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from . import textio
 from .nn_core import (GATE_NAMES, AdamState, LstmCellParams, LstmRecord,
                       ParamBuffer, adam_step, clip_by_global_norm, lstm_backward,
                       lstm_forward, lstm_shapes, ordered_outer_sum, ordered_row_sum,
-                      softmax_probs, softmax_sample)
-from .search_space import SearchSpace, build_space, validate_sequence
+                      softmax_sample)
+from .search_space import SearchSpace, build_space
 
 INIT_SCALE = 0.08  # uniform init range, keeps early softmax near-uniform
 DEFAULT_HIDDEN = {"alexnet": 24, "condensenet": 20, "macro": 64}
@@ -161,16 +161,19 @@ def param_blocks(params: ParamBuffer) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def _unroll(state: ControllerState, choose: Callable[[int, np.ndarray], int]
-            ) -> tuple[tuple[int, ...], Rollout]:
-    """Run the LSTM over the space's slots in order; returns the actions and the rollout.
+def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
+    """Sample one architecture of the state's space: its actions and the
+    rollout the update reads.
 
-    Step t writes its logits into its row of the rollout's `probs`, and
-    ``choose(t, scores)`` turns them into probabilities in place and
-    returns the step's action. The input of step t > 0 is the token of the
-    previous choice: the previous slot's vocabulary offset plus its action.
+    The uniforms are drawn up front, the same values and generator state as
+    one draw per step. Step t writes its logits into its row of the
+    rollout's `probs`, which `softmax_sample` turns into probabilities in
+    place. The input of step t > 0 is the token of the previous choice: the
+    previous slot's vocabulary offset plus its action.
     """
     steps = len(state.slots)
+    uniforms = state.rng.random(steps).tolist()
+    scratch = np.empty(())
     rollout = Rollout.empty(
         steps, state.hidden_dim, actions=np.empty(steps, dtype=int),
         probs={head.head: np.empty((len(head.steps), len(head.w))) for head in state.heads},
@@ -180,48 +183,17 @@ def _unroll(state: ControllerState, choose: Callable[[int, np.ndarray], int]
     probs = {head: list(rows) for head, rows in rollout.probs.items()}
     actions: list[int] = []
     token = None
-    for t, (slot, h_prev, c_prev, out) in enumerate(zip(state.slots, h, c, outs)):
+    for slot, u, h_prev, c_prev, out in zip(state.slots, uniforms, h, c, outs):
         h_t, _ = lstm_forward(state.lstm, token, h_prev, c_prev, out)
         scores = probs[slot.head][slot.row]  # the logits, turned into probabilities
         np.dot(slot.w, h_t, scores)
         scores += slot.b
-        action = choose(t, scores)
+        action = softmax_sample(scores, u, scratch)
         actions.append(action)
         token = slot.offset + action
     rollout.actions[:] = actions
     rollout.tokens[1:] = np.add(state.space.vocab_offsets[:-1], actions[:-1])
     return tuple(actions), rollout
-
-
-def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
-    """Sample one architecture of the state's space: its actions and the
-    rollout the update reads. The uniforms are drawn up front, the same
-    values and generator state as one draw per step."""
-    uniforms = state.rng.random(len(state.slots)).tolist()
-    scratch = np.empty(())
-    return _unroll(state, lambda t, scores: softmax_sample(scores, uniforms[t], scratch))
-
-
-def action_log_prob(state: ControllerState, actions: tuple[int, ...]) -> float:
-    """Sum of log P(a_t | a_1..t-1) for fixed actions (teacher forcing).
-
-    Unrolls as sampling does, with the given action at every step, and adds
-    the logs of the chosen probabilities in step order: as long as
-    parameters are unchanged, it equals that sum over the rollout sampling
-    recorded bit for bit. No random number is drawn.
-    """
-    validate_sequence(state.space, actions)
-    scratch = np.empty(())
-
-    def force(t: int, scores: np.ndarray) -> int:
-        softmax_probs(scores, scratch)
-        return actions[t]
-
-    _, rollout = _unroll(state, force)
-    total = 0.0
-    for slot, action in zip(state.slots, actions):
-        total += float(np.log(rollout.probs[slot.head][slot.row][action]))
-    return total
 
 
 def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,

@@ -42,12 +42,6 @@ class ParetoPoint:
             raise ValueError(f"energy must be finite and >= 0, got {self.energy}")
 
 
-def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
-    """True iff a is no worse than b in both objectives and better in one."""
-    return (a.accuracy >= b.accuracy and a.energy <= b.energy
-            and (a.accuracy > b.accuracy or a.energy < b.energy))
-
-
 @dataclass
 class ParetoFront:
     points: list[ParetoPoint] = field(default_factory=list)

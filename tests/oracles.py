@@ -181,15 +181,21 @@ def stepwise_lstm_backward(params, record, output_grads) -> dict[str, np.ndarray
     return grads
 
 
+def softmax_reference(logits):
+    """The softmax through numpy's module-level functions, the max
+    subtracted before the exp: the formula of `nn_core.softmax_probs`."""
+    shifted = logits - np.max(logits)
+    exps = np.exp(shifted)
+    return exps / np.sum(exps)
+
+
 def softmax_sample_reference(logits, rng):
     """Inverse-CDF softmax sampling through numpy's module-level functions.
 
     The formula `nn_core.softmax_sample` computes with ndarray methods:
     returns (index, probs).
     """
-    shifted = logits - np.max(logits)
-    exps = np.exp(shifted)
-    probs = exps / np.sum(exps)
+    probs = softmax_reference(logits)
     u = rng.random()
     index = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     index = min(index, len(probs) - 1)
@@ -245,15 +251,46 @@ def sample_reference(state, rng):
     return tuple(actions), record
 
 
+def log_prob_reference(state, actions):
+    """Teacher forcing: the log-probability of fixed ``actions`` under the
+    controller ``state``, log p[action] added step by step from 0.0.
+
+    Each step is a step of `sample_reference` with the given action in
+    place of a draw: an LSTM step, the head's logits ``w @ h + b`` and
+    their softmax. A sequence of the wrong length, or with an action
+    outside its slot's candidates, raises ValueError. No random number is
+    drawn and the parameters are only read.
+    """
+    slots = state.space.slots
+    if len(actions) != len(slots):
+        raise ValueError(f"sequence has {len(actions)} actions, space has {len(slots)} slots")
+    for t, (slot, action) in enumerate(zip(slots, actions)):
+        if not 0 <= action < len(slot.candidates):
+            raise ValueError(f"action {action} out of range for slot {t} ({slot.name})")
+    n = state.hidden_dim
+    h, c = np.zeros(n), np.zeros(n)
+    token = None
+    total = 0.0
+    for slot, offset, action in zip(slots, state.space.vocab_offsets, actions):
+        _, c, _, h = lstm_step_reference(state.lstm, token, h, c)
+        logits = state.params[f"head.{slot.head}.w"] @ h + state.params[f"head.{slot.head}.b"]
+        probs = softmax_reference(logits)
+        total += float(np.log(probs[action]))
+        token = offset + action
+    return total
+
+
+def dominates(a, b):
+    """True iff a is no worse than b in both objectives and better in one."""
+    return (a.accuracy >= b.accuracy and a.energy <= b.energy
+            and (a.accuracy > b.accuracy or a.energy < b.energy))
+
+
 def brute_force_front(points):
     """O(n^2) non-dominated filter; duplicates keep the smallest iteration."""
-    def dominated(p, q):
-        return (q.accuracy >= p.accuracy and q.energy <= p.energy
-                and (q.accuracy > p.accuracy or q.energy < p.energy))
-
     kept = []
     for p in points:
-        if any(dominated(p, q) for q in points):
+        if any(dominates(q, p) for q in points):
             continue
         twin = [q for q in points
                 if q.accuracy == p.accuracy and q.energy == p.energy]
@@ -273,10 +310,6 @@ def linear_front_insert(points, p):
     bisected one: mutates ``points`` in place and returns the outcome,
     "added", "dominated" or "tie-replaced".
     """
-    def dominates(a, b):
-        return (a.accuracy >= b.accuracy and a.energy <= b.energy
-                and (a.accuracy > b.accuracy or a.energy < b.energy))
-
     survivors = []
     twin = None
     for q in points:

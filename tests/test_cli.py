@@ -310,6 +310,47 @@ class TestParetoCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_space_other_than_the_summary_exits_2(self, tmp_path, capsys):
+        """The run's actions would decode in alexnet too; its summary says
+        condensenet."""
+        run = tmp_path / "run"
+        assert run_cli(*search_args(run)) == 0
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--results", str(run / "results.csv"), "--space", "alexnet",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "holds condensenet results" in err and "not --space alexnet" in err
+        assert str(run / "summary.json") in err
+        assert not out.exists()
+
+    def test_space_of_the_summary_gives_the_runs_front(self, tmp_path):
+        run = tmp_path / "run"
+        assert run_cli(*search_args(run)) == 0
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--results", str(run / "results.csv"), "--space",
+                       "condensenet", "--out", str(out)) == 0
+        assert out.read_bytes() == (run / "front.csv").read_bytes()
+
+    def test_results_without_summary_are_read_as_given(self, tmp_path):
+        run = tmp_path / "run"
+        assert run_cli(*search_args(run)) == 0
+        results = tmp_path / "results.csv"
+        results.write_bytes((run / "results.csv").read_bytes())
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--results", str(results), "--space", "condensenet",
+                       "--out", str(out)) == 0
+        assert out.read_bytes() == (run / "front.csv").read_bytes()
+
+    def test_unreadable_summary_exits_2_naming_it(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert run_cli(*search_args(run)) == 0
+        (run / "summary.json").write_text("{not json\n")
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--results", str(run / "results.csv"), "--space",
+                       "condensenet", "--out", str(out)) == 2
+        assert f"{run / 'summary.json'}: unreadable run summary" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_results_exit_2(self, tmp_path):
         results = tmp_path / "bad.csv"
         results.write_text("nope\n")

@@ -10,7 +10,8 @@ from archsearch import controller as ctl
 from archsearch.nn_core import GATE_NAMES, adam_step, clip_by_global_norm
 from archsearch.search_space import DecisionSlot, SearchSpace, build_space
 
-from oracles import central_diff_grads, max_rel_error, sample_reference
+from oracles import (central_diff_grads, log_prob_reference, max_rel_error,
+                     sample_reference)
 
 
 def bandit_space(*arities):
@@ -142,19 +143,28 @@ class TestAgainstStepwiseSampler:
 
 
 class TestActionLogProb:
+    """Teacher forcing through the oracle `log_prob_reference`, against what
+    sampling recorded."""
+
     def test_zero_controller_value(self):
         space = build_space("condensenet")
         state = uniform_controller(space, seed=0)
         actions, _ = ctl.sample_sequence(state)
-        assert ctl.action_log_prob(state, actions) == pytest.approx(-9.65663, abs=1e-4)
+        assert log_prob_reference(state, actions) == pytest.approx(-9.65663, abs=1e-4)
 
     def test_recompute_matches_sampling_exactly(self):
+        """On the initial draw, and after each of three updates."""
         for kind in ("alexnet", "condensenet", "macro"):
             state = ctl.create_controller(build_space(kind), seed=4)
             for _ in range(30):
                 actions, rollout = ctl.sample_sequence(state)
-                assert ctl.action_log_prob(state, actions) == rollout_log_prob(
+                assert log_prob_reference(state, actions) == rollout_log_prob(
                     state, actions, rollout), kind
+            for _ in range(3):
+                ctl.reinforce_update_batch(state, [rollout], [5.0])
+                actions, rollout = ctl.sample_sequence(state)
+                assert log_prob_reference(state, actions) == rollout_log_prob(
+                    state, actions, rollout), (kind, state.revision)
 
     @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro"])
     def test_leaves_generator_and_params_unchanged(self, kind):
@@ -163,7 +173,7 @@ class TestActionLogProb:
         ctl.reinforce_update_batch(state, [rollout], [0.6])
         rng_state = state.rng.bit_generator.state
         params = state.params.flat.tobytes()
-        ctl.action_log_prob(state, actions)
+        log_prob_reference(state, actions)
         assert state.rng.bit_generator.state == rng_state
         assert state.params.flat.tobytes() == params
 
@@ -172,7 +182,9 @@ class TestActionLogProb:
         state = ctl.create_controller(space, seed=0)
         actions, _ = ctl.sample_sequence(state)
         with pytest.raises(ValueError):
-            ctl.action_log_prob(state, actions[:-1])
+            log_prob_reference(state, actions[:-1])
+        with pytest.raises(ValueError, match="out of range for slot 5"):
+            log_prob_reference(state, actions[:-1] + (len(space.slots[-1].candidates),))
 
 
 class TestReinforceUpdate:
@@ -190,17 +202,17 @@ class TestReinforceUpdate:
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=2)
         actions, rollout = ctl.sample_sequence(state)
-        before = ctl.action_log_prob(state, actions)
+        before = log_prob_reference(state, actions)
         ctl.reinforce_update_batch(state, [rollout], [1.0])
-        assert ctl.action_log_prob(state, actions) > before
+        assert log_prob_reference(state, actions) > before
 
     def test_negative_reward_lowers_sequence_log_prob(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=2)
         actions, rollout = ctl.sample_sequence(state)
-        before = ctl.action_log_prob(state, actions)
+        before = log_prob_reference(state, actions)
         ctl.reinforce_update_batch(state, [rollout], [-1.0])
-        assert ctl.action_log_prob(state, actions) < before
+        assert log_prob_reference(state, actions) < before
 
     def test_gradient_scales_linearly_in_reward(self):
         space = build_space("alexnet")
@@ -227,7 +239,7 @@ class TestReinforceUpdate:
         reward = 1.3
         analytic = gradients(state, rollout, reward)
         numeric = central_diff_grads(
-            lambda: ctl.action_log_prob(state, actions) * reward, state.params)
+            lambda: log_prob_reference(state, actions) * reward, state.params)
         assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_clip_norm_caps_update_but_reports_raw_norm(self):

@@ -7,7 +7,8 @@ updates and the moving-average baseline, and an alexnet search with a hidden
 size of 1, where every gradient sum runs over length-1 axes.
 The SHA-256 of each ``results.csv`` pins every sampled action, reward and
 gradient norm. The log-probability of a fixed sequence under the reloaded
-final controller pins its parameters without depending on their layout.
+final controller, from the teacher-forcing oracle `log_prob_reference`,
+pins its parameters without depending on their layout.
 Any change to the numeric path that is not bit-identical fails here.
 
 Random searches on all three spaces are pinned the same way, so the
@@ -28,6 +29,8 @@ from archsearch import controller as ctl
 from archsearch.cli import main
 from archsearch.search_space import (CONDENSENET_GROWTHS, CONDENSENET_STAGES, SPACE_KINDS,
                                      build_space)
+
+from oracles import log_prob_reference
 
 RUNS = {
     "macro": (
@@ -116,7 +119,7 @@ def test_search_bytes_and_final_policy(name, tmp_path):
     assert main(["search", *args, "--out", str(out)]) == 0
     assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == results_sha
     state = ctl.load_checkpoint(out / "checkpoint.npz")
-    assert repr(ctl.action_log_prob(state, fixed_sequence(state.space))) == log_prob
+    assert repr(log_prob_reference(state, fixed_sequence(state.space))) == log_prob
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_RUNS))

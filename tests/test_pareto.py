@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archsearch.pareto import (ADDED, DOMINATED, TIE_REPLACED, ParetoFront,
-                               ParetoPoint, dominates, front_of)
+                               ParetoPoint, front_of)
 
-from oracles import brute_force_front, linear_front_insert
+from oracles import brute_force_front, dominates, linear_front_insert
 
 # the shipped results table as (error %, energy) pairs
 TABLE = {
@@ -55,6 +55,9 @@ class TestPoint:
 
 
 class TestDominates:
+    """The dominance relation of `oracles.dominates`, which the front tests
+    below check `ParetoFront` against."""
+
     def test_strictly_better_in_both(self):
         assert dominates(pt(0.9, 50.0), pt(0.8, 60.0))
 
