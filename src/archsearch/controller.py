@@ -72,7 +72,8 @@ class HeadSteps(NamedTuple):
     head: str
     steps: np.ndarray
     h_rows: np.ndarray  # the rows of `Rollout.h` its logits read: steps + 1
-    rows: np.ndarray  # 0 .. len(steps) - 1
+    # where each of its rows starts in its flat `probs`: row * arity
+    row_offsets: np.ndarray
     w: np.ndarray  # the head's weight view
 
 
@@ -116,7 +117,8 @@ class ControllerState:
         steps_of = {head: np.flatnonzero([h == head for h in heads])
                     for head in self.space.head_types()}
         self.heads = tuple(
-            HeadSteps(head, steps, steps + 1, np.arange(len(steps)),
+            HeadSteps(head, steps, steps + 1,
+                      np.arange(len(steps)) * len(self.params[f"head.{head}.b"]),
                       self.params[f"head.{head}.w"]) for head, steps in steps_of.items())
 
 
@@ -212,9 +214,9 @@ def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
     if out.shapes != state.params.shapes:
         raise ValueError("gradient layout does not match parameter layout")
     dh = np.empty((len(rollout.actions), state.hidden_dim))
-    for head, steps, h_rows, rows, w in state.heads:
-        dlogits = -rollout.probs[head] * scale
-        dlogits[rows, rollout.actions[steps]] += scale
+    for head, steps, h_rows, row_offsets, w in state.heads:
+        dlogits = np.multiply(rollout.probs[head], -scale)  # the bits of -probs * scale
+        dlogits.ravel()[row_offsets + rollout.actions[steps]] += scale
         ordered_outer_sum(dlogits, rollout.h[h_rows], out=out[f"head.{head}.w"])
         ordered_row_sum(dlogits, out=out[f"head.{head}.b"])
         # a stacked product, one gemv per step: a single w.T @ dlogits.T
@@ -249,8 +251,6 @@ def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
         else:
             grads.flat += policy_gradients(state, rollout, scale / len(rollouts),
                                            out=state.batch_grads).flat
-    # blocks and max_norm by keyword: the benchmark's trace reads max_norm
-    # as the second positional argument or as a keyword
     norm = clip_by_global_norm(grads.flat, blocks=state.grad_blocks, max_norm=state.clip_norm)
     adam_step(state.params, grads, state.adam)
     state.revision += 1

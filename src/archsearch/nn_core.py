@@ -12,8 +12,12 @@ gradient a column add.
 
 A forward pass is kept as an `LstmRecord`, one row per step. The backward
 runs the recurrence step by step, then sums each parameter gradient over
-the whole record with `ordered_outer_sum`, which adds the steps in the
-same order, and so to the same bits, as accumulating them step by step.
+the whole record with `ordered_outer_sum` (and a bias with
+`ordered_row_sum`, an `np.add.reduce` from +0.0), which add the steps in
+the same order, and so to the same bits, as accumulating them step by
+step. Both passes keep their temporaries in scratch owned by the cell:
+the forward's is made on its first step, the backward's for the last
+step count it saw, with every per-step row view built once.
 """
 
 from __future__ import annotations
@@ -99,6 +103,10 @@ class LstmCellParams:
     w: np.ndarray
     u: np.ndarray
     b: np.ndarray
+    # `lstm_backward`'s scratch for the last step count it ran, replaced
+    # when the step count changes
+    backward_scratch: BackwardScratch | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.u.ndim != 2 or self.u.shape[0] != 4 * self.u.shape[1]:
@@ -121,6 +129,13 @@ class LstmCellParams:
     def ig_scratch(self) -> np.ndarray:
         """Where i * g goes."""
         return np.empty(self.hidden_dim)
+
+    @functools.cached_property
+    def u_blocks(self) -> np.ndarray:
+        """Each gate's u.T, a [4, H, H] view of ``u``: one stacked product
+        with it gives the four per-gate products of `lstm_backward`."""
+        n = self.hidden_dim
+        return self.u.reshape(4, n, n).transpose(0, 2, 1)
 
     @property
     def input_dim(self) -> int:
@@ -232,9 +247,62 @@ def ordered_outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
 
 
 def ordered_row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write sum_t a[t] over the 1-D ``out``, added in the order of t from zero."""
-    ordered_outer_sum(a, np.ones((len(a), 1)), out.reshape(-1, 1))  # x * 1.0 is x
+    """Write sum_t a[t] over the 1-D ``out``, added in the order of t from zero.
+
+    With two or more columns ``np.add.reduce`` along t adds each row into
+    ``out`` in turn; a single column it sums pairwise, so that case goes
+    through `ordered_outer_sum` (x * 1.0 is x).
+    """
+    if a.shape[1] == 1:
+        ordered_outer_sum(a, np.ones((len(a), 1)), out.reshape(-1, 1))
+    else:
+        np.add.reduce(a, 0, None, out, initial=0.0)
     return out
+
+
+class BackwardScratch:
+    """`lstm_backward`'s arrays for one step count, and the row views of
+    them each step reads and writes, made once.
+
+    Row k of every array belongs to step steps-1-k: the rows are in the
+    order the backward runs and the parameter gradients add them.
+    """
+
+    def __init__(self, steps: int, hidden_dim: int) -> None:
+        n = hidden_dim
+        self.steps = steps
+        # copied in: the output gradients, and each step's gates i, f, o, g
+        # followed by its c_prev and tanh_c, so that g, c_prev and tanh_c,
+        # what dc, dc and dh multiply first in the rows of i, f and o, lie
+        # side by side
+        self.out_grads = np.empty((steps, n))
+        inputs = np.empty((steps, 6 * n))
+        self.gates, self.c_prev, self.tanh_c = (
+            inputs[:, :4 * n], inputs[:, 4 * n:5 * n], inputs[:, 5 * n:])
+        firsts = inputs[:, 3 * n:]
+        # the factors that do not depend on the incoming gradient: 1 - a for
+        # the sigmoid gates a (i, f, o), and 1 - x * x for the tanh outputs
+        # x (g and tanh_c), the two of those in one call over a strided view
+        self.sigmoids = inputs[:, :3 * n]
+        self.d_sig = np.empty((steps, 3 * n))
+        self.tanhs = firsts.reshape(steps, 3, n)[:, ::2]
+        self.d_tanhs = np.empty((steps, 2, n))
+        d_cand, d_tanh_c = self.d_tanhs[:, 0], self.d_tanhs[:, 1]
+        # the pre-activation gradients, the output of the step loop
+        self.d_pre_rows = np.empty((steps, 4 * n))
+        # each step's temporaries, all of them 1-D: a ufunc that broadcasts
+        # or reduces costs more per call than the arithmetic on H entries
+        self.dc_dc_dh = np.empty(3 * n)
+        self.dc, self.dc_copy, self.dh = self.dc_dc_dh.reshape(3, n)
+        self.dh_dc_next = np.empty(2 * n)  # zeroed by each call
+        self.dh_next, self.dc_next = self.dh_dc_next.reshape(2, n)
+        self.gate_products = np.empty((4, n, 1))  # each gate's u.T @ d_pre
+        self.products = tuple(self.gate_products[:, :, 0])
+        gates, d_pre = self.gates, self.d_pre_rows
+        self.rows = tuple(zip(*(list(a) for a in (
+            self.out_grads, gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n],
+            self.sigmoids, d_tanh_c, self.d_sig, d_cand, firsts,
+            d_pre[:, :3 * n], d_pre[:, 3 * n:], d_pre.reshape(steps, 4, n, 1)))))
 
 
 def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.ndarray,
@@ -245,47 +313,40 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
     with the parameter gradients written over it (its old contents are
     never read). No truncation: gradients are exact, and each sums its
     steps from the last to the first, as a step-by-step accumulation would.
+    The temporaries live in the cell's `BackwardScratch`: a call copies its
+    inputs in and runs the steps over row views made with the scratch.
     """
     n = params.hidden_dim
     steps = len(record.tokens)
     if output_grads.shape != (steps, n):
         raise ValueError(f"need one output gradient of size {n} per recorded step")
+    token_list = record.tokens.tolist()  # Python's min and max cost less here
     if record.gates.shape != (steps, 4 * n) or record.h.shape != (steps + 1, n) or (
-            steps and not -1 <= record.tokens.min() <= record.tokens.max() < params.input_dim):
+            steps and not -1 <= min(token_list) <= max(token_list) < params.input_dim):
         raise ValueError("record does not match params dimensions")
     if out.w.shape != params.w.shape or out.u.shape != params.u.shape:
         raise ValueError("gradient cell does not match params dimensions")
-    # gate k's u.T, so one stacked product gives the four per-gate products
-    u_blocks = params.u.reshape(4, n, n).transpose(0, 2, 1)
 
-    # the factors that do not depend on the incoming gradient, for all steps
-    gates, tanh_c = record.gates, record.tanh_c
-    d_tanh_c = 1.0 - tanh_c * tanh_c
-    d_sig = 1.0 - gates[:, :3 * n]
-    d_cand = 1.0 - gates[:, 3 * n:] * gates[:, 3 * n:]
-    # what dc, dc and dh multiply first in the rows of i, f and o
-    firsts = np.concatenate((gates[:, 3 * n:], record.c[:steps], tanh_c), axis=1)
-    # row k holds the pre-activation gradient of step steps-1-k: the rows
-    # are in the order the parameter gradients add them
-    d_pre_rows = np.empty((steps, 4 * n))
-    # the row views each step reads and writes, made once; the steps run
-    # from the last to the first
+    scratch = params.backward_scratch
+    if scratch is None or scratch.steps != steps:
+        scratch = params.backward_scratch = BackwardScratch(steps, n)
     back = slice(None, None, -1)
-    step_rows = zip(*(list(a[back]) for a in (
-        output_grads, gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n],
-        gates[:, :3 * n], d_tanh_c, d_sig, d_cand, firsts)),
-        *(list(a) for a in (d_pre_rows[:, :3 * n], d_pre_rows[:, 3 * n:],
-                            d_pre_rows.reshape(steps, 4, n, 1))))
-    # each step's temporaries, all of them 1-D: a ufunc that broadcasts
-    # or reduces costs more per call than the arithmetic on H entries
-    dc_dc_dh = np.empty(3 * n)
-    dc, dc_copy, dh = dc_dc_dh[:n], dc_dc_dh[n:2 * n], dc_dc_dh[2 * n:]
-    dh_next = np.zeros(n)
-    dc_next = np.zeros(n)
-    gate_products = np.empty((4, n, 1))
-    p_i, p_f, p_o, p_g = gate_products[:, :, 0]
+    np.copyto(scratch.out_grads, output_grads[back])
+    np.copyto(scratch.gates, record.gates[back])
+    np.copyto(scratch.c_prev, record.c[:steps][back])
+    np.copyto(scratch.tanh_c, record.tanh_c[back])
+    np.subtract(_ONE, scratch.sigmoids, scratch.d_sig)  # 1 - a
+    d_tanhs = scratch.d_tanhs
+    np.multiply(scratch.tanhs, scratch.tanhs, d_tanhs)
+    np.subtract(_ONE, d_tanhs, d_tanhs)  # 1 - g * g and 1 - tanh_c * tanh_c
+    scratch.dh_dc_next.fill(0.0)
+    dc_dc_dh, dc, dc_copy, dh = scratch.dc_dc_dh, scratch.dc, scratch.dc_copy, scratch.dh
+    dh_next, dc_next = scratch.dh_next, scratch.dc_next
+    gate_products = scratch.gate_products
+    p_i, p_f, p_o, p_g = scratch.products
+    u_blocks = params.u_blocks
     for (out_grad, i, f, o, ifo, d_tanh_c_t, d_sig_t, d_cand_t, first,
-         d_pre_ifo, d_pre_g, d_pre_blocks) in step_rows:
+         d_pre_ifo, d_pre_g, d_pre_blocks) in scratch.rows:
         np.add(out_grad, dh_next, dh)
         np.multiply(dh, o, dc)
         dc *= d_tanh_c_t
@@ -309,6 +370,7 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
         dh_next += p_g
         np.multiply(dc, f, dc_next)
 
+    d_pre_rows = scratch.d_pre_rows
     ordered_outer_sum(d_pre_rows, record.h[:steps][::-1], out=out.u)
     ordered_row_sum(d_pre_rows, out=out.b)
     tokens = record.tokens[::-1]  # in the order of the rows
@@ -424,17 +486,20 @@ def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None
     params.flat += s
 
 
-def clip_by_global_norm(flat: np.ndarray, blocks: tuple[np.ndarray, ...],
+def clip_by_global_norm(flat: np.ndarray, *, blocks: tuple[np.ndarray, ...],
                         max_norm: float) -> float:
     """Scale the gradient ``flat`` in place so its global norm is at most max_norm.
 
     ``blocks`` are views of ``flat`` that partition it. The norm adds one
     float sum of fresh squares per block, in block order, so the blocks and
-    their order fix its rounding. Returns the norm before clipping.
+    their order fix its rounding; each sum is the reduction ``.sum()``
+    runs, called without its Python wrapper. Returns the norm before
+    clipping. ``blocks`` and ``max_norm`` are keyword-only, so that no
+    call can pass one for the other.
     """
     total = 0.0
     for block in blocks:
-        total += float((block * block).sum())
+        total += float(np.add.reduce(np.multiply(block, block), None))
     norm = math.sqrt(total)
     if norm > max_norm > 0.0:
         flat *= max_norm / norm

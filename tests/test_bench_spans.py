@@ -12,8 +12,12 @@ every benchmark run. This reads bench/ and edits nothing there.
 import ast
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
+
+from archsearch import controller as ctl
+from archsearch.search_space import build_space
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 CHECKS_FILE = SPANS_FILE.with_name("checks.py")
@@ -73,3 +77,20 @@ def test_every_archsearch_name_in_checks_resolves():
     unresolved += [f"engine.{name}" for name in sorted(engine_names)
                    if not hasattr(engine, name)]
     assert not unresolved
+
+
+def test_traced_clip_counts_read_max_norm_from_the_update():
+    """The trace counts every clip and those whose norm exceeded max_norm,
+    which it reads from the controller's call: five updates clipped at
+    1e-9 are five clipped, five at inf none."""
+    spans = load_spans()
+    for clip_norm, clipped in ((1e-9, 5), (math.inf, 0)):
+        state = ctl.create_controller(build_space("condensenet"), seed=4, clip_norm=clip_norm)
+        recorder = spans.Recorder("search")
+        try:
+            for _ in range(5):
+                _, rollout = ctl.sample_sequence(state)
+                ctl.reinforce_update_batch(state, [rollout], [1.0])
+        finally:
+            recorder.undo()
+        assert (recorder.counts["clip_calls"], recorder.counts["clip_clipped"]) == (5, clipped)

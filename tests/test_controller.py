@@ -258,7 +258,7 @@ class TestReinforceUpdate:
         assert actions_a == actions_b
         # the plain update: one rollout's gradient, clipped, one ADAM step
         grads = gradients(a, rollout_a, 0.8)
-        clip_by_global_norm(grads.flat, ctl.param_blocks(grads), a.clip_norm)
+        clip_by_global_norm(grads.flat, blocks=ctl.param_blocks(grads), max_norm=a.clip_norm)
         adam_step(a.params, grads, a.adam)
         ctl.reinforce_update_batch(b, [rollout_b], [0.8])
         for name, arr in a.params.items():
@@ -327,7 +327,8 @@ class TestGradientWorkspace:
             grads = ref.params.like()
             for rollout, reward in zip(ref_rollouts, rewards):
                 grads.flat += gradients(ref, rollout, reward / len(rewards)).flat
-            ref_norm = clip_by_global_norm(grads.flat, ctl.param_blocks(grads), ref.clip_norm)
+            ref_norm = clip_by_global_norm(grads.flat, blocks=ctl.param_blocks(grads),
+                                           max_norm=ref.clip_norm)
             adam_step(ref.params, grads, ref.adam)
             ref.revision += 1
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from archsearch import nn_core as nc
+from archsearch.controller import create_controller, param_blocks
+from archsearch.search_space import build_space
 
 from oracles import (adam_reference, adam_step_reference, central_diff_grads,
                      global_norm_reference, lstm_step_reference, max_rel_error,
@@ -255,6 +257,26 @@ class TestLstmBackward:
             with pytest.raises(ValueError):
                 nc.lstm_backward(params, record, np.zeros((2, 2)), out=out)
 
+    @pytest.mark.parametrize("hidden_dim", [1, 20])
+    def test_scratch_reused_across_calls_and_step_counts(self, hidden_dim):
+        """One cell through 78, 6, 78, 0, 6 and 6 steps, each call on a record
+        of its own: a row, ``dh_next`` or ``dc_next`` left over from an
+        earlier call would change the bits of a later one."""
+        params = seeded_lstm(204, hidden_dim, seed=hidden_dim, scale=0.6)
+        rng = np.random.default_rng(hidden_dim)
+        scratches = []
+        for steps in (78, 6, 78, 0, 6, 6):
+            tokens = [None] * min(steps, 1) + rng.integers(204, size=max(steps - 1, 0)).tolist()
+            record = run_forward(params, tokens)
+            output_grads = rng.normal(size=(steps, hidden_dim))
+            grads = named(backward(params, record, output_grads))
+            expected = stepwise_lstm_backward(params, record, output_grads)
+            for name, tensor in expected.items():
+                assert np.array_equal(bits(grads[name]), bits(tensor)), (steps, name)
+            scratches.append(params.backward_scratch)
+        assert [scratch.steps for scratch in scratches] == [78, 6, 78, 0, 6, 6]
+        assert scratches[-1] is scratches[-2]  # kept while the step count stays
+
 
 class TestKernelFacts:
     """The numeric facts the per-step kernels rely on, each against the
@@ -319,12 +341,48 @@ class TestKernelFacts:
         expected = global_norm_reference(grads)
         before = grads.flat.copy()
         max_norm = data.draw(st.sampled_from([expected, 1.0, math.inf]), label="max_norm")
-        norm = nc.clip_by_global_norm(grads.flat, tuple(grads.values()), max_norm)
+        norm = nc.clip_by_global_norm(grads.flat, blocks=tuple(grads.values()), max_norm=max_norm)
         assert repr(norm) == repr(expected)
         if norm > max_norm:
             assert np.array_equal(bits(grads.flat), bits(before * (max_norm / norm)))
         else:
             assert np.array_equal(bits(grads.flat), bits(before))
+
+    @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro"])
+    def test_wrapper_free_block_sum_equals_ndarray_sum(self, kind):
+        """`np.add.reduce` over all axes of the fresh squares is the sum
+        ``.sum()`` gives, on every block of a controller's layout."""
+        grads = create_controller(build_space(kind), seed=5).params.like()
+        rng = np.random.default_rng(5)
+        size = grads.flat.size
+        grads.flat[:] = rng.normal(size=size) * 10.0 ** rng.integers(-60, 60, size=size)
+        grads.flat[rng.random(size) < 0.1] = -0.0
+        for block in param_blocks(grads):
+            expected = float((block * block).sum())
+            assert repr(float(np.add.reduce(np.multiply(block, block), None))) == repr(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), steps=st.integers(0, 80), cols=st.integers(2, 7),
+           reverse=st.booleans())
+    def test_reduce_along_t_equals_sequential_loop(self, data, steps, cols, reverse):
+        """With two or more columns, `np.add.reduce` along t from +0.0 adds
+        the rows in the order of t, also over a reversed view."""
+        a = data.draw(arrays(np.float64, (steps, cols), elements=FLOATS))
+        if reverse:
+            a = a[::-1]
+        out = np.full(cols, np.nan)
+        np.add.reduce(a, 0, None, out, initial=0.0)
+        expected = sequential_outer_sum(a, np.ones((steps, 1)))[:, 0]
+        assert np.array_equal(bits(out), bits(expected))
+
+    def test_one_column_reduce_is_pairwise_so_row_sum_guards_it(self):
+        """1.0 then fifteen 2**-53: one by one each is lost to rounding, but
+        numpy sums a single column pairwise, where they pair up first."""
+        a = np.array([[1.0]] + [[2.0**-53]] * 15)
+        expected = sequential_outer_sum(a, np.ones((16, 1)))[:, 0]
+        assert expected[0] == 1.0
+        assert np.add.reduce(a, 0, None, np.empty(1), initial=0.0)[0] > 1.0
+        assert np.array_equal(bits(nc.ordered_row_sum(a, out=np.empty(1))), bits(expected))
 
     def test_block_sums_added_in_block_order(self):
         """1.0 and then eight squares of 2**-54 each: added one by one to the
@@ -332,7 +390,7 @@ class TestKernelFacts:
         grads = buffer(a=np.ones(1), **{f"b{k}": np.full(1, 2.0**-27) for k in range(8)})
         assert global_norm_reference(grads) == 1.0
         assert math.sqrt(1.0 + 8 * 2.0**-54) > 1.0
-        assert nc.clip_by_global_norm(grads.flat, tuple(grads.values()), 5.0) == 1.0
+        assert nc.clip_by_global_norm(grads.flat, blocks=tuple(grads.values()), max_norm=5.0) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), hidden_dim=st.sampled_from([1, 7, 20, 24, 64]),
@@ -383,9 +441,12 @@ class TestOrderedSums:
         assert np.array_equal(bits(out), bits(sequential_outer_sum(a, b)))
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), steps=st.integers(0, 12), size=st.sampled_from([1, 1, 2, 4, 7]))
-    def test_row_sum_equals_sequential_loop(self, data, steps, size):
+    @given(data=st.data(), steps=st.integers(0, 80), size=st.sampled_from([1, 1, 2, 4, 7]),
+           reverse=st.booleans())
+    def test_row_sum_equals_sequential_loop(self, data, steps, size, reverse):
         a = data.draw(arrays(np.float64, (steps, size), elements=FLOATS))
+        if reverse:
+            a = a[::-1]
         out = np.full(size, np.nan)
         assert nc.ordered_row_sum(a, out=out) is out
         expected = sequential_outer_sum(a, np.ones((steps, 1)))[:, 0]
@@ -588,11 +649,17 @@ class TestAdam:
 class TestClipping:
     def test_norm_reported_and_clipped(self):
         grads = buffer(a=np.array([3.0, 4.0]))
-        norm = nc.clip_by_global_norm(grads.flat, tuple(grads.values()), 1.0)
+        norm = nc.clip_by_global_norm(grads.flat, blocks=tuple(grads.values()), max_norm=1.0)
         assert norm == pytest.approx(5.0)
         assert global_norm_reference(grads) == pytest.approx(1.0)
 
     def test_no_clip_below_threshold(self):
         grads = buffer(a=np.array([0.3, 0.4]))
-        nc.clip_by_global_norm(grads.flat, tuple(grads.values()), 1.0)
+        nc.clip_by_global_norm(grads.flat, blocks=tuple(grads.values()), max_norm=1.0)
         np.testing.assert_allclose(grads["a"], [0.3, 0.4])
+
+    def test_blocks_and_max_norm_are_keyword_only(self):
+        grads = buffer(a=np.array([3.0, 4.0]))
+        with pytest.raises(TypeError):
+            nc.clip_by_global_norm(grads.flat, tuple(grads.values()), 1.0)
+        assert np.array_equal(grads["a"], [3.0, 4.0])
