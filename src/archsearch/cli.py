@@ -212,12 +212,12 @@ def cmd_mac(args: argparse.Namespace) -> int:
         raise ConfigError(f"--channels {args.channels}, --input-size {args.input_size}: "
                           f"{exc}") from exc
     if args.json:
-        print(json.dumps({
+        print(textio.json_text({
             "total_mac": report.total_mac,
             "per_layer": [{"layer": layer + 1, "mac": mac}
                           for layer, mac in report.per_layer],
             "normalized": report.normalized,
-        }, indent=2, sort_keys=True))
+        }))
     else:
         for layer, mac in report.per_layer:
             print(f"layer {layer + 1:2d} {arch.ops[layer]:<12s} {mac:>12d}")

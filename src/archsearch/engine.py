@@ -9,7 +9,6 @@ Runs are fully deterministic functions of their configuration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +27,7 @@ from .search_space import (Architecture, MACRO_OPS, SPACE_KINDS, MacroArch, Sear
                            decode)
 
 DEFAULT_WINDOW = 50
+RANDOM_BLOCK = 256  # iterations of actions `run_random` draws per generator call
 RANDOM_RESUME_ERROR = "run.resume is for search only: random search has no controller"
 
 RESULTS_HEADER = ("iteration", "actions", "accuracy", "energy", "peak_power",
@@ -257,9 +257,18 @@ def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResu
     if cfg.resume_path is not None:
         raise ValueError(RANDOM_RESUME_ERROR)
     rng = np.random.default_rng(cfg.seed)
-    # one draw per slot, in slot order, as from a list of the arities
     arities = np.asarray(build_space(cfg.space_kind).arities)
-    return _run(cfg, lambda: (tuple(rng.integers(arities).tolist()), None),
+
+    def draws():
+        # one draw per slot, in slot order, row after row: the stream of one
+        # rng.integers(arities) call per architecture
+        for start in range(0, cfg.n_iterations, RANDOM_BLOCK):
+            block = min(RANDOM_BLOCK, cfg.n_iterations - start)
+            yield from map(tuple, rng.integers(
+                np.broadcast_to(arities, (block, arities.size))).tolist())
+
+    actions = draws()
+    return _run(cfg, lambda: (next(actions), None),
                 lambda rollouts, rewards: 0.0, None, evaluator)
 
 
@@ -327,7 +336,7 @@ def _score_fields(ev: EvaluationResult) -> list[str]:
 
 def write_results_csv(path: str | Path, records: list[IterationRecord]) -> None:
     textio.write_table(path, RESULTS_HEADER, (
-        [str(r.iteration), ":".join(str(a) for a in r.actions),
+        [str(r.iteration), ("%d:" * len(r.actions) % r.actions)[:-1],
          *_score_fields(r.result), fmt_float(r.reward), fmt_float(r.grad_norm)]
         for r in records))
 
@@ -463,8 +472,7 @@ def summary_dict(cfg: RunConfig, result: SearchResult) -> dict:
 
 
 def write_summary_json(path: str | Path, cfg: RunConfig, result: SearchResult) -> None:
-    textio.write_text(path, json.dumps(summary_dict(cfg, result), indent=2,
-                                       sort_keys=True) + "\n")
+    textio.write_text(path, textio.json_text(summary_dict(cfg, result)) + "\n")
 
 
 def rebuild_front(rows: list[ResultRow], space: SearchSpace) -> ParetoFront:

@@ -1,11 +1,13 @@
-"""The two on-disk text formats: flat ``key = value`` settings, and tables of
-one header line plus one comma-separated row per line (no quoting). Every
-artifact file is written through `atomic_file`."""
+"""The three on-disk text formats: flat ``key = value`` settings, tables of
+one header line plus one comma-separated row per line (no quoting), and
+JSON indented by two spaces with sorted keys, as `json.dumps` writes it.
+Every artifact file is written through `atomic_file`."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
@@ -79,3 +81,67 @@ def read_table(path: str | Path, header: Sequence[str],
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return out
+
+
+_INF = float("inf")
+
+
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# Writers of the leaf types, by exact type; subclasses take `_json`'s tests.
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _float_json,
+           bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _key_json(key: object) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return f'"{_json(key, "")}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(value: object, newline: str) -> str:
+    leaf = _LEAVES.get(type(value))
+    if leaf:
+        return leaf(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(leaf, value) if leaf else [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_key_json(key)}: {_json(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    # Subclasses of str, int and float, in json's order (bool and None took
+    # the table). No value is both a container and a scalar, as their
+    # layouts conflict, so testing the containers first changes nothing.
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(value: object) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, without its pure-Python
+    encoder: strings go through the same C escape, floats and ints through
+    their types' ``__repr__``. Raises TypeError where `json.dumps` does; a
+    value that contains itself is not detected."""
+    return _json(value, "\n")

@@ -14,7 +14,9 @@ Any change to the numeric path that is not bit-identical fails here.
 Random searches on all three spaces are pinned the same way, so the
 uniform sampler's draws cannot change either; so are the ``samples.csv``
 files that ``sample`` writes from a macro and a condensenet checkpoint, each
-made by a pinned search here.
+made by a pinned search here. The macro search and the macro random search
+also pin ``summary.json`` (nested skip lists, empty lists, the layer
+histogram) and ``front.csv``.
 """
 
 import hashlib
@@ -78,6 +80,23 @@ RANDOM_RUNS = {
     ),
 }
 
+# SHA-256 of more files of the macro runs of RUNS and RANDOM_RUNS
+MACRO_FILES = {
+    "search": {
+        "summary.json": "a8898d9b10ce969e0ea326f62104a3e51e380f5383dfb302f460703452a74a82",
+        "front.csv": "58d7f616539b1774ff3ace10e99920512e2058666218e6117a3dcc2aff038436",
+    },
+    "random": {
+        "summary.json": "18f1001ea69145a1d4c21e68f1d7d316d52712590e113147ea0895f104a1de9e",
+        "front.csv": "bd9ca5e3ec006457bff308055f6fdc7c486c7ffc3b4e7edcb7b8b48b3e975a29",
+    },
+}
+
+
+def file_shas(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 # search args, sample args, SHA-256 of samples.csv; "table.csv" is the table
 # that `write_stage6_table` writes
 SAMPLE_RUNS = {
@@ -118,6 +137,8 @@ def test_search_bytes_and_final_policy(name, tmp_path):
     out = tmp_path / "run"
     assert main(["search", *args, "--out", str(out)]) == 0
     assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == results_sha
+    if name == "macro":
+        assert file_shas(out, MACRO_FILES["search"]) == MACRO_FILES["search"]
     state = ctl.load_checkpoint(out / "checkpoint.npz")
     assert repr(log_prob_reference(state, fixed_sequence(state.space))) == log_prob
 
@@ -128,6 +149,8 @@ def test_random_search_bytes(name, tmp_path):
     out = tmp_path / "run"
     assert main(["random", *args, "--out", str(out)]) == 0
     assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == results_sha
+    if name == "macro":
+        assert file_shas(out, MACRO_FILES["random"]) == MACRO_FILES["random"]
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_RUNS))
@@ -147,16 +170,22 @@ def test_sample_bytes(name, tmp_path, monkeypatch):
        sequences=st.integers(1, 4), warmup=st.integers(0, 5))
 def test_one_draw_per_sequence_equals_one_draw_per_slot(kind, seed, sequences, warmup):
     """rng.integers(arities) yields the per-slot scalar draws and the same generator
-    state, with the arities as a list of Python ints or, as `run_random` passes
-    them, as an int array."""
+    state, with the arities as a list of Python ints or as an int array; and one
+    call on the arities broadcast to [B, S], as `run_random` makes it, yields B
+    such sequences, row after row, and the same state as B calls."""
     arities = list(build_space(kind).arities)
-    whole, per_slot, as_array = (np.random.default_rng(seed) for _ in range(3))
-    for rng in (whole, per_slot, as_array):
+    whole, per_slot, as_array, block = (np.random.default_rng(seed) for _ in range(4))
+    for rng in (whole, per_slot, as_array, block):
         rng.random(warmup)
+    rows = []
     for _ in range(sequences):
         drawn = whole.integers(arities).tolist()
         assert drawn == [int(per_slot.integers(n)) for n in arities]
         assert drawn == as_array.integers(np.asarray(arities)).tolist()
         assert all(type(a) is int for a in drawn)
+        rows.append(drawn)
+    assert block.integers(np.broadcast_to(np.asarray(arities),
+                                          (sequences, len(arities)))).tolist() == rows
     assert whole.bit_generator.state == per_slot.bit_generator.state
     assert whole.bit_generator.state == as_array.bit_generator.state
+    assert whole.bit_generator.state == block.bit_generator.state

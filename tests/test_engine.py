@@ -196,6 +196,17 @@ class TestRunRandom:
         b = engine.run_random(cfg)
         assert [r.actions for r in a.records] == [r.actions for r in b.records]
 
+    def test_block_draws_are_one_draw_per_architecture(self):
+        """Across block boundaries and a short last block, the actions are those
+        of one rng.integers(arities) call per iteration on the run's seed."""
+        n = 2 * engine.RANDOM_BLOCK + 3
+        result = engine.run_random(power_cfg(n_iterations=n, seed=11))
+        rng = np.random.default_rng(11)
+        arities = build_space("condensenet").arities
+        assert [r.actions for r in result.records] == \
+            [tuple(rng.integers(arities).tolist()) for _ in range(n)]
+        assert all(type(a) is int for r in result.records for a in r.actions)
+
     def test_no_controller_and_zero_grad_norms(self):
         result = engine.run_random(power_cfg(n_iterations=10))
         assert result.controller is None

@@ -1,12 +1,15 @@
-"""The shared text formats: key = value settings, tables and atomic writes,
-plus round trips of every table format; front.csv, which the program only
-writes, is read back through `oracles.read_front_csv`."""
+"""The shared text formats: key = value settings, tables, the JSON writer
+and atomic writes, plus round trips of every table format; front.csv, which
+the program only writes, is read back through `oracles.read_front_csv`."""
 
+import json
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import numpy as np
 
 from archsearch import controller as ctl
 from archsearch import engine, textio
@@ -70,6 +73,72 @@ class TestTable:
         path.write_text("a,b\n1,2\nx,3\n")
         with pytest.raises(ValueError, match=r"t\.csv, line 3: invalid literal"):
             textio.read_table(path, ("a", "b"), lambda a, b: int(a) + int(b))
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class IntWithRepr(int):
+    def __repr__(self):
+        return "seven"
+
+
+class FloatWithRepr(float):
+    def __repr__(self):
+        return "half"
+
+
+class StrSubclass(str):
+    pass
+
+
+# any code point, lone surrogates and control characters included
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+SCALARS = (st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+           st.floats(), st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                                         float("nan"), float("inf"), float("-inf")]),
+           st.floats().map(np.float64), TEXT)
+# lists of one leaf type, which the writer joins with one map
+UNIFORM = st.one_of(*[st.lists(leaf, max_size=5) for leaf in SCALARS])
+JSON_VALUES = st.recursive(
+    st.one_of(*SCALARS, UNIFORM),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.dictionaries(st.floats(), children, max_size=3),
+        st.dictionaries(st.booleans(), children, max_size=2)),
+    max_leaves=30)
+
+
+class TestJsonText:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        assert textio.json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]], (), ((),),
+        {"b": 1, "a": [1.5, 2], "c": {"z": None, "y": (True, False)}},
+        {None: 1}, {2.5: "x"}, {-1: 0, 3: 1},
+        [IntWithRepr(7), FloatWithRepr(0.5), StrSubclass("s")],
+        {"k": IntWithRepr(7)}, IntWithRepr(7), FloatWithRepr(0.5), np.float64(0.1),
+        [np.float64(0.1), np.float64("nan")], [1, True, None, 1.0, "1"],
+    ])
+    def test_examples(self, value):
+        assert textio.json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(1), [np.int64(1)], {1, 2}, {"a": {1, 2}}, b"x", [b"x"], np.bool_(True),
+        {(1,): 2}, {"a": 1, 2: 3}, object(),
+    ])
+    def test_type_error_where_json_dumps_raises_it(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+        with pytest.raises(TypeError):
+            textio.json_text(value)
 
 
 class TestAtomicFile:
