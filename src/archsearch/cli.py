@@ -116,6 +116,16 @@ def _given(args: argparse.Namespace) -> dict[str, object]:
     return values
 
 
+def _out_dir(fields: dict[str, object], default: str) -> Path:
+    """Pop ``out_dir`` from ``fields``, refusing one that is a file or lies below
+    one: the run would go to its end and then fail to write its files."""
+    out_dir = Path(fields.pop("out_dir", default))
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"out.dir: {existing} exists and is not a directory")
+    return out_dir
+
+
 def _build_run_config(args: argparse.Namespace
                       ) -> tuple[engine.RunConfig, Evaluator, Path]:
     values = _given(args)
@@ -126,7 +136,7 @@ def _build_run_config(args: argparse.Namespace
         raise ConfigError(f"missing required setting: {', '.join(missing)}")
     fields = {SETTINGS[key].field: value for key, value in values.items()
               if not key.startswith("reward.")}
-    out_dir = Path(fields.pop("out_dir", "out"))
+    out_dir = _out_dir(fields, "out")
     try:
         reward = RewardSpec(**{SETTINGS[key].field: value for key, value in values.items()
                                if key.startswith("reward.")})
@@ -157,18 +167,26 @@ def _build_run_config(args: argparse.Namespace
 
 
 def _write_run_artifacts(out_dir: Path, cfg: engine.RunConfig,
-                         result: engine.SearchResult) -> None:
+                         result: engine.SearchResult) -> list[str]:
+    """Write the run's files into ``out_dir``; returns their names in order."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    engine.write_results_csv(out_dir / "results.csv", result.records)
-    engine.write_summary_json(out_dir / "summary.json", cfg, result)
-    engine.write_stats_csv(out_dir / "stats.csv", result.stats)
-    engine.write_front_csv(out_dir / "front.csv", result.front)
+    written = []
+
+    def write(name: str, writer: Callable[..., None], *args: object) -> None:
+        writer(out_dir / name, *args)
+        written.append(name)
+
+    write("results.csv", engine.write_results_csv, result.records)
+    write("summary.json", engine.write_summary_json, cfg, result)
+    write("stats.csv", engine.write_stats_csv, result.stats)
+    write("front.csv", engine.write_front_csv, result.front)
     if result.stats.op_histogram is not None:
-        engine.write_histogram_csv(out_dir / "ops_histogram.csv", result.stats.op_histogram)
-        engine.write_layer_histogram_csv(out_dir / "layer_ops.csv",
-                                         result.stats.layer_histogram)
+        write("ops_histogram.csv", engine.write_histogram_csv, result.stats.op_histogram)
+        write("layer_ops.csv", engine.write_layer_histogram_csv,
+              result.stats.layer_histogram)
     if result.controller is not None:
-        ctl.save_checkpoint(result.controller, out_dir / "checkpoint.npz")
+        write("checkpoint.npz", lambda path: ctl.save_checkpoint(result.controller, path))
+    return written
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -186,13 +204,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         result = engine.run_random(cfg, evaluator=evaluator)
     elapsed = time.perf_counter() - started
-    _write_run_artifacts(out_dir, cfg, result)
+    written = _write_run_artifacts(out_dir, cfg, result)
     best = result.best
     print(f"best iteration {best.iteration}: {arch_to_compact(best.arch)} "
           f"reward={best.reward!r} accuracy={best.result.accuracy!r}")
     print(f"{cfg.n_iterations} iterations in {elapsed:.2f}s (informational)")
-    if result.controller is not None:
-        print(f"wrote {out_dir}/results.csv, summary.json, stats.csv, front.csv, checkpoint.npz")
+    print(f"wrote {out_dir}/{', '.join(written)}")
     return 0
 
 
@@ -227,6 +244,9 @@ def cmd_mac(args: argparse.Namespace) -> int:
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out {args.out}: expected a file in an existing directory")
     try:
         rows = engine.read_results_csv(args.results)
     except FileNotFoundError as exc:
@@ -254,7 +274,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     fields = {SETTINGS[key].field: value for key, value in _given(args).items()}
-    out_dir = Path(fields.pop("out_dir", "samples"))
+    out_dir = _out_dir(fields, "samples")
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     path = Path(args.checkpoint)

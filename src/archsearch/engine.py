@@ -98,7 +98,7 @@ class RunConfig:
             "hidden_dim": self.hidden_dim,
             "lr": self.lr,
             "use_baseline": self.use_baseline,
-            "clip_norm": ctl.DEFAULT_CLIP_NORM,  # every run clips at it
+            "clip_norm": ctl.DEFAULT_CLIP_NORM,  # every new controller clips at it
             "window": self.window,
             "batch_n": self.batch_n,
             "resume_path": self.resume_path,
@@ -443,7 +443,7 @@ def summary_dict(cfg: RunConfig, result: SearchResult) -> dict:
     if cfg.resume_path is not None:  # the checkpoint's controller ran, not cfg's defaults
         state = result.controller
         config.update(hidden_dim=state.hidden_dim, lr=state.adam.lr,
-                      use_baseline=state.use_baseline)
+                      use_baseline=state.use_baseline, clip_norm=state.clip_norm)
     return {
         "config": config,
         "best": {

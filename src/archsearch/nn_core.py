@@ -231,32 +231,24 @@ def ordered_outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     along t in order into a zeroed output, provided the inputs lie in
     memory in the order of t (it walks a reversed view in memory order, so
     they are made C-contiguous here) and the output has more than one
-    element (a single one goes through an unrolled sum, so that case is a
-    running sum from zero instead).
+    entry (a single one goes through an unrolled sum, so it is refused).
     """
-    if not out.flags.c_contiguous or out.shape != (a.shape[1], b.shape[1]):
-        raise ValueError(f"out must be a C-contiguous {(a.shape[1], b.shape[1])} array")
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    if out.size == 1:
-        terms = np.zeros(len(a) + 1)
-        np.multiply(a[:, 0], b[:, 0], out=terms[1:])
-        out[0, 0] = np.add.accumulate(terms)[-1]
-    else:
-        np.einsum("ti,tj->ij", a, b, out=out)
+    shape = (a.shape[1], b.shape[1])
+    if not out.flags.c_contiguous or out.shape != shape or out.size < 2:
+        raise ValueError(f"out must be a C-contiguous {shape} array of two or more entries")
+    np.einsum("ti,tj->ij", np.ascontiguousarray(a), np.ascontiguousarray(b), out=out)
     return out
 
 
 def ordered_row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write sum_t a[t] over the 1-D ``out``, added in the order of t from zero.
 
-    With two or more columns ``np.add.reduce`` along t adds each row into
-    ``out`` in turn; a single column it sums pairwise, so that case goes
-    through `ordered_outer_sum` (x * 1.0 is x).
+    ``np.add.reduce`` along t adds each row into ``out`` in turn, given two
+    or more columns; a single column it sums pairwise, so it is refused.
     """
-    if a.shape[1] == 1:
-        ordered_outer_sum(a, np.ones((len(a), 1)), out.reshape(-1, 1))
-    else:
-        np.add.reduce(a, 0, None, out, initial=0.0)
+    if a.shape[1] < 2:
+        raise ValueError(f"a must have two or more columns, got {a.shape[1]}")
+    np.add.reduce(a, 0, None, out, initial=0.0)
     return out
 
 

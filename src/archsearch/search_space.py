@@ -14,8 +14,6 @@ import operator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
 
-import numpy as np
-
 from . import textio
 
 ALEXNET_FILTERS = (8, 16, 32, 48, 64)
@@ -47,8 +45,8 @@ class DecisionSlot:
     candidates: tuple
 
     def __post_init__(self) -> None:
-        if not self.candidates:
-            raise ValueError(f"slot {self.name} has no candidates")
+        if len(self.candidates) < 2:  # one candidate is no decision
+            raise ValueError(f"slot {self.name} needs two or more candidates")
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError(f"slot {self.name} has duplicate candidates")
 
@@ -182,8 +180,8 @@ def build_space(kind: str) -> SearchSpace:
 
 
 def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
-    """Refuse a sequence of the wrong length, or an action that is not an
-    integer (a bool, float or string) or not a candidate index of its slot."""
+    """Refuse a sequence of the wrong length, or an action that is not an int
+    (a bool, numpy integer, float or string) or not a candidate of its slot."""
     if len(actions) != len(space.arities):
         raise ValueError(
             f"sequence has {len(actions)} actions, space has {len(space.arities)} slots")
@@ -192,9 +190,8 @@ def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
             break
     else:
         return
-    # a numpy integer lands here too, and passes
     for t, (arity, a) in enumerate(zip(space.arities, actions)):
-        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+        if type(a) is not int:
             raise ValueError(f"action {a!r} for slot {t} ({space.slots[t].name}) "
                              "is not an integer")
         if not 0 <= a < arity:
@@ -289,7 +286,9 @@ def arch_from_compact(token: str) -> Architecture:
         for p in parts:
             if "[" in p:
                 op, _, rest = p.partition("[")
-                refs = tuple(sorted(int(v) - 1 for v in rest.rstrip("]").split(".")))
+                if not rest.endswith("]") or rest.count("]") > 1:
+                    raise ValueError(f"macro layer {p!r} must end in one ']'")
+                refs = tuple(sorted(int(v) - 1 for v in rest[:-1].split(".")))
             else:
                 op, refs = p, ()
             ops.append(op)

@@ -96,17 +96,10 @@ def _float_json(value: float) -> str:
     return float.__repr__(value)
 
 
-# Writers of the leaf types, by exact type; subclasses take `_json`'s tests.
+# Writers of the leaf types, by exact type
 _LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _float_json,
            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
-
-
-def _key_json(key: object) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return f'"{_json(key, "")}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+_STR_TYPE = frozenset((str,))
 
 
 def _json(value: object, newline: str) -> str:
@@ -114,34 +107,27 @@ def _json(value: object, newline: str) -> str:
     if leaf:
         return leaf(value)
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
+    if type(value) is list:
         if not value:
             return "[]"
         kinds = set(map(type, value))
         leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(leaf, value) if leaf else [_json(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    if isinstance(value, dict):
+    if type(value) is dict:
         if not value:
             return "{}"
-        items = [f"{_key_json(key)}: {_json(item, inner)}"
+        if not _STR_TYPE.issuperset(map(type, value)):
+            raise TypeError("keys must be str")
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
                  for key, item in sorted(value.items())]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    # Subclasses of str, int and float, in json's order (bool and None took
-    # the table). No value is both a container and a scalar, as their
-    # layouts conflict, so testing the containers first changes nothing.
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_json(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {type(value).__name__} is not written as JSON")
 
 
 def json_text(value: object) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, without its pure-Python
-    encoder: strings go through the same C escape, floats and ints through
-    their types' ``__repr__``. Raises TypeError where `json.dumps` does; a
-    value that contains itself is not detected."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` of None, bool, int, float,
+    str, list and str-keyed dict, by exact type, without its pure-Python encoder:
+    strings take the same C escape, numbers their types' ``__repr__``. Anything
+    else (a tuple, subclass or non-str key) raises TypeError; cycles are not found."""
     return _json(value, "\n")

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from archsearch import engine
 from archsearch.cli import SETTINGS, main
 from archsearch.engine import read_results_csv
 from archsearch.evaluators import LOOKUP_HEADER, fixture_lookup_path, load_lookup
@@ -41,6 +42,19 @@ class TestSearchCommand:
             assert (out / name).is_file(), name
         printed = capsys.readouterr().out
         assert "best iteration" in printed
+
+    @pytest.mark.parametrize("command", ["search", "random"])
+    @pytest.mark.parametrize("space", ["condensenet", "macro"])
+    def test_wrote_line_names_the_files_written(self, tmp_path, capsys, command, space):
+        out = tmp_path / "run"
+        assert run_cli(command, "--space", space, "--reward", "mixed", "--alpha", "0.5",
+                       "--iterations", "3", "--out", str(out)) == 0
+        wrote = capsys.readouterr().out.splitlines()[-1]
+        names = sorted(p.name for p in out.iterdir())
+        assert wrote.startswith(f"wrote {out}/")
+        assert sorted(wrote[len(f"wrote {out}/"):].split(", ")) == names
+        assert ("checkpoint.npz" in names) == (command == "search")
+        assert ("layer_ops.csv" in names) == (space == "macro")
 
     def test_mixed_alpha_example(self, tmp_path):
         out = tmp_path / "mix"
@@ -379,9 +393,22 @@ class TestResumeFlag:
         config = json.loads((resumed / "summary.json").read_text())["config"]
         assert (config["hidden_dim"], config["lr"], config["use_baseline"]) == (9, 0.02, True)
         assert config["resume_path"] == str(first / "checkpoint.npz")
+        assert config["clip_norm"] == 5.0
         # a fresh run records the settings as given
         config = json.loads((first / "summary.json").read_text())["config"]
         assert (config["hidden_dim"], config["lr"], config["use_baseline"]) == (9, 0.02, True)
+
+    def test_summary_records_the_checkpoints_clip_norm(self, tmp_path):
+        first = tmp_path / "first"
+        assert run_cli(*search_args(first)) == 0
+        path = first / "checkpoint.npz"
+        with np.load(path) as data:
+            contents = {k: data[k] for k in data.files}
+        set_meta(contents, None, "clip_norm", 2.5)
+        np.savez(path, **contents)
+        resumed = tmp_path / "resumed"
+        assert run_cli(*search_args(resumed), "--resume", str(path)) == 0
+        assert json.loads((resumed / "summary.json").read_text())["config"]["clip_norm"] == 2.5
 
     def test_missing_resume_checkpoint_exits_2(self, tmp_path):
         out = tmp_path / "r"
@@ -832,3 +859,50 @@ class TestUnreadEvaluatorSettings:
                        "--fallback", "off", "--out", str(samples)) == 2
         assert "evaluator.surrogate" in capsys.readouterr().err
         assert not samples.exists()
+
+
+def forbid_runs(monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+    for name in ("run_search", "run_random", "sample_trained_controller"):
+        monkeypatch.setattr(engine, name, started)
+
+
+class TestOutputPaths:
+    """An output path no file can be written to exits 2 before any run,
+    leaving what is there as it was."""
+
+    @pytest.mark.parametrize("command", ["search", "random"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_run_out_dir_on_a_file_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                           below):
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        forbid_runs(monkeypatch)
+        out = blocker / "run" if below else blocker
+        assert run_cli(command, *search_args(out)[1:]) == 2
+        assert f"out.dir: {blocker} exists and is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
+    def test_sample_out_dir_on_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        checkpoint = macro_checkpoint(tmp_path)
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        forbid_runs(monkeypatch)
+        capsys.readouterr()
+        assert run_cli("sample", "--checkpoint", str(checkpoint), "--n", "3",
+                       "--out", str(blocker)) == 2
+        assert f"out.dir: {blocker} exists and is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("where", ["missing/front.csv", "."])
+    def test_pareto_out_without_a_directory_exits_2(self, tmp_path, capsys, where):
+        results = tmp_path / "results.csv"
+        results.write_text("iteration,actions,accuracy,energy,peak_power,"
+                           "mac_normalized,reward,grad_norm\n1,,0.5,1.0,,,0.0,0.0\n")
+        out = tmp_path / where
+        assert run_cli("pareto", "--results", str(results), "--space", "condensenet",
+                       "--out", str(out)) == 2
+        assert f"--out {out}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
