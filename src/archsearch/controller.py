@@ -47,12 +47,12 @@ class Rollout(LstmRecord):
     """One sampled sequence as arrays, enough for exact gradients.
 
     The LSTM's rows of every step (`LstmRecord`), the action of every step,
-    and per head type the softmax probabilities of its steps, one row per
-    step in step order.
+    and one flat array of softmax probabilities: per head type, in
+    `ControllerState.heads` order, its steps' rows in step order.
     """
 
     actions: np.ndarray  # [T] int
-    probs: dict[str, np.ndarray]  # head type -> [steps of that type, arity]
+    probs: np.ndarray  # step t's row starts at `ControllerState.prob_starts[t]`
     revision: int
 
 
@@ -72,8 +72,7 @@ class HeadSteps(NamedTuple):
     head: str
     steps: np.ndarray
     h_rows: np.ndarray  # the rows of `Rollout.h` its logits read: steps + 1
-    # where each of its rows starts in its flat `probs`: row * arity
-    row_offsets: np.ndarray
+    block: slice  # its steps' rows in a rollout's flat `probs`
     w: np.ndarray  # the head's weight view
 
 
@@ -99,6 +98,7 @@ class ControllerState:
     # where each step and head type sits in a rollout, fixed by the space
     slots: tuple[SlotHead, ...] = field(init=False, repr=False)
     heads: tuple[HeadSteps, ...] = field(init=False, repr=False)
+    prob_starts: np.ndarray = field(init=False, repr=False)  # [T], into `Rollout.probs`
 
     def __post_init__(self) -> None:
         if not self.clip_norm > 0.0:
@@ -114,12 +114,13 @@ class ControllerState:
             SlotHead(head, heads[:t].count(head), self.params[f"head.{head}.w"],
                      self.params[f"head.{head}.b"], offset)
             for t, (head, offset) in enumerate(zip(heads, self.space.vocab_offsets)))
-        steps_of = {head: np.flatnonzero([h == head for h in heads])
-                    for head in self.space.head_types()}
-        self.heads = tuple(
-            HeadSteps(head, steps, steps + 1,
-                      np.arange(len(steps)) * len(self.params[f"head.{head}.b"]),
-                      self.params[f"head.{head}.w"]) for head, steps in steps_of.items())
+        self.prob_starts, self.heads = np.empty(len(heads), dtype=int), ()
+        for head, arity in self.space.head_types().items():
+            steps = np.flatnonzero([h == head for h in heads])
+            start = self.heads[-1].block.stop if self.heads else 0
+            block = slice(start, start + len(steps) * arity)
+            self.prob_starts[steps] = range(block.start, block.stop, arity)
+            self.heads += (HeadSteps(head, steps, steps + 1, block, self.params[f"head.{head}.w"]),)
 
 
 def create_controller(space: SearchSpace, seed: int, hidden_dim: int | None = None,
@@ -138,8 +139,7 @@ def create_controller(space: SearchSpace, seed: int, hidden_dim: int | None = No
         lr = DEFAULT_LR.get(space.kind, 0.01)
     rng = np.random.default_rng(seed)
     shapes = lstm_shapes(space.vocab_size, hidden_dim)
-    for head in space.head_types():  # then a (w, b) head per slot type
-        arity = next(len(s.candidates) for s in space.slots if s.head == head)
+    for head, arity in space.head_types().items():  # then a (w, b) head per slot type
         shapes.update({f"head.{head}.w": (arity, hidden_dim), f"head.{head}.b": (arity,)})
     params = ParamBuffer(shapes)
     for block in param_blocks(params):
@@ -178,11 +178,11 @@ def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
     scratch = np.empty(())
     rollout = Rollout.empty(
         steps, state.hidden_dim, actions=np.empty(steps, dtype=int),
-        probs={head.head: np.empty((len(head.steps), len(head.w))) for head in state.heads},
-        revision=state.revision)
+        probs=np.empty(state.heads[-1].block.stop), revision=state.revision)
     h, c = list(rollout.h), list(rollout.c)
     outs = zip(list(rollout.gates), c[1:], list(rollout.tanh_c), h[1:])
-    probs = {head: list(rows) for head, rows in rollout.probs.items()}
+    probs = {head: list(rollout.probs[block].reshape(len(steps), len(w)))
+             for head, steps, _, block, w in state.heads}
     actions: list[int] = []
     token = None
     for slot, u, h_prev, c_prev, out in zip(state.slots, uniforms, h, c, outs):
@@ -214,9 +214,10 @@ def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
     if out.shapes != state.params.shapes:
         raise ValueError("gradient layout does not match parameter layout")
     dh = np.empty((len(rollout.actions), state.hidden_dim))
-    for head, steps, h_rows, row_offsets, w in state.heads:
-        dlogits = np.multiply(rollout.probs[head], -scale)  # the bits of -probs * scale
-        dlogits.ravel()[row_offsets + rollout.actions[steps]] += scale
+    flat = np.multiply(rollout.probs, -scale)  # the bits of -probs * scale
+    flat[state.prob_starts + rollout.actions] += scale
+    for head, steps, h_rows, block, w in state.heads:
+        dlogits = flat[block].reshape(len(steps), len(w))
         ordered_outer_sum(dlogits, rollout.h[h_rows], out=out[f"head.{head}.w"])
         ordered_row_sum(dlogits, out=out[f"head.{head}.b"])
         # a stacked product, one gemv per step: a single w.T @ dlogits.T

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import controller as ctl
 from . import textio
-from .evaluators import (Evaluator, LookupEvaluator, UnknownArchitectureError,
-                         fixture_lookup_path, load_lookup, make_surrogate)
+from .evaluators import (Evaluator, LookupEvaluator, fixture_lookup_path, load_lookup,
+                         make_surrogate)
 from .pareto import ParetoFront, ParetoPoint, front_of
 from .rewards import EvaluationResult, RewardSpec, compute_reward
 from .search_space import (Architecture, MACRO_OPS, SPACE_KINDS, MacroArch, SearchSpace,
@@ -139,7 +139,8 @@ def make_evaluator(space_kind: str, evaluator_kind: str = "surrogate", seed: int
                    lookup_path: str | Path | None = None,
                    surrogate_path: str | Path | None = None,
                    lookup_fallback: bool = False) -> Evaluator:
-    """The evaluator of a run; refuses a setting the chosen evaluator would not read."""
+    """The evaluator of a run; refuses a setting it would not read and, with no
+    fallback, a table without a row for each architecture of the space."""
     if evaluator_kind == "surrogate":
         if lookup_path is not None or lookup_fallback:
             raise ValueError("evaluator.fixture and evaluator.fallback are for the lookup "
@@ -154,10 +155,17 @@ def make_evaluator(space_kind: str, evaluator_kind: str = "surrogate", seed: int
         raise ValueError("evaluator.surrogate is read by the lookup evaluator only with "
                          "evaluator.fallback = on")
     path = fixture_lookup_path() if lookup_path is None else Path(lookup_path)
+    rows, space = load_lookup(path), build_space(space_kind)
+    # the rows are distinct, so they cover the space when as many lie in it
+    inside = sum(all(v in slot.candidates for v, slot in zip(a.stages + a.growths, space.slots))
+                 for a in rows)
+    if not lookup_fallback and inside < space.size():  # a run would stop at the first miss
+        raise ValueError(f"{path} holds {len(rows)} rows, {inside} of the {space.size()} "
+                         f"{space_kind} architectures: evaluator.fallback = off needs them all")
     fallback = None
     if lookup_fallback:
         fallback = make_surrogate(space_kind, seed=seed, config_path=surrogate_path)
-    return LookupEvaluator(load_lookup(path), fallback=fallback, source=str(path))
+    return LookupEvaluator(rows, fallback=fallback, source=str(path))
 
 
 def build_evaluator(cfg: RunConfig) -> Evaluator:
@@ -204,11 +212,7 @@ def _run(cfg: RunConfig, sample: Callable[[], tuple[tuple[int, ...], ctl.Rollout
     for i in range(1, cfg.n_iterations + 1):
         actions, rollout = sample()
         arch = decode(space, actions)
-        try:
-            result = evaluator.evaluate(arch)
-        except UnknownArchitectureError as exc:
-            msg = exc.args[0] if exc.args else str(exc)
-            raise UnknownArchitectureError(f"iteration {i}: {msg}") from exc
+        result = evaluator.evaluate(arch)
         reward = compute_reward(cfg.reward, result)
 
         record = IterationRecord(iteration=i, actions=actions, arch=arch, result=result,

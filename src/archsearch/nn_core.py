@@ -7,8 +7,8 @@ named view per tensor, so the optimizer updates all of it in one vector
 expression while the model code reads and writes tensors by name.
 
 The LSTM's input at each step is a token, the index of a single one-hot
-entry (or none at all), so the input product is a column lookup and its
-gradient a column add.
+entry (or none at all), so the input product is a column lookup; a rollout
+feeds each token at most once, so its gradient is one step's column.
 
 A forward pass is kept as an `LstmRecord`, one row per step. The backward
 runs the recurrence step by step, then sums each parameter gradient over
@@ -129,6 +129,11 @@ class LstmCellParams:
     def ig_scratch(self) -> np.ndarray:
         """Where i * g goes."""
         return np.empty(self.hidden_dim)
+
+    @functools.cached_property
+    def input_tokens(self) -> frozenset[int]:
+        """Every input token: what `lstm_backward` checks a record's against."""
+        return frozenset(range(self.input_dim))
 
     @functools.cached_property
     def u_blocks(self) -> np.ndarray:
@@ -299,11 +304,13 @@ class BackwardScratch:
 
 def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.ndarray,
                   out: LstmCellParams) -> LstmCellParams:
-    """Backprop through time over a full forward pass.
+    """Backprop through time over a rollout's forward pass.
 
-    ``output_grads[t]`` is dLoss/dh of step t ([T, H]). Returns ``out``
-    with the parameter gradients written over it (its old contents are
-    never read). No truncation: gradients are exact, and each sums its
+    ``output_grads[t]`` is dLoss/dh of step t ([T, H]). The record must be
+    a rollout's: token -1 at step 0, then a distinct one of
+    ``params.input_tokens`` per step; another raises ValueError. Returns
+    ``out`` with the parameter gradients written over it (its old contents
+    are never read). No truncation: gradients are exact, and each sums its
     steps from the last to the first, as a step-by-step accumulation would.
     The temporaries live in the cell's `BackwardScratch`: a call copies its
     inputs in and runs the steps over row views made with the scratch.
@@ -312,10 +319,11 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
     steps = len(record.tokens)
     if output_grads.shape != (steps, n):
         raise ValueError(f"need one output gradient of size {n} per recorded step")
-    token_list = record.tokens.tolist()  # Python's min and max cost less here
+    token_list = record.tokens.tolist()  # -1 is not in params.input_tokens
     if record.gates.shape != (steps, 4 * n) or record.h.shape != (steps + 1, n) or (
-            steps and not -1 <= min(token_list) <= max(token_list) < params.input_dim):
-        raise ValueError("record does not match params dimensions")
+            not steps or token_list[0] != -1
+            or len(params.input_tokens.intersection(token_list)) != steps - 1):
+        raise ValueError("record does not match params dimensions or a rollout's tokens")
     if out.w.shape != params.w.shape or out.u.shape != params.u.shape:
         raise ValueError("gradient cell does not match params dimensions")
 
@@ -365,15 +373,10 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
     d_pre_rows = scratch.d_pre_rows
     ordered_outer_sum(d_pre_rows, record.h[:steps][::-1], out=out.u)
     ordered_row_sum(d_pre_rows, out=out.b)
-    tokens = record.tokens[::-1]  # in the order of the rows
-    fed = tokens >= 0
-    tokens, columns = tokens[fed], d_pre_rows[fed]
+    columns = d_pre_rows[:steps - 1]  # steps steps-1 to 1, each with its own token
     columns += _ZERO  # 0 + d, as a loop's first add gives (-0.0 becomes 0.0)
     out.w.fill(0.0)
-    if len(set(tokens.tolist())) == len(tokens):
-        out.w.T[tokens] = columns
-    else:  # a repeated token's column adds its steps in row order
-        np.add.at(out.w, (slice(None), tokens), columns.T)
+    out.w.T[record.tokens[:0:-1]] = columns
     return out
 
 

@@ -69,13 +69,14 @@ class SearchSpace:
         """Exact number of architectures in the space (big integer)."""
         return math.prod(self.arities)
 
-    def head_types(self) -> tuple[str, ...]:
+    def head_types(self) -> dict[str, int]:
+        """Each slot type, in order of first use, and the arity its slots share."""
         seen: dict[str, int] = {}
         for slot in self.slots:
             seen.setdefault(slot.head, len(slot.candidates))
             if seen[slot.head] != len(slot.candidates):
                 raise ValueError(f"head {slot.head} used with differing arities")
-        return tuple(seen)
+        return seen
 
 
 def _check_ints(what: str, values: tuple, length: int) -> None:

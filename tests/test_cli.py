@@ -133,11 +133,22 @@ class TestSearchCommand:
         code = run_cli(*lookup_args(out), "--fallback", "on")
         assert code == 0
 
-    def test_lookup_without_fallback_fails_at_runtime(self, tmp_path, capsys):
+    def test_lookup_without_fallback_refused_at_config_time(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """The shipped table lacks most condensenet architectures, so each
+        command exits 2 before its run, naming the rows and the fallback."""
+        first = tmp_path / "first"
+        assert run_cli(*lookup_args(first), "--fallback", "on", "--iterations", "2") == 0
+        forbid_runs(monkeypatch)
         out = tmp_path / "lk2"
-        code = run_cli(*lookup_args(out))
-        assert code == 1
-        assert "iteration" in capsys.readouterr().err
+        for argv in (lookup_args(out), ["random", *lookup_args(out)[1:]],
+                     ["sample", "--checkpoint", str(first / "checkpoint.npz"),
+                      "--evaluator", "lookup", "--out", str(out)]):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "holds 10 rows" in err and "evaluator.fallback = off" in err, argv[0]
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -36,11 +36,17 @@ def gradients(state, rollout, scale):
     return ctl.policy_gradients(state, rollout, scale, out=state.params.like())
 
 
+def step_probs(state, rollout, t):
+    """Step t's row of the rollout's flat probabilities."""
+    start = state.prob_starts[t]
+    return rollout.probs[start:start + len(state.slots[t].b)]
+
+
 def rollout_log_prob(state, actions, rollout):
     """Step-order sum of the logs of the probabilities sampling gave the actions."""
     total = 0.0
-    for slot, action in zip(state.slots, actions):
-        total += float(np.log(rollout.probs[slot.head][slot.row][action]))
+    for t, action in enumerate(actions):
+        total += float(np.log(step_probs(state, rollout, t)[action]))
     return total
 
 
@@ -87,13 +93,51 @@ class TestParamBlocks:
                                 rng=state.rng, hidden_dim=9)
 
 
+ROLLOUT_SPACES = st.one_of(
+    st.sampled_from(["alexnet", "condensenet", "macro"]).map(build_space),
+    st.lists(st.integers(2, 6), min_size=1, max_size=9).map(lambda a: bandit_space(*a)))
+
+
+class TestRolloutForm:
+    """The rollout form the update's kernels rely on: tokens -1 at step 0
+    and strictly increasing after it (the only form `lstm_backward` takes),
+    and `probs` rows laid out in one block per head type."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=ROLLOUT_SPACES, seed=st.integers(0, 2**32 - 1))
+    def test_tokens_are_none_then_strictly_increasing(self, space, seed):
+        _, rollout = ctl.sample_sequence(ctl.create_controller(space, seed=seed))
+        tokens = rollout.tokens.tolist()
+        assert tokens[0] == -1
+        assert all(a < b for a, b in zip(tokens[1:], tokens[2:]))
+        assert 0 <= min(tokens[1:], default=0) and max(tokens) < space.vocab_size
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=ROLLOUT_SPACES)
+    def test_prob_rows_tile_the_head_blocks(self, space):
+        """Step t's row starts at prob_starts[t]; each head's block holds its
+        steps' rows in step order, and the blocks tile the flat buffer."""
+        state = ctl.create_controller(space, seed=0)
+        start = 0
+        for head in state.heads:
+            arity = len(head.w)
+            assert head.block == slice(start, start + len(head.steps) * arity)
+            assert state.prob_starts[head.steps].tolist() == list(
+                range(head.block.start, head.block.stop, arity))
+            assert all(state.slots[t].head == head.head for t in head.steps)
+            start = head.block.stop
+        _, rollout = ctl.sample_sequence(state)
+        assert rollout.probs.shape == (start,)
+        assert sorted(t for head in state.heads for t in head.steps) == list(
+            range(len(state.slots)))
+
+
 class TestSampling:
     def test_zero_controller_is_uniform_on_condensenet(self):
         space = build_space("condensenet")
         state = uniform_controller(space, seed=0)
         actions, rollout = ctl.sample_sequence(state)
-        for probs in rollout.probs.values():
-            np.testing.assert_allclose(probs, 0.2, rtol=1e-15)
+        np.testing.assert_allclose(rollout.probs, 0.2, rtol=1e-15)
         assert rollout_log_prob(state, actions, rollout) == pytest.approx(
             6.0 * math.log(0.2), rel=1e-12)
 
@@ -137,8 +181,8 @@ class TestAgainstStepwiseSampler:
             assert getattr(rollout, key).tobytes() == np.array(expected[key]).tobytes()
         for key in ("c", "h"):  # row 0 is the zero state
             assert getattr(rollout, key)[1:].tobytes() == np.array(expected[key]).tobytes()
-        for slot, probs in zip(state.slots, expected["probs"]):
-            assert rollout.probs[slot.head][slot.row].tobytes() == probs.tobytes()
+        for t, probs in enumerate(expected["probs"]):
+            assert step_probs(state, rollout, t).tobytes() == probs.tobytes()
         assert state.rng.bit_generator.state == rng.bit_generator.state
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from archsearch import engine
 from archsearch.controller import create_controller
-from archsearch.evaluators import UnknownArchitectureError
+from archsearch.evaluators import LOOKUP_HEADER
 from archsearch.pareto import front_of
 from archsearch.rewards import EvaluationResult, RewardSpec
-from archsearch.search_space import MACRO_OPS, arch_from_compact, build_space
+from archsearch.search_space import (CONDENSENET_GROWTHS, CONDENSENET_STAGES, MACRO_OPS,
+                                     CondenseNetArch, arch_from_compact, build_space)
 
 from oracles import read_front_csv
 
@@ -75,11 +77,40 @@ class TestRunSearch:
         assert [(p.accuracy, p.energy) for p in result.front.points] == \
                [(p.accuracy, p.energy) for p in rebuilt.points]
 
-    def test_lookup_miss_carries_iteration_context(self):
+    def test_partial_table_without_fallback_refused_before_any_iteration(self, monkeypatch):
+        """The shipped table holds 10 rows, 7 of them condensenet
+        architectures; without a fallback the run would stop at the first
+        architecture without a row."""
         cfg = power_cfg(evaluator_kind="lookup", n_iterations=5,
                         reward=RewardSpec(kind="mixed", alpha=0.5))
-        with pytest.raises(UnknownArchitectureError, match="iteration 1"):
+
+        def sampled(*args):
+            raise AssertionError("an iteration ran")
+        monkeypatch.setattr(engine.ctl, "sample_sequence", sampled)
+        with pytest.raises(ValueError, match=r"holds 10 rows, 7 of the 15625 condensenet "
+                                             r"architectures: evaluator\.fallback = off"):
             engine.run_search(cfg)
+
+    def test_full_table_runs_without_fallback(self, tmp_path):
+        """A table with a row for each of the 15,625 condensenet architectures
+        answers every sample from its rows."""
+        rows = {}
+        for stages in itertools.product(CONDENSENET_STAGES, repeat=3):
+            for growths in itertools.product(CONDENSENET_GROWTHS, repeat=3):
+                rows[CondenseNetArch(stages, growths)] = (sum(stages) % 40 + 0.5,
+                                                          sum(growths) / 8)
+        table = tmp_path / "full.csv"
+        table.write_text(",".join(LOOKUP_HEADER) + "\n" + "".join(
+            ",".join(map(str, (*arch.stages, *arch.growths, *row))) + "\n"
+            for arch, row in rows.items()))
+        cfg = power_cfg(evaluator_kind="lookup", lookup_path=str(table), n_iterations=20,
+                        reward=RewardSpec(kind="mixed", alpha=0.5))
+        records = engine.run_search(cfg).records
+        assert len(records) == 20
+        for record in records:
+            error_pct, energy = rows[record.arch]
+            assert record.result.accuracy == 1.0 - error_pct / 100.0
+            assert record.result.energy_joules == energy
 
     def test_guidance_beats_random_search(self):
         cfg = power_cfg(n_iterations=600)

@@ -172,7 +172,7 @@ def run_forward(params, tokens):
 class TestLstmBackward:
     def test_zero_output_grads_give_zero_param_grads(self):
         params = seeded_lstm()
-        record = run_forward(params, [None, 1, 1, 2])
+        record = run_forward(params, [None, 1, 0, 2])
         grads = backward(params, record, np.zeros((4, 2)))
         for g in named(grads).values():
             assert np.all(g == 0.0)
@@ -181,7 +181,7 @@ class TestLstmBackward:
     def test_three_step_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         params = seeded_lstm(3, 2, seed=seed, scale=0.6)
-        tokens = [None] + [int(rng.integers(3)) for _ in range(2)]
+        tokens = [None] + rng.choice(3, size=2, replace=False).tolist()
         weights = rng.normal(size=(3, 2))
 
         def loss():
@@ -198,13 +198,16 @@ class TestLstmBackward:
         assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_single_step_symbolic_gradient(self):
-        # hidden 1, input 1, only w_i=a and w_g=b nonzero; token 0 is input x=1:
-        # h = 0.5*tanh(sig(a)*tanh(b))
+        # hidden 1, input 1, only w_i=a and w_g=b nonzero. Step 0 takes no
+        # input, so it leaves h = c = 0; step 1 takes token 0, input x=1:
+        # h = 0.5*tanh(sig(a)*tanh(b)), the only output with a gradient. Step
+        # 0 adds nothing to the checked entries: it feeds no token, so no w
+        # column, and its dh is 0 (u is zero), so b_o's row is 0.
         a, b, x = 0.7, -0.4, 1.0
         params = zero_lstm(1, 1)
         params.gate("i")[0][0, 0] = a
         params.gate("g")[0][0, 0] = b
-        grads = backward(params, run_forward(params, [0]), np.ones((1, 1)))
+        grads = backward(params, run_forward(params, [None, 0]), np.array([[0.0], [1.0]]))
 
         sig = 1.0 / (1.0 + math.exp(-a * x))
         g = math.tanh(b * x)
@@ -221,25 +224,24 @@ class TestLstmBackward:
     def test_cache_mismatch_rejected(self):
         params = seeded_lstm(3, 2)
         other = seeded_lstm(4, 2)
-        record = run_forward(other, [3] * 2)
+        record = run_forward(other, [None, 3])  # a token params has no column for
         with pytest.raises(ValueError):
             backward(params, record, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             backward(params, run_forward(params, []), np.zeros((1, 2)))
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), input_dim=st.integers(1, 5), hidden_dim=st.integers(1, 4),
-           steps=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
-    def test_equals_step_by_step_accumulation(self, data, input_dim, hidden_dim, steps,
-                                             seed):
+    @given(data=st.data(), input_dim=st.integers(1, 6), hidden_dim=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_step_by_step_accumulation(self, data, input_dim, hidden_dim, seed):
         """Whole-rollout sums give the bits of adding each step as it is reached.
 
-        Tokens may repeat and hidden size 1 makes every axis but the
-        gates' of length 1.
+        The distinct tokens after step 0 come in any order, and hidden size
+        1 makes every axis but the gates' of length 1.
         """
         params = seeded_lstm(input_dim, hidden_dim, seed=seed, scale=1.5)
-        tokens = data.draw(st.lists(st.one_of(st.none(), st.integers(0, input_dim - 1)),
-                                    min_size=steps, max_size=steps))
+        steps = data.draw(st.integers(1, input_dim + 1), label="steps")
+        tokens = [None] + data.draw(st.permutations(range(input_dim)))[:steps - 1]
         record = run_forward(params, tokens)
         output_grads = data.draw(arrays(np.float64, (steps, hidden_dim), elements=FLOATS))
         out = zero_lstm(input_dim, hidden_dim)
@@ -250,6 +252,20 @@ class TestLstmBackward:
         for name, tensor in expected.items():
             assert np.array_equal(bits(grads[name]), bits(tensor)), name
 
+    @pytest.mark.parametrize("tokens", [
+        [], [0, 1], [0, None], [None, 1, 1], [None, 1, None], [None, 3], [None, -2]],
+        ids=["no-steps", "token-at-step-0", "token-at-step-0-none-after", "repeated-token",
+             "none-after-step-0", "token-above-range", "token-below-range"])
+    def test_record_of_another_form_refused(self, tokens):
+        """A rollout has steps, no input at step 0 and a distinct token of
+        the cell's range at each later step; the `w` gradient's one scatter
+        relies on that."""
+        params = seeded_lstm(3, 2)
+        record = run_forward(params, [None] * len(tokens))
+        record.tokens[:] = [-1 if token is None else token for token in tokens]
+        with pytest.raises(ValueError, match="a rollout.s tokens"):
+            backward(params, record, np.zeros((len(tokens), 2)))
+
     def test_out_of_other_dimensions_rejected(self):
         params = seeded_lstm(3, 2)
         record = run_forward(params, [None, 2])
@@ -259,14 +275,14 @@ class TestLstmBackward:
 
     @pytest.mark.parametrize("hidden_dim", [1, 20])
     def test_scratch_reused_across_calls_and_step_counts(self, hidden_dim):
-        """One cell through 78, 6, 78, 0, 6 and 6 steps, each call on a record
+        """One cell through 78, 6, 78, 1, 6 and 6 steps, each call on a record
         of its own: a row, ``dh_next`` or ``dc_next`` left over from an
         earlier call would change the bits of a later one."""
         params = seeded_lstm(204, hidden_dim, seed=hidden_dim, scale=0.6)
         rng = np.random.default_rng(hidden_dim)
         scratches = []
-        for steps in (78, 6, 78, 0, 6, 6):
-            tokens = [None] * min(steps, 1) + rng.integers(204, size=max(steps - 1, 0)).tolist()
+        for steps in (78, 6, 78, 1, 6, 6):
+            tokens = [None] + rng.choice(204, size=steps - 1, replace=False).tolist()
             record = run_forward(params, tokens)
             output_grads = rng.normal(size=(steps, hidden_dim))
             grads = named(backward(params, record, output_grads))
@@ -274,7 +290,7 @@ class TestLstmBackward:
             for name, tensor in expected.items():
                 assert np.array_equal(bits(grads[name]), bits(tensor)), (steps, name)
             scratches.append(params.backward_scratch)
-        assert [scratch.steps for scratch in scratches] == [78, 6, 78, 0, 6, 6]
+        assert [scratch.steps for scratch in scratches] == [78, 6, 78, 1, 6, 6]
         assert scratches[-1] is scratches[-2]  # kept while the step count stays
 
 
