@@ -233,6 +233,7 @@ def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
 
     The gradient is the mean over rollouts of reward-scaled log-probability
     gradients, so a batch of one reduces to the plain per-sample update.
+    A gradient norm that is not finite raises FloatingPointError, state unchanged.
     """
     if not rollouts or len(rollouts) != len(rewards):
         raise ValueError("need one reward per rollout")
@@ -253,6 +254,9 @@ def reinforce_update_batch(state: ControllerState, rollouts: list[Rollout],
             grads.flat += policy_gradients(state, rollout, scale / len(rollouts),
                                            out=state.batch_grads).flat
     norm = clip_by_global_norm(grads.flat, blocks=state.grad_blocks, max_norm=state.clip_norm)
+    if not math.isfinite(norm):  # the step would turn every parameter into nan
+        raise FloatingPointError(f"update {state.revision + 1} diverged: gradient norm "
+                                 f"{norm}; adam.lr = {state.adam.lr} may be too large")
     adam_step(state.params, grads, state.adam)
     state.revision += 1
     if state.use_baseline:
@@ -292,8 +296,8 @@ def load_checkpoint(path: str | Path) -> ControllerState:
 
     Raises ValueError on a file that is not a readable numpy archive (an
     empty or truncated file), on another format version, and, naming the
-    array, on a missing or extra array or one of the wrong shape or dtype:
-    numpy would otherwise broadcast a wrong-shaped array into place silently.
+    array, on a missing or extra array, a non-finite value, or the wrong shape
+    or dtype: numpy would otherwise broadcast a wrong-shaped array silently.
     Meta values of the wrong JSON type (`META_TYPES`) or out of range (an
     ADAM setting, the clip norm, the baseline, its decay or the revision)
     are refused, naming the value.
@@ -356,5 +360,7 @@ def load_checkpoint(path: str | Path) -> ControllerState:
         if array.shape != tensor.shape:
             raise ValueError(f"checkpoint array {key!r} has shape {array.shape}, "
                              f"expected {tensor.shape}")
+        if not np.isfinite(array).all():
+            raise ValueError(f"checkpoint array {key!r} holds a value that is not finite")
         tensor[...] = array
     return state

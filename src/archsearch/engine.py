@@ -10,7 +10,7 @@ Runs are fully deterministic functions of their configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -22,9 +22,9 @@ from .evaluators import (Evaluator, LookupEvaluator, fixture_lookup_path, load_l
                          make_surrogate)
 from .pareto import ParetoFront, ParetoPoint, front_of
 from .rewards import EvaluationResult, RewardSpec, compute_reward
-from .search_space import (Architecture, MACRO_OPS, SPACE_KINDS, MacroArch, SearchSpace,
-                           arch_from_compact, arch_to_compact, arch_to_dict, build_space,
-                           decode)
+from .search_space import (Architecture, MACRO_LAYERS, MACRO_OPS, SPACE_KINDS, MacroArch,
+                           SearchSpace, arch_from_compact, arch_to_compact, arch_to_dict,
+                           build_space, decode)
 
 DEFAULT_WINDOW = 50
 RANDOM_BLOCK = 256  # iterations of actions `run_random` draws per generator call
@@ -84,25 +84,15 @@ class RunConfig:
                              "lookup rows carry no peak power")
 
     def to_dict(self) -> dict:
-        return {
-            "space": self.space_kind,
-            "reward": {"kind": self.reward.kind, "alpha": self.reward.alpha,
-                       "threshold": self.reward.threshold,
-                       "energy_norm_max": self.reward.energy_norm_max,
-                       "violation_reward": self.reward.violation_reward},
-            "evaluator": {"kind": self.evaluator_kind, "lookup_path": self.lookup_path,
-                          "surrogate_path": self.surrogate_path,
-                          "lookup_fallback": self.lookup_fallback},
-            "n_iterations": self.n_iterations,
-            "seed": self.seed,
-            "hidden_dim": self.hidden_dim,
-            "lr": self.lr,
-            "use_baseline": self.use_baseline,
-            "clip_norm": ctl.DEFAULT_CLIP_NORM,  # every new controller clips at it
-            "window": self.window,
-            "batch_n": self.batch_n,
-            "resume_path": self.resume_path,
-        }
+        """The fields as summary.json records them, with the clip norm of every
+        new controller."""
+        config = asdict(self)
+        config["space"] = config.pop("space_kind")
+        config["evaluator"] = {name.removeprefix("evaluator_"): config.pop(name) for name in
+                               ("evaluator_kind", "lookup_path", "surrogate_path",
+                                "lookup_fallback")}
+        config["clip_norm"] = ctl.DEFAULT_CLIP_NORM
+        return config
 
 
 @dataclass
@@ -123,7 +113,7 @@ class SearchStats:
     windows: list[float] = field(default_factory=list)
     overall_rate: float | None = None
     op_histogram: dict[str, int] | None = None
-    layer_histogram: list[list[int]] | None = None  # 12 layers x 6 ops
+    layer_histogram: list[list[int]] | None = None  # MACRO_LAYERS rows of op counts
 
 
 @dataclass
@@ -175,10 +165,7 @@ def build_evaluator(cfg: RunConfig) -> Evaluator:
 
 
 def _pareto_point(record: IterationRecord) -> ParetoPoint:
-    ev = record.result
-    if ev.energy_joules is None:
-        raise ValueError("evaluator produced no energy; cannot track the front")
-    return ParetoPoint(accuracy=ev.accuracy, energy=ev.energy_joules,
+    return ParetoPoint(accuracy=record.result.accuracy, energy=record.result.energy_joules,
                        arch=record.arch, iteration=record.iteration)
 
 
@@ -312,7 +299,7 @@ def sample_trained_controller(state: ctl.ControllerState, evaluator: Evaluator,
 def histogram_of(archs: Iterable[MacroArch]) -> tuple[dict[str, int], list[list[int]]]:
     """Operation counts overall and per layer for a batch of macro archs."""
     ops_count = {op: 0 for op in MACRO_OPS}
-    layer_count = [[0] * len(MACRO_OPS) for _ in range(12)]
+    layer_count = [[0] * len(MACRO_OPS) for _ in range(MACRO_LAYERS)]
     for arch in archs:
         for layer, op in enumerate(arch.ops):
             ops_count[op] += 1
@@ -465,13 +452,7 @@ def summary_dict(cfg: RunConfig, result: SearchResult) -> dict:
              "arch": arch_to_dict(p.arch) if p.arch is not None else None}
             for p in result.front.points
         ],
-        "stats": {
-            "window_size": result.stats.window_size,
-            "windows": result.stats.windows,
-            "overall_rate": result.stats.overall_rate,
-            "op_histogram": result.stats.op_histogram,
-            "layer_histogram": result.stats.layer_histogram,
-        },
+        "stats": asdict(result.stats),
     }
 
 

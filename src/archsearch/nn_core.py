@@ -203,12 +203,10 @@ def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
         h = o * tanh(c)
     Returns (h, c). ``out`` is the rows (gates, c, tanh_c, h) to write the
     step into: of an `LstmRecord`, gates[t], c[t + 1], tanh_c[t], h[t + 1].
+    Unchecked, as `sample_sequence` makes them so: ``token`` lies in
+    [0, input_dim), and the state and ``out`` are rows of the cell's sizes.
     """
     n = params.hidden_dim
-    if token is not None and not 0 <= token < params.input_dim:
-        raise ValueError(f"input token must lie in [0, {params.input_dim}), got {token}")
-    if h_prev.shape != (n,) or c_prev.shape != (n,):
-        raise ValueError(f"state must have shape ({n},)")
     gates, c, tanh_c, h = out
 
     # the pre-activations, squashed in place; np.dot runs the same gemv as
@@ -309,9 +307,9 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
     ``output_grads[t]`` is dLoss/dh of step t ([T, H]). The record must be
     a rollout's: token -1 at step 0, then a distinct one of
     ``params.input_tokens`` per step; another raises ValueError. Returns
-    ``out`` with the parameter gradients written over it (its old contents
-    are never read). No truncation: gradients are exact, and each sums its
-    steps from the last to the first, as a step-by-step accumulation would.
+    ``out`` (params' shapes, unchecked) with the parameter gradients written over
+    it (its old contents are never read). Gradients are exact (no truncation);
+    each sums its steps last to first, as a step-by-step accumulation would.
     The temporaries live in the cell's `BackwardScratch`: a call copies its
     inputs in and runs the steps over row views made with the scratch.
     """
@@ -324,8 +322,6 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
             not steps or token_list[0] != -1
             or len(params.input_tokens.intersection(token_list)) != steps - 1):
         raise ValueError("record does not match params dimensions or a rollout's tokens")
-    if out.w.shape != params.w.shape or out.u.shape != params.u.shape:
-        raise ValueError("gradient cell does not match params dimensions")
 
     scratch = params.backward_scratch
     if scratch is None or scratch.steps != steps:
@@ -448,11 +444,9 @@ class AdamState:
 def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None:
     """One bias-corrected ADAM step, in place, over the whole flat buffer.
 
-    Gradient ascent: callers pass reward gradients and the update is added,
-    so params move toward higher reward.
+    Gradient ascent: callers pass reward gradients of params' layout
+    (unchecked) and the update is added, so params move toward higher reward.
     """
-    if grads.shapes != params.shapes:
-        raise ValueError("gradient layout does not match parameter layout")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1 ** state.t

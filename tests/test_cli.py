@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
-import re
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from archsearch import controller as ctl
 from archsearch import engine
-from archsearch.cli import SETTINGS, main
+from archsearch.cli import SAMPLE_KEYS, SETTINGS, main
 from archsearch.engine import read_results_csv
 from archsearch.evaluators import LOOKUP_HEADER, fixture_lookup_path, load_lookup
 from archsearch.search_space import build_space, MacroArch
@@ -149,6 +156,22 @@ class TestSearchCommand:
             err = capsys.readouterr().err
             assert "holds 10 rows" in err and "evaluator.fallback = off" in err, argv[0]
         assert not out.exists()
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_update_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        """No config-time rule can tell whether a learning rate diverges; a
+        run that does stops at the first update whose norm is not finite,
+        instead of writing nan parameters and all-zero actions."""
+        out = tmp_path / "run"
+        assert run_cli("search", "--space", "condensenet", "--reward", "mixed", "--alpha",
+                       "0.5", "--iterations", "3", "--lr", "1e308", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error: FloatingPointError: update 2 diverged: gradient norm nan" in err
+        assert "adam.lr = 1e+308" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -506,6 +529,9 @@ class TestSampleCommand:
         # resumed with the baseline on
         ("checkpoint meta use_baseline must be a bool",
          lambda contents: set_meta(contents, None, "use_baseline", "no")),
+        # sampled one architecture n times; resumed with nan grad_norm
+        ("checkpoint array 'param/lstm.b' holds a value that is not finite",
+         lambda contents: contents["param/lstm.b"].__setitem__(0, np.nan)),
     ])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, named, edit):
         out = tmp_path / "run"
@@ -722,9 +748,14 @@ class TestSettingsTable:
                 == (tmp_path / "b" / "results.csv").read_bytes())
 
     def test_readme_lists_every_key_and_flag(self):
+        """Every row of README's settings table, up to the blank line after
+        it, is a key of `SETTINGS` with its flag, in the table's order."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `([a-z_.]+)` \| `(--[a-z-]+)` \|", readme, re.MULTILINE)
-        assert rows == [(key, setting.flag) for key, setting in SETTINGS.items()]
+        head = "| config key | flag | meaning |\n|---|---|---|\n"
+        assert readme.count(head) == 1
+        table = readme.split(head)[1].split("\n\n")[0]
+        rows = [line.split(" | ")[:2] for line in table.splitlines()]
+        assert rows == [[f"| `{key}`", f"`{setting.flag}`"] for key, setting in SETTINGS.items()]
 
 
 class TestEmptyPaths:
@@ -917,3 +948,148 @@ class TestOutputPaths:
                        "--out", str(out)) == 2
         assert f"--out {out}: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
+
+# per config key: values a run takes with the right other settings, and
+# values no alexnet or condensenet run takes; "{name}" is a path that
+# `TestSettingsProperty` fills in
+SETTING_VALUES = {
+    "space": (["alexnet", "condensenet"], ["resnet", ""]),
+    "reward.kind": (["mixed", "power_constraint", "accuracy_constraint"],
+                    ["mac_constraint", "bogus"]),
+    "reward.alpha": (["0", "0.5", "1"], ["1.5", "nan", "x"]),
+    "reward.threshold": (["0.5", "70"], ["nan", "x"]),
+    "reward.energy_norm_max": (["130", "20"], ["0", "inf"]),
+    "reward.violation": (["-1", "-5"], ["nan", "x"]),
+    "evaluator.kind": (["surrogate", "lookup"], ["oracle"]),
+    "evaluator.fixture": (["{table}"], ["", "{missing}"]),
+    "evaluator.surrogate": (["{surrogate}"], ["", "{missing}"]),
+    "evaluator.fallback": (["on", "off", "yes"], ["maybe"]),
+    "controller.hidden": (["1", "8"], ["0", "x"]),
+    "controller.baseline": (["on", "off"], ["x"]),
+    "adam.lr": (["1", "0.01"], ["0", "-1", "nan", "inf"]),
+    "run.iterations": (["1", "3"], ["0", "x"]),
+    "run.seed": (["0", "7"], ["-1", "x"]),
+    "run.window": (["1", "2"], ["0"]),
+    "run.batch": (["1", "2"], ["0"]),
+    "run.resume": (["{checkpoint}"], ["", "{missing}"]),
+    "out.dir": (["{out}"], ["", "{file}"]),
+}
+# a valid run each drawn config starts from, the share of keys then given a
+# valid value of their own, and how many keys are then made invalid or dropped
+BASE_REWARDS = {"mixed": ("reward.alpha", "0.5"), "power_constraint": ("reward.threshold", "70"),
+                "accuracy_constraint": ("reward.threshold", "0.5")}
+VALID_EDIT = [False] * 7 + [True]
+FAULTS = [0, 1, 1, 2]
+READERS = {"results.csv": engine.read_results_csv, "stats.csv": engine.read_stats_csv,
+           "summary.json": lambda path: json.loads(path.read_text()),
+           "front.csv": read_front_csv, "checkpoint.npz": ctl.load_checkpoint,
+           "samples.csv": engine.read_samples_csv}
+
+
+@st.composite
+def drawn_commands(draw):
+    """(command, {key: (value, "file" or "flag")}, extra sample flags): a
+    valid run, some keys given other valid values, up to two made invalid
+    or dropped. `sample` takes its keys as flags only."""
+    command = draw(st.sampled_from(["search", "random", "sample"]))
+    if command == "sample":
+        values = {"out.dir": "{out}"}
+        keys = SAMPLE_KEYS
+    else:
+        kind = draw(st.sampled_from(sorted(BASE_REWARDS)))
+        values = dict([("space", draw(st.sampled_from(SETTING_VALUES["space"][0]))),
+                       ("reward.kind", kind), BASE_REWARDS[kind],
+                       ("run.iterations", draw(st.sampled_from(["1", "2", "3"]))),
+                       ("out.dir", "{out}")])
+        keys = SETTINGS
+    for key in keys:
+        if draw(st.sampled_from(VALID_EDIT)):
+            values[key] = draw(st.sampled_from(SETTING_VALUES[key][0]))
+    for _ in range(draw(st.sampled_from(FAULTS))):
+        key = draw(st.sampled_from(list(keys)))
+        if key in values and draw(st.booleans()):
+            del values[key]
+        else:
+            values[key] = draw(st.sampled_from(SETTING_VALUES[key][1]))
+    forms = {key: (value, "flag" if command == "sample" else
+                   draw(st.sampled_from(["file", "flag"]))) for key, value in values.items()}
+    extra = []
+    if command == "sample":
+        extra = ["--checkpoint", draw(st.sampled_from(["{checkpoint}", "{alexnet}"])),
+                 "--n", draw(st.sampled_from(["1", "3"]))]
+    return command, forms, extra
+
+
+@pytest.fixture(scope="module")
+def setting_inputs(tmp_path_factory):
+    """The existing files a drawn setting names: checkpoints and the shipped tables."""
+    root = tmp_path_factory.mktemp("inputs")
+    for space in ("condensenet", "alexnet"):
+        assert main(["search", "--space", space, "--reward", "mixed", "--alpha", "0.5",
+                     "--iterations", "2", "--hidden", "3", "--out", str(root / space)]) == 0
+    table = fixture_lookup_path()
+    return {"checkpoint": str(root / "condensenet" / "checkpoint.npz"),
+            "alexnet": str(root / "alexnet" / "checkpoint.npz"), "table": str(table),
+            "surrogate": str(table.with_name("surrogate_defaults.cfg"))}
+
+
+def listing(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+class TestSettingsProperty:
+    """Any mix of settings, each valid or not, in the config file or as a
+    ``--flag=value``: the command exits 2 before any run starts and writes
+    nothing, or exits 0 with files that their readers take back."""
+
+    def test_values_cover_the_settings(self):
+        assert SETTING_VALUES.keys() == SETTINGS.keys()
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=drawn_commands())
+    def test_exit_0_with_readable_files_or_2_with_none(self, setting_inputs, drawn):
+        command, forms, extra = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths = dict(setting_inputs, missing=str(root / "ghost"), out=str(root / "run"),
+                         file=str(root / "F"))
+            (root / "F").write_text("kept\n")
+            argv = [command] + [arg.format(**paths) for arg in extra]
+            lines = [f"{key} = {value.format(**paths)}"
+                     for key, (value, form) in forms.items() if form == "file"]
+            if lines:
+                (root / "run.cfg").write_text("\n".join(lines) + "\n")
+                argv += ["--config", str(root / "run.cfg")]
+            argv += [f"{SETTINGS[key].flag}={value.format(**paths)}"
+                     for key, (value, form) in forms.items() if form == "flag"]
+            before = listing(root)
+            err = io.StringIO()
+            with contextlib.ExitStack() as stack:
+                runs = [stack.enter_context(mock.patch.object(
+                    engine, name, wraps=getattr(engine, name)))
+                    for name in ("run_search", "run_random", "sample_trained_controller")]
+                stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+                stack.enter_context(contextlib.redirect_stderr(err))
+                cwd = os.getcwd()
+                os.chdir(root)  # a default out.dir is relative
+                try:
+                    code = main(argv)
+                finally:
+                    os.chdir(cwd)
+            assert code in (0, 2), (argv, err.getvalue())
+            if code == 2:
+                assert not any(run.called for run in runs), argv
+                assert listing(root) == before, argv
+                return
+            new = {p.parts[0] for p in listing(root).keys() - before.keys()}
+            assert len(new) == 1, (argv, new)
+            out = root / new.pop()
+            for path in out.iterdir():
+                READERS[path.name](path)
+            if command != "sample":
+                space = json.loads((out / "summary.json").read_text())["config"]["space"]
+                assert main(["pareto", "--results", str(out / "results.csv"), "--space", space,
+                             "--out", str(root / "rebuilt.csv")]) == 0
+                assert (root / "rebuilt.csv").read_bytes() == (out / "front.csv").read_bytes()

@@ -324,6 +324,24 @@ class TestReinforceUpdate:
                           for ro, rw in zip(rollouts, rewards))
             np.testing.assert_allclose(batched, mean, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_update_raises_and_keeps_the_state(self):
+        """A gradient norm that is not finite stops the update before the ADAM
+        step, which would write nan over every parameter and moment."""
+        state = ctl.create_controller(build_space("condensenet"), seed=15, lr=1e308)
+        _, rollout = ctl.sample_sequence(state)
+        ctl.reinforce_update_batch(state, [rollout], [0.5])  # params near +-1e308
+        _, rollout = ctl.sample_sequence(state)
+        buffers = (state.params, state.adam.m, state.adam.v)
+        before = [buffer.flat.copy() for buffer in buffers]
+        with pytest.raises(FloatingPointError,
+                           match=r"update 2 diverged: .*adam\.lr = 1e\+308"):
+            ctl.reinforce_update_batch(state, [rollout], [0.5])
+        for buffer, flat in zip(buffers, before):
+            np.testing.assert_array_equal(buffer.flat, flat)
+        assert (state.adam.t, state.revision) == (1, 1)
+
     def test_batch_rejects_mismatched_rewards(self):
         space = build_space("condensenet")
         state = ctl.create_controller(space, seed=14)
@@ -497,6 +515,10 @@ class TestCheckpoint:
         ("adam_m/head.stage.w", lambda a: a.T, "shape"),
         ("adam_v/lstm.b", lambda a: a.astype(np.float32), "dtype"),
         ("param/head.growth.b", lambda a: a.astype(np.int64), "dtype"),
+        # a diverged controller: sampled one architecture forever, resumed on nan
+        ("param/lstm.b", lambda a: np.r_[np.nan, a[1:]], "holds a value that is not finite"),
+        ("adam_m/head.stage.w", lambda a: np.full_like(a, np.inf), "not finite"),
+        ("adam_v/lstm.u", lambda a: np.full_like(a, -np.inf), "not finite"),
     ])
     def test_bad_array_rejected_by_name(self, tmp_path, key, edit, message):
         path = saved_checkpoint(tmp_path)

@@ -120,14 +120,6 @@ class TestLstmForward:
             np.testing.assert_allclose(h, h_ref, rtol=1e-12)
             np.testing.assert_allclose(c, c_ref, rtol=1e-12)
 
-    def test_dimension_mismatch_rejected(self):
-        params = seeded_lstm(3, 2)
-        for token in (3, -1):
-            with pytest.raises(ValueError):
-                step(params, token, np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            step(params, 0, np.zeros(3), np.zeros(2))
-
     def test_hidden_state_bounded(self):
         params = seeded_lstm(3, 2, scale=2.0)
         rng = np.random.default_rng(1)
@@ -266,12 +258,13 @@ class TestLstmBackward:
         with pytest.raises(ValueError, match="a rollout.s tokens"):
             backward(params, record, np.zeros((len(tokens), 2)))
 
-    def test_out_of_other_dimensions_rejected(self):
+    def test_out_of_other_hidden_size_refused_by_the_outer_sum(self):
+        """`out`'s shapes go unchecked, but a `u` gradient of another shape is
+        still refused by `ordered_outer_sum`, before `out` is written."""
         params = seeded_lstm(3, 2)
         record = run_forward(params, [None, 2])
-        for out in (zero_lstm(4, 2), zero_lstm(3, 3)):
-            with pytest.raises(ValueError):
-                nc.lstm_backward(params, record, np.zeros((2, 2)), out=out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            nc.lstm_backward(params, record, np.zeros((2, 2)), out=zero_lstm(3, 3))
 
     @pytest.mark.parametrize("hidden_dim", [1, 20])
     def test_scratch_reused_across_calls_and_step_counts(self, hidden_dim):
@@ -655,14 +648,6 @@ class TestAdam:
         state = nc.AdamState.for_params(params, lr=0.05)
         nc.adam_step(params, buffer(w=np.array([2.0])), state)
         assert params["w"][0] > 0.0  # positive reward gradient moves up
-
-    def test_shape_mismatch_rejected(self):
-        params = buffer(w=np.zeros(2))
-        state = nc.AdamState.for_params(params, lr=0.1)
-        with pytest.raises(ValueError):
-            nc.adam_step(params, buffer(w=np.zeros(3)), state)
-        with pytest.raises(ValueError):
-            nc.adam_step(params, buffer(v=np.zeros(2)), state)
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
