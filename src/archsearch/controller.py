@@ -10,6 +10,7 @@ samples and applied as one ADAM ascent step.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zipfile
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import textio
 from .nn_core import (GATE_NAMES, AdamState, LstmCellParams, LstmRecord,
-                      ParamBuffer, adam_step, clip_by_global_norm, lstm_backward,
-                      lstm_forward, lstm_shapes, ordered_outer_sum, ordered_row_sum,
-                      softmax_sample)
+                      ParamBuffer, adam_step, clip_by_global_norm, forward_views,
+                      lstm_backward, lstm_forward, lstm_shapes, ordered_outer_sum,
+                      ordered_row_sum, softmax_sample)
 from .search_space import SearchSpace, build_space
 
 INIT_SCALE = 0.08  # uniform init range, keeps early softmax near-uniform
@@ -60,7 +61,6 @@ class SlotHead(NamedTuple):
     """One step of a rollout: its head and where its decision goes."""
 
     head: str
-    row: int  # its row among the steps of its head type
     w: np.ndarray  # the head's parameter views
     b: np.ndarray
     offset: int  # vocabulary offset: a choice's input token is offset + action
@@ -111,9 +111,8 @@ class ControllerState:
         self.grad_blocks = param_blocks(self.grads)
         heads = [slot.head for slot in self.space.slots]
         self.slots = tuple(
-            SlotHead(head, heads[:t].count(head), self.params[f"head.{head}.w"],
-                     self.params[f"head.{head}.b"], offset)
-            for t, (head, offset) in enumerate(zip(heads, self.space.vocab_offsets)))
+            SlotHead(head, self.params[f"head.{head}.w"], self.params[f"head.{head}.b"], offset)
+            for head, offset in zip(heads, self.space.vocab_offsets))
         self.prob_starts, self.heads = np.empty(len(heads), dtype=int), ()
         for head, arity in self.space.head_types().items():
             steps = np.flatnonzero([h == head for h in heads])
@@ -121,6 +120,41 @@ class ControllerState:
             block = slice(start, start + len(steps) * arity)
             self.prob_starts[steps] = range(block.start, block.stop, arity)
             self.heads += (HeadSteps(head, steps, steps + 1, block, self.params[f"head.{head}.w"]),)
+
+    @functools.cached_property
+    def sample_scratch(self) -> SampleScratch:
+        """`sample_sequence`'s scratch, made at the first sample."""
+        return SampleScratch(self)
+
+
+class SampleScratch:
+    """`sample_sequence`'s record of one rollout, and the views of it and of
+    the parameters each step reads and writes, made once per state.
+
+    Step t writes row t of ``gates`` and ``tanh_c``, row t + 1 of ``h`` and
+    ``c`` (row 0 of those, the zero state, is never written) and its row of
+    ``probs``. Each sample writes over the last one's, so `sample_sequence`
+    copies them into the `Rollout` it returns.
+    """
+
+    def __init__(self, state: ControllerState) -> None:
+        record = LstmRecord.empty(len(state.slots), state.hidden_dim)
+        self.gates, self.h, self.c, self.tanh_c = (
+            record.gates, record.h, record.c, record.tanh_c)
+        self.probs = np.empty(state.heads[-1].block.stop)
+        self.scalar = np.empty(())  # `softmax_sample`'s max, then its sum
+        # each step's input token less the previous action: -1 at step 0,
+        # then the previous slot's vocabulary offset
+        self.token_bases = np.array((-1,) + state.space.vocab_offsets[:-1])
+        columns = list(state.lstm.w.T)  # w[:, token] for every token
+        # per step: its head's w and b, the row its logits go to, the lstm
+        # input column of each of its actions, the previous state and the
+        # `forward_views` of its record rows
+        self.steps = tuple(
+            (slot.w, slot.b, self.probs[start:start + len(slot.b)],
+             columns[slot.offset:slot.offset + len(slot.b)], self.h[t], self.c[t],
+             forward_views(self.gates[t], self.c[t + 1], self.tanh_c[t], self.h[t + 1]))
+            for t, (slot, start) in enumerate(zip(state.slots, state.prob_starts.tolist())))
 
 
 def create_controller(space: SearchSpace, seed: int, hidden_dim: int | None = None,
@@ -168,33 +202,29 @@ def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
     rollout the update reads.
 
     The uniforms are drawn up front, the same values and generator state as
-    one draw per step. Step t writes its logits into its row of the
-    rollout's `probs`, which `softmax_sample` turns into probabilities in
-    place. The input of step t > 0 is the token of the previous choice: the
-    previous slot's vocabulary offset plus its action.
+    one draw per step. The steps run through the state's `SampleScratch`:
+    step t writes its logits into its row of ``probs``, which
+    `softmax_sample` turns into probabilities in place. The input of step
+    t > 0 is the token of the previous choice: the previous slot's
+    vocabulary offset plus its action. The returned rollout holds copies,
+    so it shares no memory with the scratch or another rollout.
     """
-    steps = len(state.slots)
-    uniforms = state.rng.random(steps).tolist()
-    scratch = np.empty(())
-    rollout = Rollout.empty(
-        steps, state.hidden_dim, actions=np.empty(steps, dtype=int),
-        probs=np.empty(state.heads[-1].block.stop), revision=state.revision)
-    h, c = list(rollout.h), list(rollout.c)
-    outs = zip(list(rollout.gates), c[1:], list(rollout.tanh_c), h[1:])
-    probs = {head: list(rollout.probs[block].reshape(len(steps), len(w)))
-             for head, steps, _, block, w in state.heads}
+    scratch = state.sample_scratch
+    uniforms = state.rng.random(len(scratch.steps)).tolist()
+    cell, scalar = state.lstm, scratch.scalar
     actions: list[int] = []
-    token = None
-    for slot, u, h_prev, c_prev, out in zip(state.slots, uniforms, h, c, outs):
-        h_t, _ = lstm_forward(state.lstm, token, h_prev, c_prev, out)
-        scores = probs[slot.head][slot.row]  # the logits, turned into probabilities
-        np.dot(slot.w, h_t, scores)
-        scores += slot.b
-        action = softmax_sample(scores, u, scratch)
+    column = None
+    for (w, b, scores, columns, h_prev, c_prev, out), u in zip(scratch.steps, uniforms):
+        h, _ = lstm_forward(cell, column, h_prev, c_prev, out)
+        np.dot(w, h, scores)  # the logits, turned into probabilities
+        np.add(scores, b, scores)
+        action = softmax_sample(scores, u, scalar)
         actions.append(action)
-        token = slot.offset + action
-    rollout.actions[:] = actions
-    rollout.tokens[1:] = np.add(state.space.vocab_offsets[:-1], actions[:-1])
+        column = columns[action]
+    rollout = Rollout(
+        tokens=np.add(scratch.token_bases, [0] + actions[:-1]), gates=scratch.gates.copy(),
+        h=scratch.h.copy(), c=scratch.c.copy(), tanh_c=scratch.tanh_c.copy(),
+        actions=np.array(actions), probs=scratch.probs.copy(), revision=state.revision)
     return tuple(actions), rollout
 
 

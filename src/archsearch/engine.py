@@ -287,10 +287,18 @@ def compute_stats(records: list[IterationRecord], spec: RewardSpec,
 
 def sample_trained_controller(state: ctl.ControllerState, evaluator: Evaluator,
                               n: int = 1000) -> list[tuple[Architecture, EvaluationResult]]:
-    """n rollouts without updates, for inspecting what a controller learned."""
+    """n rollouts without updates, for inspecting what a controller learned.
+
+    A rollout whose probabilities are not all finite raises FloatingPointError:
+    its actions would be picked from nan, not from the controller's policy.
+    """
     out = []
-    for _ in range(n):
-        actions, _ = ctl.sample_sequence(state)
+    for k in range(n):
+        actions, rollout = ctl.sample_sequence(state)
+        if not np.isfinite(rollout.probs).all():
+            raise FloatingPointError(
+                f"sample {k + 1}: probabilities are not finite; the checkpoint's "
+                f"parameters overflow the forward pass")
         arch = decode(state.space, actions)
         out.append((arch, evaluator.evaluate(arch)))
     return out

@@ -7,16 +7,20 @@ named view per tensor, so the optimizer updates all of it in one vector
 expression while the model code reads and writes tensors by name.
 
 The LSTM's input at each step is a token, the index of a single one-hot
-entry (or none at all), so the input product is a column lookup; a rollout
-feeds each token at most once, so its gradient is one step's column.
+entry (or none at all), so the input product is a column lookup: the
+forward adds the token's column of w; a rollout feeds each token at most
+once, so its gradient is one step's column.
 
-A forward pass is kept as an `LstmRecord`, one row per step. The backward
+A forward pass is kept as an `LstmRecord`, one row per step. A step writes
+through its rows' `forward_views`; the controller builds them, and the
+column views of w, once per state for every step of a rollout, runs each
+sample in that scratch record and copies the record out. The backward
 runs the recurrence step by step, then sums each parameter gradient over
 the whole record with `ordered_outer_sum` (and a bias with
 `ordered_row_sum`, an `np.add.reduce` from +0.0), which add the steps in
 the same order, and so to the same bits, as accumulating them step by
-step. Both passes keep their temporaries in scratch owned by the cell:
-the forward's is made on its first step, the backward's for the last
+step. The temporaries of both passes live in scratch owned by the cell:
+the forward's are made on its first step, the backward's for the last
 step count it saw, with every per-step row view built once.
 """
 
@@ -186,43 +190,51 @@ class LstmRecord:
     tanh_c: np.ndarray  # [T, H]
 
     @classmethod
-    def empty(cls, steps: int, hidden_dim: int, **fields):
-        """A record for ``steps`` steps from the zero state; ``fields`` go to a subclass."""
+    def empty(cls, steps: int, hidden_dim: int) -> "LstmRecord":
+        """A record for ``steps`` steps from the zero state."""
         return cls(tokens=np.full(steps, -1), gates=np.empty((steps, 4 * hidden_dim)),
                    h=np.zeros((steps + 1, hidden_dim)), c=np.zeros((steps + 1, hidden_dim)),
-                   tanh_c=np.empty((steps, hidden_dim)), **fields)
+                   tanh_c=np.empty((steps, hidden_dim)))
 
 
-def lstm_forward(params: LstmCellParams, token: int | None, h_prev: np.ndarray,
+def forward_views(gates: np.ndarray, c: np.ndarray, tanh_c: np.ndarray, h: np.ndarray
+                  ) -> tuple[np.ndarray, ...]:
+    """The views `lstm_forward` writes one step through, from the step's rows
+    (gates, c, tanh_c, h): of an `LstmRecord`, gates[t], c[t + 1],
+    tanh_c[t], h[t + 1]. They are gates, its i, f, o rows together, each of
+    i, f, o and g, then c, tanh_c and h."""
+    n = len(h)
+    return (gates, gates[:3 * n], gates[:n], gates[n:2 * n], gates[2 * n:3 * n],
+            gates[3 * n:], c, tanh_c, h)
+
+
+def lstm_forward(params: LstmCellParams, column: np.ndarray | None, h_prev: np.ndarray,
                  c_prev: np.ndarray, out: tuple[np.ndarray, ...]
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step on input token ``token`` (None: an all-zero input).
+    """One LSTM step on the input token whose column of ``params.w`` is
+    ``column`` (None: an all-zero input).
 
     i, f, o are sigmoid gates, g the tanh candidate:
         c = f * c_prev + i * g
         h = o * tanh(c)
-    Returns (h, c). ``out`` is the rows (gates, c, tanh_c, h) to write the
-    step into: of an `LstmRecord`, gates[t], c[t + 1], tanh_c[t], h[t + 1].
-    Unchecked, as `sample_sequence` makes them so: ``token`` lies in
-    [0, input_dim), and the state and ``out`` are rows of the cell's sizes.
+    Returns (h, c). ``out`` is the step's `forward_views`, which it is
+    written through. Unchecked, as `sample_sequence` makes them so: the
+    state and ``out`` are rows of the cell's sizes.
     """
-    n = params.hidden_dim
-    gates, c, tanh_c, h = out
+    gates, ifo, i, f, o, g, c, tanh_c, h = out
 
     # the pre-activations, squashed in place; np.dot runs the same gemv as
     # np.matmul with less dispatch
     np.dot(params.u, h_prev, gates)
-    if token is not None:
-        gates += params.w[:, token]
-    gates += params.b
-    sigmoid(gates[:3 * n], params.sigmoid_scratch)
-    g = gates[3 * n:]
+    if column is not None:
+        np.add(gates, column, gates)
+    np.add(gates, params.b, gates)
+    sigmoid(ifo, params.sigmoid_scratch)
     np.tanh(g, g)
-    np.multiply(gates[n:2 * n], c_prev, c)
-    ig = np.multiply(gates[:n], g, params.ig_scratch)
-    c += ig
+    np.multiply(f, c_prev, c)
+    np.add(c, np.multiply(i, g, params.ig_scratch), c)
     np.tanh(c, tanh_c)
-    np.multiply(gates[2 * n:3 * n], tanh_c, h)
+    np.multiply(o, tanh_c, h)
     return h, c
 
 
@@ -397,14 +409,21 @@ def softmax_sample(scores: np.ndarray, u: float, scratch: np.ndarray) -> int:
     `softmax_probs`, in place, and pick an index with the uniform draw ``u``.
 
     Inverse CDF: the index is the first position whose cumulative
-    probability exceeds ``u``, capped at the last one. With two entries
-    that is ``u >= p0``, since the second sum p0 + p1 is never below p0.
+    probability exceeds ``u``, capped at the last one (the sums can round
+    below 1). With two entries that is ``u >= p0``, since the second sum
+    p0 + p1 is never below p0. With more, the sums are added left to right
+    in a Python float, the bits of a float64 ``cumsum``, so the index is
+    ``min(cumsum.searchsorted(u, side="right"), len - 1)``.
     """
     softmax_probs(scores, scratch)
     if len(scores) == 2:
         return 1 if u >= scores[0] else 0
-    index = int(scores.cumsum().searchsorted(u, side="right"))
-    return min(index, len(scores) - 1)  # guard against cumsum rounding below 1
+    total = 0.0
+    for index, p in enumerate(scores.tolist()):
+        total += p
+        if not total <= u:  # also at nan, which searchsorted sorts last
+            return index
+    return len(scores) - 1
 
 
 @dataclass

@@ -173,6 +173,26 @@ class TestDivergence:
         assert "adam.lr = 1e+308" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_sampling_an_overflowing_checkpoint_exits_1_and_writes_nothing(self, tmp_path,
+                                                                           capsys):
+        """One update at this rate leaves finite parameters that overflow
+        the forward pass: the checkpoint loads, but its probabilities are
+        nan, so `sample` stops at the first sample instead of writing
+        actions picked from nan."""
+        run = tmp_path / "run"
+        assert run_cli("search", "--space", "condensenet", "--reward", "mixed", "--alpha",
+                       "0.5", "--iterations", "1", "--lr", "1e308", "--out", str(run)) == 0
+        capsys.readouterr()
+        out = tmp_path / "samples"
+        assert run_cli("sample", "--checkpoint", str(run / "checkpoint.npz"), "--n", "3",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert ("error: FloatingPointError: sample 1: probabilities are not finite; the "
+                "checkpoint's parameters overflow the forward pass") in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_drives_run_and_flags_override(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archsearch import controller as ctl
@@ -93,6 +93,7 @@ class TestParamBlocks:
                                 rng=state.rng, hidden_dim=9)
 
 
+RECORD_ARRAYS = ("tokens", "gates", "h", "c", "tanh_c", "actions", "probs")
 ROLLOUT_SPACES = st.one_of(
     st.sampled_from(["alexnet", "condensenet", "macro"]).map(build_space),
     st.lists(st.integers(2, 6), min_size=1, max_size=9).map(lambda a: bandit_space(*a)))
@@ -130,6 +131,53 @@ class TestRolloutForm:
         assert rollout.probs.shape == (start,)
         assert sorted(t for head in state.heads for t in head.steps) == list(
             range(len(state.slots)))
+
+
+def root_arrays(obj, found=None):
+    """The arrays owning the memory of every array reachable from ``obj``
+    through attributes, tuples, lists and mappings, by id."""
+    found = {} if found is None else found
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        found[id(obj)] = obj
+    elif id(obj) not in found and not isinstance(obj, (str, bytes, int, float)):
+        found[id(obj)] = None  # visited
+        if isinstance(obj, (tuple, list)):
+            items = obj
+        elif isinstance(obj, dict):
+            items = obj.values()
+        else:
+            items = getattr(obj, "__dict__", {}).values()
+        for item in items:
+            root_arrays(item, found)
+    return found
+
+
+class TestRolloutMemory:
+    """`sample_sequence` runs in a scratch the state owns and copies each
+    rollout out of it: no rollout shares memory with another or with the
+    state, so a kept rollout is not changed by later samples or updates."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(space=ROLLOUT_SPACES, seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4))
+    @example(space=build_space("alexnet"), seed=0, k=3)
+    @example(space=build_space("condensenet"), seed=0, k=3)
+    @example(space=build_space("macro"), seed=0, k=3)
+    def test_rollouts_share_no_memory(self, space, seed, k):
+        state = ctl.create_controller(space, seed=seed)
+        rollouts = [ctl.sample_sequence(state)[1] for _ in range(k)]
+        first = {name: getattr(rollouts[0], name).tobytes() for name in RECORD_ARRAYS}
+        ctl.reinforce_update_batch(state, rollouts, [1.0] * k)  # batch_grads made too
+        later = ctl.sample_sequence(state)[1]
+        arrays = [getattr(r, name) for r in rollouts + [later] for name in RECORD_ARRAYS]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        owned = [a for a in root_arrays(state).values() if a is not None]
+        assert any(a is state.sample_scratch.probs for a in owned)
+        for a in arrays:
+            assert not any(np.shares_memory(a, b) for b in owned)
+        assert {name: getattr(rollouts[0], name).tobytes() for name in RECORD_ARRAYS} == first
 
 
 class TestSampling:

@@ -41,11 +41,17 @@ def seeded_lstm(input_dim=3, hidden_dim=2, seed=0, scale=0.5):
     return params
 
 
+def column(params, token):
+    """Token ``token``'s column of w, the input `nc.lstm_forward` takes."""
+    return None if token is None else params.w[:, token]
+
+
 def step(params, token, h_prev, c_prev):
     """One `nc.lstm_forward` step into fresh rows."""
     n = params.hidden_dim
     rows = (np.empty(4 * n), np.empty(n), np.empty(n), np.empty(n))
-    return nc.lstm_forward(params, token, h_prev, c_prev, out=rows)
+    return nc.lstm_forward(params, column(params, token), h_prev, c_prev,
+                           out=nc.forward_views(*rows))
 
 
 def backward(params, record, output_grads):
@@ -156,8 +162,9 @@ def run_forward(params, tokens):
     record = nc.LstmRecord.empty(len(tokens), params.hidden_dim)
     for t, token in enumerate(tokens):
         record.tokens[t] = -1 if token is None else token
-        nc.lstm_forward(params, token, record.h[t], record.c[t],
-                        out=(record.gates[t], record.c[t + 1], record.tanh_c[t], record.h[t + 1]))
+        nc.lstm_forward(params, column(params, token), record.h[t], record.c[t],
+                        out=nc.forward_views(record.gates[t], record.c[t + 1],
+                                             record.tanh_c[t], record.h[t + 1]))
     return record
 
 
@@ -325,6 +332,31 @@ class TestKernelFacts:
         expected = min(int(probs.cumsum().searchsorted(u, side="right")), 1)
         assert nc.softmax_sample(np.array(logits), u, np.empty(())) == expected
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 9),
+           scale=st.sampled_from([0.01, 0.1, 1.0, 5.0, 30.0]))
+    def test_multi_way_pick_equals_capped_searchsorted(self, data, n, scale):
+        """Sums added left to right in a Python float are the bits of a
+        float64 cumsum, so the first index whose sum exceeds u is the capped
+        searchsorted's: also with tied logits, and at u equal to a sum or
+        one step either side of it."""
+        units = data.draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                                             st.floats(-1.0, 1.0)),
+                                   min_size=n, max_size=n), label="units")
+        logits = np.array(units) * scale
+        probs = nc.softmax_probs(logits.copy(), np.empty(()))
+        cumsum = np.cumsum(probs)
+        total, sums = 0.0, []
+        for p in probs.tolist():
+            total += p
+            sums.append(total)
+        assert np.array(sums).tobytes() == cumsum.tobytes()
+        u = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.builds(
+            lambda k, nudge: float(np.nextafter(cumsum[k], (-1.0, cumsum[k], 2.0)[nudge + 1])),
+            st.integers(0, n - 1), st.sampled_from([-1, 0, 0, 1]))), label="u")
+        expected = min(int(cumsum.searchsorted(u, side="right")), n - 1)
+        assert nc.softmax_sample(logits.copy(), u, np.empty(())) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**128 - 1), steps=st.integers(0, 100),
            warmup=st.integers(0, 3))
@@ -413,7 +445,7 @@ class TestKernelFacts:
         token = data.draw(st.one_of(st.none(), st.integers(0, input_dim - 1)), label="token")
         rows = (np.empty(4 * hidden_dim), np.empty(hidden_dim), np.empty(hidden_dim),
                 np.empty(hidden_dim))
-        nc.lstm_forward(params, token, h, c, out=rows)
+        nc.lstm_forward(params, column(params, token), h, c, out=nc.forward_views(*rows))
         for got, expected in zip(rows, lstm_step_reference(params, token, h, c)):
             assert np.array_equal(bits(got), bits(expected))
 
