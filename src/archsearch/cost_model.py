@@ -38,6 +38,7 @@ class MacTable:
     rows: tuple[Mapping[str, int], ...]  # per layer: op -> MACs
     layer_max: tuple[int, ...]  # per layer: its most expensive op
     space_max: int  # every layer at its most expensive op
+    shares: tuple[Mapping[str, float], ...]  # per layer: op -> MACs / layer_max
 
 
 @lru_cache(maxsize=64)
@@ -65,7 +66,10 @@ def mac_table(channels: int, input_size: int) -> MacTable:
             row[op] = c_in * size * size * (k * k + channels)
         rows.append(MappingProxyType(row))
     layer_max = tuple(max(row.values()) for row in rows)
-    return MacTable(rows=tuple(rows), layer_max=layer_max, space_max=sum(layer_max))
+    shares = tuple(MappingProxyType({op: mac / top for op, mac in row.items()})
+                   for row, top in zip(rows, layer_max))
+    return MacTable(rows=tuple(rows), layer_max=layer_max, space_max=sum(layer_max),
+                    shares=shares)
 
 
 def macro_mac(arch: MacroArch, channels: int = DEFAULT_CHANNELS,

@@ -228,6 +228,8 @@ def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None,
     ``controller`` is the state to continue from, as `load_resume` returns
     it; without it the run loads ``cfg.resume_path`` if set, else starts a
     fresh controller. ``evaluator`` defaults to `build_evaluator(cfg)`.
+    A run whose last update leaves parameters that overflow the forward pass
+    raises FloatingPointError, as would the check of a next update.
     """
     if controller is None and cfg.resume_path is not None:
         controller = load_resume(cfg)
@@ -238,9 +240,19 @@ def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None,
     else:
         _require_space(controller, cfg)
     # looked up at call time, so wrappers installed on the controller module apply
-    return _run(cfg, lambda: ctl.sample_sequence(controller),
-                lambda *batch: ctl.reinforce_update_batch(controller, *batch),
-                controller, evaluator)
+    result = _run(cfg, lambda: ctl.sample_sequence(controller),
+                  lambda *batch: ctl.reinforce_update_batch(controller, *batch),
+                  controller, evaluator)
+    # each update checks only its gradient, so the last one's step is checked
+    # here: as |h| <= 1 and the input is a column of w, the sum of |parameters|
+    # bounds every gate pre-activation and logit of the forward pass
+    with np.errstate(over="ignore"):
+        bound = np.abs(controller.params.flat).sum()
+    if not math.isfinite(bound):
+        raise FloatingPointError(f"update {controller.revision} diverged: the parameters "
+                                 "overflow the forward pass; "
+                                 f"adam.lr = {controller.adam.lr} may be too large")
+    return result
 
 
 def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResult:

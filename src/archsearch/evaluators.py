@@ -90,10 +90,15 @@ def _capacities(arch: Architecture) -> tuple[float, float, float | None]:
         sizes = [s * g for s, g in zip(arch.stages, arch.growths)]
         return float(sum(sizes)), float(max(sizes)), None
     if isinstance(arch, MacroArch):
-        report = cost_model.macro_mac(arch)
-        layer_max = cost_model.mac_table(DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE).layer_max
-        shares = [mac / layer_max[layer] for layer, mac in report.per_layer]
-        return report.normalized, max(shares), report.normalized
+        table = cost_model.mac_table(DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE)
+        total, peak = 0, 0.0
+        for row, shares, op in zip(table.rows, table.shares, arch.ops):
+            total += row[op]
+            share = shares[op]
+            if share > peak:
+                peak = share
+        normalized = total / table.space_max
+        return normalized, peak, normalized
     raise ValueError(f"unsupported architecture type: {type(arch).__name__}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain, compress
 
 from . import textio
@@ -155,8 +156,10 @@ def _well_formed(ops, skips) -> bool:
 Architecture = AlexNetArch | CondenseNetArch | MacroArch
 
 
+@lru_cache(maxsize=None)
 def build_space(kind: str) -> SearchSpace:
-    """Construct one of the shipped spaces: alexnet, condensenet or macro."""
+    """One of the shipped spaces: alexnet, condensenet or macro, built once
+    per kind and shared, as it is frozen."""
     if kind == "alexnet":
         slots = []
         for layer in (1, 2):
@@ -199,21 +202,36 @@ def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
             raise ValueError(f"action {a} out of range for slot {t} ({space.slots[t].name})")
 
 
+def _from_checked(space: SearchSpace, cls: type, **fields) -> Architecture:
+    """A ``cls`` holding ``fields``, set as the dataclass's own ``__init__``
+    sets them. Decoded from actions `validate_sequence` passed on a
+    `build_space` space, the fields pass ``cls``'s checks by construction,
+    so only a hand-built space's go through them."""
+    arch = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(arch, name, value)
+    if space is not build_space(space.kind):
+        arch.__post_init__()
+    return arch
+
+
 def decode(space: SearchSpace, actions: tuple[int, ...]) -> Architecture:
     """Map an action sequence to the architecture it describes."""
     validate_sequence(space, actions)
     if space.kind == "macro":
         # build_space's layout: op slots hold MACRO_OPS, and a skip slot's
         # candidates are (0, 1), so its action is its value
-        return MacroArch(
-            ops=tuple([MACRO_OPS[a] for a in _macro_op_actions(actions)]),
+        return _from_checked(
+            space, MacroArch, ops=tuple([MACRO_OPS[a] for a in _macro_op_actions(actions)]),
             skips=tuple([tuple(compress(sources, actions[start:stop]))
                          for sources, start, stop in _MACRO_SKIP_SPANS]))
     chosen = [slot.candidates[a] for slot, a in zip(space.slots, actions)]
     if space.kind == "alexnet":
-        return AlexNetArch(layers=(tuple(chosen[0:3]), tuple(chosen[3:6])))
+        return _from_checked(space, AlexNetArch,
+                             layers=(tuple(chosen[0:3]), tuple(chosen[3:6])))
     if space.kind == "condensenet":
-        return CondenseNetArch(stages=tuple(chosen[0:3]), growths=tuple(chosen[3:6]))
+        return _from_checked(space, CondenseNetArch, stages=tuple(chosen[0:3]),
+                             growths=tuple(chosen[3:6]))
     raise ValueError(f"cannot decode space kind {space.kind!r}")
 
 

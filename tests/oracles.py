@@ -378,6 +378,32 @@ def missed_lines(codes, run) -> dict[CodeType, set[int]]:
     return {code: executable_lines(code) - lines for code, lines in seen.items()}
 
 
+def formula_mac(op, layer, channels, input_size):
+    """The cost model's formulas, written out for one macro layer."""
+    size = input_size // 2 ** (layer // 4)
+    c_in = 3 if layer == 0 else channels
+    if op.startswith("conv"):
+        k = int(op[4])
+        return k * k * c_in * size * size * channels
+    if op.startswith("sep_conv"):
+        k = int(op[8])
+        return c_in * size * size * (k * k + channels)
+    return 0
+
+
+def macro_capacities_reference(arch):
+    """(normalized MAC, largest per-layer share, normalized MAC) of a macro
+    architecture at the surrogate's geometry (32 channels, 32x32 input): the
+    layers' MACs over the all-most-expensive-op total, and each layer's MACs
+    over its layer's most expensive op."""
+    macs = [formula_mac(op, layer, 32, 32) for layer, op in enumerate(arch.ops)]
+    layer_max = [max(formula_mac(op, layer, 32, 32) for op in
+                     ("conv3x3", "conv5x5", "sep_conv3x3", "sep_conv5x5", "avg_pool", "max_pool"))
+                 for layer in range(len(macs))]
+    normalized = sum(macs) / sum(layer_max)
+    return normalized, max([mac / top for mac, top in zip(macs, layer_max)]), normalized
+
+
 # ---------------------------------------------------------------------------
 # Architecture forms the package has only one direction of. Skip inputs are
 # 1-based in the text and dict forms, as the package writes and reads them.

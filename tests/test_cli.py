@@ -175,18 +175,33 @@ class TestDivergence:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
+    def test_last_update_overflowing_the_forward_pass_exits_1_and_writes_nothing(
+            self, tmp_path, capsys):
+        """One update at this rate passes its gradient check but leaves
+        finite parameters of about 1e308, which overflow the forward pass:
+        the run stops instead of writing a checkpoint that only the next
+        `sample` or resume would find broken."""
+        out = tmp_path / "run"
+        assert run_cli("search", "--space", "condensenet", "--reward", "mixed", "--alpha",
+                       "0.5", "--iterations", "1", "--lr", "1e308", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert ("error: FloatingPointError: update 1 diverged: the parameters overflow the "
+                "forward pass; adam.lr = 1e+308 may be too large") in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     def test_sampling_an_overflowing_checkpoint_exits_1_and_writes_nothing(self, tmp_path,
                                                                            capsys):
-        """One update at this rate leaves finite parameters that overflow
-        the forward pass: the checkpoint loads, but its probabilities are
-        nan, so `sample` stops at the first sample instead of writing
-        actions picked from nan."""
-        run = tmp_path / "run"
-        assert run_cli("search", "--space", "condensenet", "--reward", "mixed", "--alpha",
-                       "0.5", "--iterations", "1", "--lr", "1e308", "--out", str(run)) == 0
-        capsys.readouterr()
+        """Finite parameters that overflow the forward pass: the checkpoint
+        loads, but its probabilities are nan, so `sample` stops at the first
+        sample instead of writing actions picked from nan."""
+        state = ctl.create_controller(build_space("condensenet"), seed=0)
+        state.params.flat.fill(1e308)
+        checkpoint = tmp_path / "checkpoint.npz"
+        ctl.save_checkpoint(state, checkpoint)
         out = tmp_path / "samples"
-        assert run_cli("sample", "--checkpoint", str(run / "checkpoint.npz"), "--n", "3",
+        assert run_cli("sample", "--checkpoint", str(checkpoint), "--n", "3",
                        "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert ("error: FloatingPointError: sample 1: probabilities are not finite; the "

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from archsearch import cost_model as cm
 from archsearch.search_space import MACRO_LAYERS, MACRO_OPS, MacroArch
 
+from oracles import formula_mac
 from strategies import architectures
 
 NO_SKIPS = ((),) * 12
@@ -14,19 +15,6 @@ DEFAULT = cm.mac_table(cm.DEFAULT_CHANNELS, cm.DEFAULT_INPUT_SIZE)
 
 def plain_arch(op):
     return MacroArch(ops=(op,) * 12, skips=NO_SKIPS)
-
-
-def formula_mac(op, layer, channels, input_size):
-    """The module docstring's formulas, written out for one macro layer."""
-    size = input_size // 2 ** (layer // 4)
-    c_in = 3 if layer == 0 else channels
-    if op.startswith("conv"):
-        k = int(op[4])
-        return k * k * c_in * size * size * channels
-    if op.startswith("sep_conv"):
-        k = int(op[8])
-        return c_in * size * size * (k * k + channels)
-    return 0
 
 
 class TestConvMac:
@@ -144,7 +132,19 @@ class TestMacTable:
         assert report.total_mac == sum(per_layer)
         assert report.normalized == report.total_mac / space_max
 
+    @settings(max_examples=100, deadline=None)
+    @given(channels=st.integers(1, 256), input_size=st.integers(4, 512))
+    def test_shares_are_each_op_over_its_layer_max(self, channels, input_size):
+        table = cm.mac_table(channels, input_size)
+        assert len(table.shares) == MACRO_LAYERS
+        for row, shares, top in zip(table.rows, table.shares, table.layer_max):
+            assert list(shares) == list(row)
+            for op in MACRO_OPS:
+                assert shares[op].hex() == (row[op] / top).hex()
+
     def test_built_once_per_geometry(self):
         assert cm.mac_table(16, 64) is cm.mac_table(16, 64)
         with pytest.raises(TypeError):
             cm.mac_table(16, 64).rows[0]["conv3x3"] = 0  # shared by every caller: read-only
+        with pytest.raises(TypeError):
+            cm.mac_table(16, 64).shares[0]["conv3x3"] = 0.0

@@ -4,13 +4,17 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from archsearch.evaluators import (SURROGATE_FIXTURE, LookupEvaluator, SurrogateConfig,
-                                   SurrogateEvaluator, UnknownArchitectureError,
+                                   SurrogateEvaluator, UnknownArchitectureError, _capacities,
                                    fixture_lookup_path, load_lookup, load_surrogate_config,
                                    make_surrogate)
 from archsearch.search_space import (AlexNetArch, CondenseNetArch, MacroArch, build_space,
                                      decode)
+
+from oracles import macro_capacities_reference
+from strategies import architectures
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +160,14 @@ class TestSurrogateEvaluator:
         heavy = MacroArch(ops=("conv5x5",) * 12, skips=((),) * 12)
         assert surrogate.evaluate(pooled).mac_normalized == 0.0
         assert surrogate.evaluate(heavy).mac_normalized == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(arch=architectures(kinds=("macro",)))
+    def test_macro_capacities_match_straight_line_oracle(self, arch):
+        """The one pass over the MAC table's rows and shares gives the bits of
+        the cost model's formulas summed and divided layer by layer."""
+        got = _capacities(arch)
+        assert [v.hex() for v in got] == [v.hex() for v in macro_capacities_reference(arch)]
 
     def test_alexnet_and_condensenet_omit_mac(self):
         assert make_surrogate("alexnet").evaluate(

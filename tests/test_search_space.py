@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from archsearch import controller as ctl
 from archsearch.search_space import (AlexNetArch, CondenseNetArch, DecisionSlot, MACRO_OPS,
-                                     MacroArch, arch_from_compact, arch_from_text, arch_to_compact,
-                                     arch_to_dict, build_space, decode, _well_formed)
+                                     MacroArch, SearchSpace, arch_from_compact, arch_from_text,
+                                     arch_to_compact, arch_to_dict, build_space, decode,
+                                     _well_formed)
 
 from oracles import (arch_from_dict, arch_to_text, compact_reference, decode_reference, encode,
                      macro_arch_refusal)
@@ -306,6 +308,34 @@ class TestSerialization:
             arch_from_text("kind = resnet\n")
         with pytest.raises(ValueError):
             arch_from_text("not a key value line\n")
+
+
+class TestDecodeBuildsOnce:
+    """`decode` builds a shipped space's architecture without re-running its
+    class's checks; every field it builds passes them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=action_sequences())
+    def test_decoded_fields_pass_the_checked_constructor(self, drawn):
+        arch = decode(*drawn)
+        fields = {f.name: getattr(arch, f.name) for f in dataclasses.fields(arch)}
+        assert vars(arch) == fields
+        checked = type(arch)(**fields)
+        assert checked == arch and hash(checked) == hash(arch)
+        if isinstance(arch, MacroArch):
+            assert _well_formed(arch.ops, arch.skips)
+
+    def test_a_hand_built_space_goes_through_the_checks(self):
+        zeros = SearchSpace("condensenet", tuple(
+            DecisionSlot(f"block{t}", "block", (0, 1)) for t in range(6)))
+        with pytest.raises(ValueError, match="condensenet stages must be a tuple of 3 "
+                                             "positive ints, got \\(0, 0, 0\\)"):
+            decode(zeros, (0,) * 6)
+        shipped = build_space("macro")
+        copy = SearchSpace("macro", shipped.slots)
+        assert copy == shipped and copy is not shipped
+        actions = tuple(a % n for a, n in enumerate(shipped.arities))
+        assert decode(copy, actions) == decode(shipped, actions)
 
 
 class TestAgainstStraightLineOracles:
