@@ -142,7 +142,6 @@ class SampleScratch:
         self.gates, self.h, self.c, self.tanh_c = (
             record.gates, record.h, record.c, record.tanh_c)
         self.probs = np.empty(state.heads[-1].block.stop)
-        self.scalar = np.empty(())  # `softmax_sample`'s max, then its sum
         # each step's input token less the previous action: -1 at step 0,
         # then the previous slot's vocabulary offset
         self.token_bases = np.array((-1,) + state.space.vocab_offsets[:-1])
@@ -211,14 +210,14 @@ def sample_sequence(state: ControllerState) -> tuple[tuple[int, ...], Rollout]:
     """
     scratch = state.sample_scratch
     uniforms = state.rng.random(len(scratch.steps)).tolist()
-    cell, scalar = state.lstm, scratch.scalar
+    cell = state.lstm
     actions: list[int] = []
     column = None
     for (w, b, scores, columns, h_prev, c_prev, out), u in zip(scratch.steps, uniforms):
         h, _ = lstm_forward(cell, column, h_prev, c_prev, out)
         np.dot(w, h, scores)  # the logits, turned into probabilities
         np.add(scores, b, scores)
-        action = softmax_sample(scores, u, scalar)
+        action = softmax_sample(scores, u)
         actions.append(action)
         column = columns[action]
     rollout = Rollout(
@@ -241,8 +240,6 @@ def policy_gradients(state: ControllerState, rollout: Rollout, scale: float,
     last step to the first (`ordered_outer_sum`), so the sums round as a
     step-by-step accumulation does.
     """
-    if out.shapes != state.params.shapes:
-        raise ValueError("gradient layout does not match parameter layout")
     dh = np.empty((len(rollout.actions), state.hidden_dim))
     flat = np.multiply(rollout.probs, -scale)  # the bits of -probs * scale
     flat[state.prob_starts + rollout.actions] += scale

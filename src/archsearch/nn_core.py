@@ -112,15 +112,6 @@ class LstmCellParams:
     backward_scratch: BackwardScratch | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.u.ndim != 2 or self.u.shape[0] != 4 * self.u.shape[1]:
-            raise ValueError(f"u must have shape (4H, H), got {self.u.shape}")
-        four_h = self.u.shape[0]
-        if self.w.ndim != 2 or self.w.shape[0] != four_h:
-            raise ValueError(f"w must have shape ({four_h}, D), got {self.w.shape}")
-        if self.b.shape != (four_h,):
-            raise ValueError(f"b must have shape ({four_h},), got {self.b.shape}")
-
     # `lstm_forward`'s temporaries, made on a cell's first step (a gradient
     # cell never takes one) and rewritten by every step
     @functools.cached_property
@@ -388,23 +379,27 @@ def lstm_backward(params: LstmCellParams, record: LstmRecord, output_grads: np.n
     return out
 
 
-def softmax_probs(scores: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def softmax_probs(scores: np.ndarray) -> list[float]:
     """Turn the logits in ``scores`` into their softmax, in place, and
-    return ``scores``.
+    return the probabilities as a list.
 
-    Numerically stable: the max is subtracted before the exp. The max and
-    then the sum are written into the 0-d float array ``scratch``. Empty
-    logits raise ValueError, as their max has no value.
+    Numerically stable: the max is subtracted before the exp. Up to 7 entries
+    are summed left to right in a Python float, the bits of `np.add.reduce`,
+    which adds 8 or more in blocks and sums those. Empty logits raise ValueError.
     """
-    np.maximum.reduce(scores, None, None, scratch)
-    np.subtract(scores, scratch, scores)
+    np.subtract(scores, max(scores.tolist()), scores)
     np.exp(scores, scores)
-    np.add.reduce(scores, None, None, scratch)
-    np.divide(scores, scratch, scores)
-    return scores
+    if len(scores) < 8:
+        total = 0.0
+        for e in scores.tolist():
+            total += e
+    else:
+        total = np.add.reduce(scores)
+    np.divide(scores, total, scores)
+    return scores.tolist()
 
 
-def softmax_sample(scores: np.ndarray, u: float, scratch: np.ndarray) -> int:
+def softmax_sample(scores: np.ndarray, u: float) -> int:
     """Turn the logits in ``scores`` into their softmax with
     `softmax_probs`, in place, and pick an index with the uniform draw ``u``.
 
@@ -415,15 +410,15 @@ def softmax_sample(scores: np.ndarray, u: float, scratch: np.ndarray) -> int:
     in a Python float, the bits of a float64 ``cumsum``, so the index is
     ``min(cumsum.searchsorted(u, side="right"), len - 1)``.
     """
-    softmax_probs(scores, scratch)
-    if len(scores) == 2:
-        return 1 if u >= scores[0] else 0
+    probs = softmax_probs(scores)
+    if len(probs) == 2:
+        return 1 if u >= probs[0] else 0
     total = 0.0
-    for index, p in enumerate(scores.tolist()):
+    for index, p in enumerate(probs):
         total += p
         if not total <= u:  # also at nan, which searchsorted sorts last
             return index
-    return len(scores) - 1
+    return len(probs) - 1
 
 
 @dataclass

@@ -13,7 +13,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate
+from typing import NamedTuple
 
 from . import textio
 
@@ -24,17 +25,13 @@ CONDENSENET_GROWTHS = (4, 8, 16, 24, 32)
 MACRO_OPS = ("conv3x3", "conv5x5", "sep_conv3x3", "sep_conv5x5",
              "avg_pool", "max_pool")
 MACRO_LAYERS = 12
-_MACRO_OP_SET = frozenset(MACRO_OPS)
 _INT_TYPE = frozenset((int,))
 # position of each macro layer's op slot in an action sequence; the layer's
 # skip slots, one per earlier layer, follow it
 _MACRO_OP_SLOTS = tuple(layer * (layer + 1) // 2 for layer in range(MACRO_LAYERS))
 _macro_op_actions = operator.itemgetter(*_MACRO_OP_SLOTS)
-# per macro layer: its possible skip sources and the span of its skip slots
-_MACRO_SKIP_SPANS = tuple((range(layer), p + 1, p + 1 + layer)
-                          for layer, p in enumerate(_MACRO_OP_SLOTS))
-# 1-based skip label of each layer index, as the compact form writes it
-_SKIP_LABELS = tuple(str(layer + 1) for layer in range(MACRO_LAYERS))
+# per macro layer: the slice of an action sequence that holds its skip slots
+_MACRO_SKIP_SLICES = tuple(slice(p + 1, p + 1 + layer) for layer, p in enumerate(_MACRO_OP_SLOTS))
 
 SPACE_KINDS = ("alexnet", "condensenet", "macro")
 
@@ -52,6 +49,28 @@ class DecisionSlot:
             raise ValueError(f"slot {self.name} has duplicate candidates")
 
 
+class MacroTables(NamedTuple):
+    """Lookups that read and range-check actions, held by `build_space("macro")` alone."""
+
+    ops: dict[int, str]  # op action -> op name
+    skips: tuple[dict[tuple[int, ...], tuple[int, ...]], ...]  # per layer: skip bits -> sources
+    suffixes: dict[tuple[int, ...], str]  # sources -> compact-form suffix: "" or "[1.3]"
+
+
+def _macro_tables() -> MacroTables:
+    """4,095 skip entries. Layer l's table doubles layer l - 1's: bits + (0,) keep
+    the same sources tuple, bits + (1,) add layer l - 1 (written l: labels are 1-based)."""
+    skips, suffixes = [{(): ()}], {(): ""}
+    for layer in range(1, MACRO_LAYERS):
+        table, label = {}, f"{layer}]"
+        for bits, sources in skips[-1].items():
+            table[bits + (0,)] = sources
+            table[bits + (1,)] = wired = sources + (layer - 1,)
+            suffixes[wired] = (suffixes[sources][:-1] + "." if sources else "[") + label
+        skips.append(table)
+    return MacroTables(dict(enumerate(MACRO_OPS)), tuple(skips), suffixes)
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     kind: str
@@ -59,6 +78,7 @@ class SearchSpace:
     vocab_size: int = field(init=False)
     vocab_offsets: tuple[int, ...] = field(init=False)
     arities: tuple[int, ...] = field(init=False, compare=False)  # candidates per slot
+    macro_tables: MacroTables | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities = tuple(len(slot.candidates) for slot in self.slots)
@@ -122,9 +142,6 @@ class MacroArch:
     skips: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if _well_formed(self.ops, self.skips):
-            return
-        # the checks below say what is wrong
         if len(self.ops) != MACRO_LAYERS or len(self.skips) != MACRO_LAYERS:
             raise ValueError(f"macro arch needs {MACRO_LAYERS} layers")
         for i, op in enumerate(self.ops):
@@ -137,20 +154,6 @@ class MacroArch:
                 raise ValueError(f"layer {i} skip inputs must come from layers 0..{i - 1}")
             if tuple(sorted(set(sk))) != sk:
                 raise ValueError(f"layer {i} skip inputs must be sorted and distinct")
-
-
-def _well_formed(ops, skips) -> bool:
-    """True if `MacroArch`'s checks would pass: known ops, and every skip
-    tuple strictly increasing ints within 0..layer-1. False leaves the
-    verdict to those checks."""
-    try:
-        return (len(ops) == MACRO_LAYERS == len(skips) and _MACRO_OP_SET.issuperset(ops)
-                and all(type(sk) is tuple and (not sk or (
-                            sk[0] >= 0 and sk[-1] < layer and all(map(operator.lt, sk, sk[1:]))))
-                        for layer, sk in enumerate(skips))
-                and _INT_TYPE.issuperset(map(type, chain.from_iterable(skips))))
-    except TypeError:  # an unhashable op or an unordered skip entry
-        return False
 
 
 Architecture = AlexNetArch | CondenseNetArch | MacroArch
@@ -179,7 +182,10 @@ def build_space(kind: str) -> SearchSpace:
             slots.append(DecisionSlot(f"layer{layer + 1}.op", "op", MACRO_OPS))
             for src in range(layer):
                 slots.append(DecisionSlot(f"layer{layer + 1}.skip{src + 1}", "skip", (0, 1)))
-        return SearchSpace(kind, tuple(slots))
+        space = SearchSpace(kind, tuple(slots))
+        # built here: not at import, for the other spaces, nor in a run's loop
+        object.__setattr__(space, "macro_tables", _macro_tables())
+        return space
     raise ValueError(f"unknown space kind: {kind!r}")
 
 
@@ -189,11 +195,6 @@ def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
     if len(actions) != len(space.arities):
         raise ValueError(
             f"sequence has {len(actions)} actions, space has {len(space.arities)} slots")
-    for arity, a in zip(space.arities, actions):
-        if type(a) is not int or not 0 <= a < arity:
-            break
-    else:
-        return
     for t, (arity, a) in enumerate(zip(space.arities, actions)):
         if type(a) is not int:
             raise ValueError(f"action {a!r} for slot {t} ({space.slots[t].name}) "
@@ -203,10 +204,8 @@ def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
 
 
 def _from_checked(space: SearchSpace, cls: type, **fields) -> Architecture:
-    """A ``cls`` holding ``fields``, set as the dataclass's own ``__init__``
-    sets them. Decoded from actions `validate_sequence` passed on a
-    `build_space` space, the fields pass ``cls``'s checks by construction,
-    so only a hand-built space's go through them."""
+    """A ``cls`` holding ``fields``, set as its ``__init__`` sets them; only a
+    hand-built space's are checked, as a `build_space` space decodes valid ones."""
     arch = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(arch, name, value)
@@ -216,15 +215,23 @@ def _from_checked(space: SearchSpace, cls: type, **fields) -> Architecture:
 
 
 def decode(space: SearchSpace, actions: tuple[int, ...]) -> Architecture:
-    """Map an action sequence to the architecture it describes."""
+    """Map an action sequence to the architecture it describes. On the shipped
+    macro space, ints are read through `MacroTables`; a failed lookup (out of
+    range, or a list's unhashable slices) goes to `validate_sequence`'s checks."""
+    tables = space.macro_tables
+    if (tables is not None and len(actions) == len(space.arities)
+            and _INT_TYPE.issuperset(map(type, actions))):
+        try:
+            ops = tuple(map(tables.ops.__getitem__, _macro_op_actions(actions)))
+            skips = tuple(map(dict.__getitem__, tables.skips,
+                              map(actions.__getitem__, _MACRO_SKIP_SLICES)))
+        except (KeyError, TypeError):
+            pass
+        else:
+            return _from_checked(space, MacroArch, ops=ops, skips=skips)
     validate_sequence(space, actions)
-    if space.kind == "macro":
-        # build_space's layout: op slots hold MACRO_OPS, and a skip slot's
-        # candidates are (0, 1), so its action is its value
-        return _from_checked(
-            space, MacroArch, ops=tuple([MACRO_OPS[a] for a in _macro_op_actions(actions)]),
-            skips=tuple([tuple(compress(sources, actions[start:stop]))
-                         for sources, start, stop in _MACRO_SKIP_SPANS]))
+    if space.kind == "macro":  # a list, or a hand-built space read in build_space's layout
+        return decode(build_space("macro"), tuple(actions))
     chosen = [slot.candidates[a] for slot, a in zip(space.slots, actions)]
     if space.kind == "alexnet":
         return _from_checked(space, AlexNetArch,
@@ -285,8 +292,8 @@ def arch_to_compact(arch: Architecture) -> str:
         gr = ".".join(str(g) for g in arch.growths)
         return f"st{st}+gr{gr}"
     if isinstance(arch, MacroArch):
-        return "+".join([f"{op}[{'.'.join([_SKIP_LABELS[s] for s in sk])}]" if sk else op
-                         for op, sk in zip(arch.ops, arch.skips)])
+        suffixes = build_space("macro").macro_tables.suffixes
+        return "+".join(map(operator.add, arch.ops, map(suffixes.__getitem__, arch.skips)))
     raise ValueError(f"unsupported architecture type: {type(arch).__name__}")
 
 

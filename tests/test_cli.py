@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -249,6 +251,31 @@ class TestRandomCommand:
         assert run_cli(*args) == 0
         assert (out / "results.csv").is_file()
         assert not (out / "checkpoint.npz").exists()  # nothing to resume
+
+
+class TestHashSeedIndependence:
+    """Set and string-hash order follow PYTHONHASHSEED, which an interpreter
+    fixes when it starts; no output byte may follow it. Criterion 9 reruns
+    in one process, so it cannot see this."""
+
+    @pytest.mark.parametrize("argv", [
+        ["random", "--space", "macro", "--reward", "mac_constraint", "--threshold", "0.31",
+         "--iterations", "40", "--seed", "5"],
+        ["search", "--space", "condensenet", "--reward", "mixed", "--alpha", "0.5",
+         "--evaluator", "lookup", "--fallback", "on", "--iterations", "40", "--seed", "2"],
+    ], ids=["macro-random", "condensenet-lookup-search"])
+    def test_every_file_is_the_same_under_two_hash_seeds(self, argv, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        files = []
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / hash_seed
+            subprocess.run([sys.executable, "-m", "archsearch.cli", *argv, "--out", str(out)],
+                           check=True, capture_output=True, timeout=120,
+                           env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                                "PYTHONPATH": str(src)})
+            files.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert files[0] == files[1]
+        assert "results.csv" in files[0] and "summary.json" in files[0]
 
 
 class TestMacCommand:

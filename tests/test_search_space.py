@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from archsearch import controller as ctl
 from archsearch.search_space import (AlexNetArch, CondenseNetArch, DecisionSlot, MACRO_OPS,
                                      MacroArch, SearchSpace, arch_from_compact, arch_from_text,
                                      arch_to_compact, arch_to_dict, build_space, decode,
-                                     _well_formed)
+                                     validate_sequence)
 
 from oracles import (arch_from_dict, arch_to_text, compact_reference, decode_reference, encode,
                      macro_arch_refusal)
@@ -199,16 +203,14 @@ class TestMacroArchInvariants:
         ((0.5,), 1), ((False,), 1), ((True,), 2), ((0, 1.0), 2), ((np.int64(0),), 1)],
         ids=["half", "false", "true", "float-one", "numpy-int"])
     def test_non_integer_skip_rejected_naming_the_layer(self, skip, layer):
-        """In range and increasing, so only the entry type is wrong: the fast
-        accept turns it down and the checks name the layer."""
+        """In range and increasing, so only the entry type is wrong: the
+        checks name the layer."""
         skips = tuple(skip if i == layer else () for i in range(12))
-        assert not _well_formed(("conv3x3",) * 12, skips)
         with pytest.raises(ValueError, match=f"layer {layer} skip inputs must be integers"):
             MacroArch(ops=("conv3x3",) * 12, skips=skips)
 
     def test_non_integer_skip_named_when_another_layer_is_a_list(self):
-        """The same refusal on the checks' path alone: a list in a later
-        layer already rules out the fast accept."""
+        """The first bad layer is named, also when a later one is a list."""
         skips = ((), (0.5,), [0]) + ((),) * 9
         with pytest.raises(ValueError, match="layer 1 skip inputs must be integers"):
             MacroArch(ops=("conv3x3",) * 12, skips=skips)
@@ -322,8 +324,6 @@ class TestDecodeBuildsOnce:
         assert vars(arch) == fields
         checked = type(arch)(**fields)
         assert checked == arch and hash(checked) == hash(arch)
-        if isinstance(arch, MacroArch):
-            assert _well_formed(arch.ops, arch.skips)
 
     def test_a_hand_built_space_goes_through_the_checks(self):
         zeros = SearchSpace("condensenet", tuple(
@@ -402,6 +402,71 @@ class TestAgainstStraightLineOracles:
             with pytest.raises(ValueError) as expected:
                 decode_reference(space, actions)
             assert str(raised.value) == str(expected.value)
+
+    def test_every_skip_table_entry_matches_the_oracles(self):
+        """Each of the 4,095 skip-table entries wires what the slot-by-slot
+        walk wires, its suffix is the straight compact form's, and a layer's
+        table reuses the previous layer's sources tuple for a trailing 0."""
+        space = build_space("macro")
+        tables = space.macro_tables
+        assert sum(map(len, tables.skips)) == 4095
+        for layer, table in enumerate(tables.skips):
+            start = layer * (layer + 1) // 2 + 1  # the slot after the layer's op slot
+            for bits, sources in table.items():
+                actions = [0] * len(space.slots)
+                actions[start:start + layer] = bits
+                arch = decode_reference(space, tuple(actions))
+                assert sources == arch.skips[layer]
+                part = compact_reference(arch).split("+")[layer]
+                assert tables.suffixes[sources] == part[len(arch.ops[layer]):]
+                assert decode(space, tuple(actions)) == arch
+                assert arch_from_compact(arch_to_compact(arch)) == arch
+                if layer and not bits[-1]:
+                    assert sources is tables.skips[layer - 1][bits[:-1]]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_macro_sequence_decodes_or_is_refused_as_the_checks_say(self, data):
+        """Tuples and lists, with up to three slots holding another type or a
+        value out of range, or cut short or run long: `decode` builds the
+        oracle's architecture, or raises `validate_sequence`'s message."""
+        space = build_space("macro")
+        actions = list(data.draw(st.tuples(*(st.integers(0, n - 1) for n in space.arities)),
+                                 label="actions"))
+        for _ in range(data.draw(st.integers(0, 3), label="changed slots")):
+            t = data.draw(st.integers(0, len(actions) - 1), label="slot")
+            actions[t] = data.draw(st.sampled_from(
+                [True, np.int64(1), 1.0, "1", None, -1, 2, 6, 7]), label="value")
+        length = data.draw(st.sampled_from([78, 78, 78, 0, 77, 79]), label="length")
+        actions = data.draw(st.sampled_from([tuple, list]), label="form")((actions + [0])[:length])
+        try:
+            validate_sequence(space, actions)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                decode(space, actions)
+            assert str(raised.value) == str(exc)
+        else:
+            assert decode(space, actions) == decode_reference(space, actions)
+
+    def test_tables_are_built_with_the_macro_space_only(self):
+        """Importing builds no space and a condensenet space no tables; once
+        build_space("macro") has returned, neither `decode` nor
+        `arch_to_compact` builds them. A fresh interpreter, so that no
+        earlier test has built a space."""
+        script = "\n".join([
+            "import archsearch.cli",
+            "from archsearch import search_space as ss",
+            "assert ss.build_space.cache_info().currsize == 0",
+            "calls, build = [], ss._macro_tables",
+            "ss._macro_tables = lambda: calls.append(1) or build()",
+            "assert ss.build_space('condensenet').macro_tables is None and not calls",
+            "space = ss.build_space('macro')",
+            "assert calls == [1] and space.macro_tables is not None",
+            "ss.arch_to_compact(ss.decode(space, (0,) * len(space.arities)))",
+            "assert calls == [1], calls"])
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": str(src)})
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
