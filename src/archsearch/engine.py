@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -145,17 +146,9 @@ def make_evaluator(space_kind: str, evaluator_kind: str = "surrogate", seed: int
         raise ValueError("evaluator.surrogate is read by the lookup evaluator only with "
                          "evaluator.fallback = on")
     path = fixture_lookup_path() if lookup_path is None else Path(lookup_path)
-    rows, space = load_lookup(path), build_space(space_kind)
-    # the rows are distinct, so they cover the space when as many lie in it
-    inside = sum(all(v in slot.candidates for v, slot in zip(a.stages + a.growths, space.slots))
-                 for a in rows)
-    if not lookup_fallback and inside < space.size():  # a run would stop at the first miss
-        raise ValueError(f"{path} holds {len(rows)} rows, {inside} of the {space.size()} "
-                         f"{space_kind} architectures: evaluator.fallback = off needs them all")
-    fallback = None
-    if lookup_fallback:
-        fallback = make_surrogate(space_kind, seed=seed, config_path=surrogate_path)
-    return LookupEvaluator(rows, fallback=fallback, source=str(path))
+    fallback = (make_surrogate(space_kind, seed=seed, config_path=surrogate_path)
+                if lookup_fallback else None)
+    return LookupEvaluator(load_lookup(path), fallback=fallback, source=str(path))
 
 
 def build_evaluator(cfg: RunConfig) -> Evaluator:
@@ -184,39 +177,33 @@ def load_resume(cfg: RunConfig) -> ctl.ControllerState:
     return _require_space(ctl.load_checkpoint(cfg.resume_path), cfg)
 
 
-def _run(cfg: RunConfig, sample: Callable[[], tuple[tuple[int, ...], ctl.Rollout | None]],
-         update: Callable[[list, list[float]], float],
+def _run(cfg: RunConfig,
+         sample: Callable[[int], list[tuple[tuple[int, ...], ctl.Rollout | None]]],
+         batch: int, update: Callable[[list, list[float]], float],
          controller: ctl.ControllerState | None, evaluator: Evaluator | None) -> SearchResult:
-    """``sample()`` gives actions and their rollout; after every ``cfg.batch_n``
-    samples and the last, ``update(rollouts, rewards)`` gives their grad_norm."""
+    """Walks the run in batches of ``batch`` samples, the last maybe short:
+    ``sample(k)`` gives k (actions, rollout) pairs, one `evaluate_many` call
+    scores them, and ``update(rollouts, rewards)`` gives their grad_norm."""
     space = build_space(cfg.space_kind)
     if evaluator is None:
         evaluator = build_evaluator(cfg)
     records: list[IterationRecord] = []
     front = ParetoFront()
-    best: IterationRecord | None = None
-    pending: list[tuple[ctl.Rollout | None, float, IterationRecord]] = []
-    for i in range(1, cfg.n_iterations + 1):
-        actions, rollout = sample()
-        arch = decode(space, actions)
-        result = evaluator.evaluate(arch)
-        reward = compute_reward(cfg.reward, result)
-
-        record = IterationRecord(iteration=i, actions=actions, arch=arch, result=result,
-                                 reward=reward, grad_norm=0.0)
-        records.append(record)
-        front.insert(_pareto_point(record))
-        if best is None or record.reward > best.reward:  # strict: first max wins
-            best = record
-
-        pending.append((rollout, reward, record))
-        if len(pending) == cfg.batch_n or i == cfg.n_iterations:
-            norm = update([p[0] for p in pending], [p[1] for p in pending])
-            for _, _, rec in pending:
-                rec.grad_norm = norm
-            pending = []
+    for start in range(0, cfg.n_iterations, batch):
+        actions, rollouts = zip(*sample(min(batch, cfg.n_iterations - start)))
+        archs = [decode(space, a) for a in actions]
+        results = evaluator.evaluate_many(archs)
+        rewards = [compute_reward(cfg.reward, result) for result in results]
+        norm = update(list(rollouts), rewards)
+        scored = zip(actions, archs, results, rewards, strict=True)
+        for i, (sampled, arch, result, reward) in enumerate(scored, start + 1):
+            record = IterationRecord(iteration=i, actions=sampled, arch=arch, result=result,
+                                     reward=reward, grad_norm=norm)
+            records.append(record)
+            front.insert(_pareto_point(record))
 
     stats = compute_stats(records, cfg.reward, window=cfg.window)
+    best = max(records, key=attrgetter("reward"))  # the first of equal rewards
     return SearchResult(best=best, records=records, front=front, stats=stats,
                         controller=controller)
 
@@ -240,8 +227,8 @@ def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None,
     else:
         _require_space(controller, cfg)
     # looked up at call time, so wrappers installed on the controller module apply
-    result = _run(cfg, lambda: ctl.sample_sequence(controller),
-                  lambda *batch: ctl.reinforce_update_batch(controller, *batch),
+    result = _run(cfg, lambda k: [ctl.sample_sequence(controller) for _ in range(k)],
+                  cfg.batch_n, lambda *batch: ctl.reinforce_update_batch(controller, *batch),
                   controller, evaluator)
     # each update checks only its gradient, so the last one's step is checked
     # here: as |h| <= 1 and the input is a column of w, the sum of |parameters|
@@ -262,17 +249,13 @@ def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResu
     rng = np.random.default_rng(cfg.seed)
     arities = np.asarray(build_space(cfg.space_kind).arities)
 
-    def draws():
+    def sample(k: int) -> list[tuple[tuple[int, ...], None]]:
         # one draw per slot, in slot order, row after row: the stream of one
         # rng.integers(arities) call per architecture
-        for start in range(0, cfg.n_iterations, RANDOM_BLOCK):
-            block = min(RANDOM_BLOCK, cfg.n_iterations - start)
-            yield from map(tuple, rng.integers(
-                np.broadcast_to(arities, (block, arities.size))).tolist())
+        block = rng.integers(np.broadcast_to(arities, (k, arities.size))).tolist()
+        return [(tuple(actions), None) for actions in block]
 
-    actions = draws()
-    return _run(cfg, lambda: (next(actions), None),
-                lambda rollouts, rewards: 0.0, None, evaluator)
+    return _run(cfg, sample, RANDOM_BLOCK, lambda rollouts, rewards: 0.0, None, evaluator)
 
 
 def compute_stats(records: list[IterationRecord], spec: RewardSpec,
@@ -299,21 +282,21 @@ def compute_stats(records: list[IterationRecord], spec: RewardSpec,
 
 def sample_trained_controller(state: ctl.ControllerState, evaluator: Evaluator,
                               n: int = 1000) -> list[tuple[Architecture, EvaluationResult]]:
-    """n rollouts without updates, for inspecting what a controller learned.
+    """n rollouts without updates, for inspecting what a controller learned;
+    their architectures are scored in one `evaluate_many` call after the last.
 
     A rollout whose probabilities are not all finite raises FloatingPointError:
     its actions would be picked from nan, not from the controller's policy.
     """
-    out = []
+    archs = []
     for k in range(n):
         actions, rollout = ctl.sample_sequence(state)
         if not np.isfinite(rollout.probs).all():
             raise FloatingPointError(
                 f"sample {k + 1}: probabilities are not finite; the checkpoint's "
                 f"parameters overflow the forward pass")
-        arch = decode(state.space, actions)
-        out.append((arch, evaluator.evaluate(arch)))
-    return out
+        archs.append(decode(state.space, actions))
+    return list(zip(archs, evaluator.evaluate_many(archs)))
 
 
 def histogram_of(archs: Iterable[MacroArch]) -> tuple[dict[str, int], list[list[int]]]:

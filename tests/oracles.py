@@ -9,6 +9,7 @@ architecture records, whose constructors check them, and nothing else of it.
 from __future__ import annotations
 
 import dis
+import hashlib
 import math
 import sys
 from types import CodeType
@@ -402,6 +403,37 @@ def macro_capacities_reference(arch):
                  for layer in range(len(macs))]
     normalized = sum(macs) / sum(layer_max)
     return normalized, max([mac / top for mac, top in zip(macs, layer_max)]), normalized
+
+
+def noise_reference(seed, arch, sigma):
+    """The surrogate's accuracy noise of one architecture, drawn alone: a
+    normal(0, sigma) draw of a PCG64 seeded with the first 8 bytes,
+    big-endian, of sha256 over "seed|compact token"."""
+    if sigma == 0.0:
+        return 0.0
+    digest = hashlib.sha256(f"{seed}|{compact_reference(arch)}".encode()).digest()
+    rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "big")))
+    return float(rng.normal(0.0, sigma))
+
+
+def surrogate_reference(config, arch):
+    """(accuracy, energy, peak power, normalized MAC) of the analytic landscape
+    with the constants of ``config``: accuracy saturates in the weighted
+    capacity, plus the noise, clamped to [0, 1]; energy and peak power are
+    linear in the capacity and in the largest per-unit capacity."""
+    if isinstance(arch, AlexNetArch):
+        sizes = [flt * h * w for flt, h, w in arch.layers]
+        capacity, peak, mac = float(sum(sizes)), float(max(sizes)), None
+    elif isinstance(arch, CondenseNetArch):
+        sizes = [s * g for s, g in zip(arch.stages, arch.growths)]
+        capacity, peak, mac = float(sum(sizes)), float(max(sizes)), None
+    else:
+        capacity, peak, mac = macro_capacities_reference(arch)
+    capacity *= config.capacity_weight
+    accuracy = config.a_max * (1.0 - math.exp(-capacity / config.kappa))
+    accuracy += noise_reference(config.seed, arch, config.sigma)
+    return (min(max(accuracy, 0.0), 1.0), config.e0 + config.e1 * capacity,
+            config.p0 + config.p1 * peak, mac)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from archsearch import engine
 from archsearch.controller import create_controller
-from archsearch.evaluators import LOOKUP_HEADER
+from archsearch.evaluators import LOOKUP_HEADER, Evaluator
 from archsearch.pareto import front_of
 from archsearch.rewards import EvaluationResult, RewardSpec
 from archsearch.search_space import (CONDENSENET_GROWTHS, CONDENSENET_STAGES, MACRO_OPS,
@@ -21,6 +21,18 @@ def power_cfg(**kw):
                     n_iterations=60, seed=1)
     defaults.update(kw)
     return engine.RunConfig(**defaults)
+
+
+class Recording(Evaluator):
+    """Passes each `evaluate_many` call to ``inner`` and keeps its batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def evaluate_many(self, archs):
+        self.batches.append(list(archs))
+        return self.inner.evaluate_many(archs)
 
 
 class TestRunConfig:
@@ -248,6 +260,46 @@ class TestRunRandom:
             engine.run_random(power_cfg(n_iterations=2, resume_path="nope.npz"))
 
 
+class TestBatchWalk:
+    """The loop scores each batch in one `evaluate_many` call, with that
+    batch's architectures in sample order, and updates once per batch."""
+
+    def test_random_scores_blocks_of_random_block(self):
+        cfg = engine.RunConfig(space_kind="macro",
+                               reward=RewardSpec(kind="mac_constraint", threshold=0.31),
+                               n_iterations=600, seed=8)
+        evaluator = Recording(engine.build_evaluator(cfg))
+        records = engine.run_random(cfg, evaluator=evaluator).records
+        assert engine.RANDOM_BLOCK == 256
+        assert [len(b) for b in evaluator.batches] == [256, 256, 88]
+        assert [a for b in evaluator.batches for a in b] == [r.arch for r in records]
+
+    @pytest.mark.parametrize("batch_n,sizes", [(1, [1] * 7), (3, [3, 3, 1])])
+    def test_search_scores_and_updates_per_batch(self, batch_n, sizes, monkeypatch):
+        cfg = power_cfg(n_iterations=7, batch_n=batch_n, use_baseline=True,
+                        reward=RewardSpec(kind="mixed", alpha=0.5))
+        evaluator = Recording(engine.build_evaluator(cfg))
+        updates = []
+        update = engine.ctl.reinforce_update_batch
+
+        def recorded(state, rollouts, rewards):
+            norm = update(state, rollouts, rewards)
+            updates.append((len(rollouts), list(rewards), norm))
+            return norm
+        monkeypatch.setattr(engine.ctl, "reinforce_update_batch", recorded)
+        records = engine.run_search(cfg, evaluator=evaluator).records
+        assert [len(b) for b in evaluator.batches] == sizes
+        assert [n for n, _, _ in updates] == sizes
+        assert [a for b in evaluator.batches for a in b] == [r.arch for r in records]
+        start = 0
+        for size, (_, rewards, norm) in zip(sizes, updates):
+            batch = records[start:start + size]
+            assert [r.reward for r in batch] == rewards
+            assert all(r.grad_norm == norm for r in batch)
+            start += size
+        assert len({norm for _, _, norm in updates}) == len(updates)  # batches differ
+
+
 class TestComputeStats:
     def make_records(self, flags):
         records = []
@@ -320,6 +372,13 @@ class TestSampleTrainedController:
             samples = engine.sample_trained_controller(state, evaluator, n=20)
             archs.append([a for a, _ in samples])
         assert archs[0] == archs[1]
+
+    def test_scores_every_sample_in_one_call(self):
+        state = create_controller(build_space("macro"), seed=3)
+        evaluator = Recording(engine.make_evaluator("macro"))
+        samples = engine.sample_trained_controller(state, evaluator, n=40)
+        assert evaluator.batches == [[a for a, _ in samples]]
+        assert [ev for _, ev in samples] == [evaluator.inner.evaluate(a) for a, _ in samples]
 
 
 class TestMakeEvaluator:

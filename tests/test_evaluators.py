@@ -5,15 +5,17 @@ from importlib import resources
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from archsearch.evaluators import (SURROGATE_FIXTURE, LookupEvaluator, SurrogateConfig,
-                                   SurrogateEvaluator, UnknownArchitectureError, _capacities,
-                                   fixture_lookup_path, load_lookup, load_surrogate_config,
-                                   make_surrogate)
+from archsearch.cost_model import DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE, mac_table
+from archsearch.evaluators import (NOISE_PORT_MIN, SURROGATE_FIXTURE, LookupEvaluator,
+                                   SurrogateConfig, SurrogateEvaluator, _capacities,
+                                   _hash_noise, _seed_words, _SeedWords, fixture_lookup_path,
+                                   load_lookup, load_surrogate_config, make_surrogate)
 from archsearch.search_space import (AlexNetArch, CondenseNetArch, MacroArch, build_space,
                                      decode)
 
-from oracles import macro_capacities_reference
+from oracles import macro_capacities_reference, noise_reference, surrogate_reference
 from strategies import architectures
 
 
@@ -41,14 +43,32 @@ class TestLookupTable:
         ((14, 14, 12), (4, 16, 32), 0.944, 34.88),
     ])
     def test_rows_reproduce_measured_values(self, table, stages, growths, accuracy, energy):
-        result = LookupEvaluator(table).evaluate(condensenet(stages, growths))
+        # a row answers without peak power, which the fallback always scores
+        evaluator = LookupEvaluator(table, fallback=make_surrogate("condensenet"))
+        result = evaluator.evaluate(condensenet(stages, growths))
         assert result.accuracy == pytest.approx(accuracy, abs=1e-12)
         assert result.energy_joules == energy
         assert result.peak_power_watts is None
 
-    def test_missing_arch_raises_not_found(self, table):
-        with pytest.raises(UnknownArchitectureError):
-            LookupEvaluator(table).evaluate(condensenet((6, 6, 6), (4, 4, 4)))
+    def test_partial_table_refused_without_fallback(self, table):
+        """7 of the shipped table's 10 rows are condensenet architectures, of
+        15,625; without a fallback a run would meet an architecture it has
+        no row for, so construction refuses the table, naming its source."""
+        with pytest.raises(ValueError, match=r"^shipped\.csv holds 10 rows, 7 of the 15625 "
+                                             r"condensenet architectures: evaluator\.fallback "
+                                             r"= off needs them all$"):
+            LookupEvaluator(table, source="shipped.csv")
+
+    def test_full_table_needs_no_fallback(self):
+        space = build_space("condensenet")
+        rows = {arch: (5.0, float(n)) for n, arch in enumerate(
+            condensenet(values[:3], values[3:]) for values in
+            itertools.product(*(slot.candidates for slot in space.slots)))}
+        evaluator = LookupEvaluator(rows)
+        arch = condensenet((6, 8, 10), (4, 8, 16))
+        assert evaluator.evaluate(arch).energy_joules == rows[arch][1]
+        with pytest.raises(KeyError):  # no architecture of the space
+            evaluator.evaluate(condensenet((16, 16, 16), (8, 16, 32)))
 
     def test_empty_data_section_is_valid(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -166,7 +186,7 @@ class TestSurrogateEvaluator:
     def test_macro_capacities_match_straight_line_oracle(self, arch):
         """The one pass over the MAC table's rows and shares gives the bits of
         the cost model's formulas summed and divided layer by layer."""
-        got = _capacities(arch)
+        got = _capacities(arch, mac_table(DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE))
         assert [v.hex() for v in got] == [v.hex() for v in macro_capacities_reference(arch)]
 
     def test_alexnet_and_condensenet_omit_mac(self):
@@ -194,3 +214,100 @@ class TestSurrogateEvaluator:
         with pytest.raises(ValueError):
             SurrogateConfig(space="condensenet", a_max=0.9, kappa=1.0, e0=0.0,
                             e1=1.0, p0=0.0, p1=1.0, sigma=-0.1)
+
+
+def random_archs(kind, n, seed=0):
+    """n architectures of a space, drawn uniformly."""
+    space = build_space(kind)
+    rng = np.random.default_rng(seed)
+    return [decode(space, tuple(int(rng.integers(k)) for k in space.arities))
+            for _ in range(n)]
+
+
+class TestNoiseFacts:
+    """`_hash_noise` runs numpy's `SeedSequence` hash on a batch's seeds in
+    one numpy pass from NOISE_PORT_MIN seeds on; these are the facts that
+    keep its draws the bits of one `PCG64(seed)` per architecture."""
+
+    EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+    def seeds(self):
+        rng = np.random.default_rng(2718)
+        drawn = rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False)
+        return [*self.EDGE_SEEDS, *map(int, drawn)]
+
+    def test_words_equal_seed_sequence_state(self):
+        seeds = self.seeds()
+        got = _seed_words(np.array(seeds, dtype=np.uint64))
+        want = np.array([np.random.SeedSequence(x).generate_state(4, np.uint64) for x in seeds])
+        assert got.dtype == np.uint64 and got.shape == (len(seeds), 4)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sigma", [0.01, 1.0, 3e-7])
+    def test_normal_draws_equal_those_of_the_seed(self, sigma):
+        seeds = self.seeds()[:2_000]
+        rows = _seed_words(np.array(seeds, dtype=np.uint64))
+        for x, row in zip(seeds, rows):
+            got = np.random.Generator(np.random.PCG64(_SeedWords(row))).normal(0.0, sigma)
+            want = np.random.Generator(np.random.PCG64(x)).normal(0.0, sigma)
+            assert got.hex() == want.hex(), x
+
+    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                               (8, np.uint64), (4, np.int64)])
+    def test_seed_words_refuse_any_other_request(self, n_words, dtype):
+        row = _seed_words(np.array([7], dtype=np.uint64))[0]
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            _SeedWords(row).generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("n", [0, 1, NOISE_PORT_MIN - 1, NOISE_PORT_MIN,
+                                   NOISE_PORT_MIN + 1, 256, 600])
+    def test_batches_on_both_sides_of_the_crossover(self, n):
+        archs = random_archs("macro", n, seed=n)
+        got = _hash_noise(11, archs, 0.02)
+        assert [v.hex() for v in got] == [noise_reference(11, a, 0.02).hex() for a in archs]
+
+
+SHIPPED_SIGMA = {kind: load_surrogate_config(kind).sigma
+                 for kind in ("alexnet", "condensenet", "macro")}
+
+
+@st.composite
+def batches_with_repeats(draw, elements):
+    """A list of 0-40 draws of ``elements`` in which some entries recur."""
+    distinct = draw(st.lists(elements, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=10)) if distinct else []
+    return draw(st.permutations(distinct + repeats))
+
+
+def scores(result):
+    return (result.accuracy, result.energy_joules, result.peak_power_watts,
+            result.mac_normalized)
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("kind", ["alexnet", "condensenet", "macro"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["sigma0", "shipped-sigma"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_surrogate_equals_oracle_per_architecture(self, kind, noisy, data):
+        archs = data.draw(batches_with_repeats(architectures(kinds=(kind,))))
+        config = replace(load_surrogate_config(kind, seed=9),
+                         sigma=SHIPPED_SIGMA[kind] if noisy else 0.0)
+        got = SurrogateEvaluator(config).evaluate_many(archs)
+        assert len(got) == len(archs)
+        assert [scores(r) for r in got] == [surrogate_reference(config, a) for a in archs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fallback_lookup_mixes_rows_and_fallback_in_batch_order(self, table, data):
+        space = build_space("condensenet")
+        in_space = sorted((a for a in table if all(
+            v in slot.candidates for v, slot in zip(a.stages + a.growths, space.slots))),
+            key=repr)
+        archs = data.draw(batches_with_repeats(st.one_of(
+            st.sampled_from(in_space), architectures(kinds=("condensenet",)))))
+        config = load_surrogate_config("condensenet", seed=4)
+        got = LookupEvaluator(table, fallback=SurrogateEvaluator(config)).evaluate_many(archs)
+        want = [(1.0 - table[a][0] / 100.0, table[a][1], None, None) if a in table
+                else surrogate_reference(config, a) for a in archs]
+        assert [scores(r) for r in got] == want
