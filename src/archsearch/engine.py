@@ -177,12 +177,12 @@ def load_resume(cfg: RunConfig) -> ctl.ControllerState:
     return _require_space(ctl.load_checkpoint(cfg.resume_path), cfg)
 
 
-def _run(cfg: RunConfig,
-         sample: Callable[[int], list[tuple[tuple[int, ...], ctl.Rollout | None]]],
+def _run(cfg: RunConfig, sample: Callable[[int], tuple[np.ndarray, list[ctl.Rollout]]],
          batch: int, update: Callable[[list, list[float]], float],
          controller: ctl.ControllerState | None, evaluator: Evaluator | None) -> SearchResult:
     """Walks the run in batches of ``batch`` samples, the last maybe short:
-    ``sample(k)`` gives k (actions, rollout) pairs, one `evaluate_many` call
+    ``sample(k)`` gives the [k, slots] actions and the rollouts of k samples,
+    one `decode` call builds their architectures and one `evaluate_many` call
     scores them, and ``update(rollouts, rewards)`` gives their grad_norm."""
     space = build_space(cfg.space_kind)
     if evaluator is None:
@@ -190,12 +190,12 @@ def _run(cfg: RunConfig,
     records: list[IterationRecord] = []
     front = ParetoFront()
     for start in range(0, cfg.n_iterations, batch):
-        actions, rollouts = zip(*sample(min(batch, cfg.n_iterations - start)))
-        archs = [decode(space, a) for a in actions]
+        actions, rollouts = sample(min(batch, cfg.n_iterations - start))
+        archs = decode(space, actions)
         results = evaluator.evaluate_many(archs)
         rewards = [compute_reward(cfg.reward, result) for result in results]
-        norm = update(list(rollouts), rewards)
-        scored = zip(actions, archs, results, rewards, strict=True)
+        norm = update(rollouts, rewards)
+        scored = zip(map(tuple, actions.tolist()), archs, results, rewards, strict=True)
         for i, (sampled, arch, result, reward) in enumerate(scored, start + 1):
             record = IterationRecord(iteration=i, actions=sampled, arch=arch, result=result,
                                      reward=reward, grad_norm=norm)
@@ -226,9 +226,14 @@ def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None,
                                            use_baseline=cfg.use_baseline)
     else:
         _require_space(controller, cfg)
-    # looked up at call time, so wrappers installed on the controller module apply
-    result = _run(cfg, lambda k: [ctl.sample_sequence(controller) for _ in range(k)],
-                  cfg.batch_n, lambda *batch: ctl.reinforce_update_batch(controller, *batch),
+
+    def sample(k: int) -> tuple[np.ndarray, list[ctl.Rollout]]:
+        # looked up at call time, so wrappers installed on the controller module apply
+        rollouts = [ctl.sample_sequence(controller)[1] for _ in range(k)]
+        return np.array([rollout.actions for rollout in rollouts]), rollouts
+
+    result = _run(cfg, sample, cfg.batch_n,
+                  lambda *batch: ctl.reinforce_update_batch(controller, *batch),
                   controller, evaluator)
     # each update checks only its gradient, so the last one's step is checked
     # here: as |h| <= 1 and the input is a column of w, the sum of |parameters|
@@ -249,11 +254,10 @@ def run_random(cfg: RunConfig, evaluator: Evaluator | None = None) -> SearchResu
     rng = np.random.default_rng(cfg.seed)
     arities = np.asarray(build_space(cfg.space_kind).arities)
 
-    def sample(k: int) -> list[tuple[tuple[int, ...], None]]:
+    def sample(k: int) -> tuple[np.ndarray, list]:
         # one draw per slot, in slot order, row after row: the stream of one
         # rng.integers(arities) call per architecture
-        block = rng.integers(np.broadcast_to(arities, (k, arities.size))).tolist()
-        return [(tuple(actions), None) for actions in block]
+        return rng.integers(np.broadcast_to(arities, (k, arities.size))), []
 
     return _run(cfg, sample, RANDOM_BLOCK, lambda rollouts, rewards: 0.0, None, evaluator)
 
@@ -283,19 +287,21 @@ def compute_stats(records: list[IterationRecord], spec: RewardSpec,
 def sample_trained_controller(state: ctl.ControllerState, evaluator: Evaluator,
                               n: int = 1000) -> list[tuple[Architecture, EvaluationResult]]:
     """n rollouts without updates, for inspecting what a controller learned;
-    their architectures are scored in one `evaluate_many` call after the last.
+    their actions are decoded in one call and their architectures scored in
+    one `evaluate_many` call after the last.
 
     A rollout whose probabilities are not all finite raises FloatingPointError:
     its actions would be picked from nan, not from the controller's policy.
     """
-    archs = []
+    actions = np.empty((n, len(state.space.arities)), dtype=np.int64)
     for k in range(n):
-        actions, rollout = ctl.sample_sequence(state)
+        _, rollout = ctl.sample_sequence(state)
         if not np.isfinite(rollout.probs).all():
             raise FloatingPointError(
                 f"sample {k + 1}: probabilities are not finite; the checkpoint's "
                 f"parameters overflow the forward pass")
-        archs.append(decode(state.space, actions))
+        actions[k] = rollout.actions
+    archs = decode(state.space, actions)
     return list(zip(archs, evaluator.evaluate_many(archs)))
 
 

@@ -158,12 +158,14 @@ def _hash_noise(seed: int, archs: Sequence[Architecture], sigma: float) -> list[
     first 8 bytes, big-endian, of sha256(f"{seed}|{arch_to_compact(arch)}")."""
     if sigma == 0.0:
         return [0.0] * len(archs)
-    heads = [hashlib.sha256(f"{seed}|{arch_to_compact(arch)}".encode()).digest()[:8]
-             for arch in archs]
-    keys = ([int.from_bytes(head, "big") for head in heads] if len(heads) < NOISE_PORT_MIN
-            else map(_SeedWords, _seed_words(np.frombuffer(b"".join(heads), ">u8"))))
-    return [float(np.random.Generator(np.random.PCG64(key)).normal(0.0, sigma))
-            for key in keys]
+    heads = (hashlib.sha256(f"{seed}|{arch_to_compact(arch)}".encode()).digest()[:8]
+             for arch in archs)
+    if len(archs) < NOISE_PORT_MIN:  # one pass: `PCG64(seed)` hashes each seed
+        return [float(np.random.Generator(np.random.PCG64(int.from_bytes(head, "big")))
+                      .normal(0.0, sigma)) for head in heads]
+    words = _seed_words(np.frombuffer(b"".join(heads), ">u8"))
+    return [float(np.random.Generator(np.random.PCG64(_SeedWords(row))).normal(0.0, sigma))
+            for row in words]
 
 
 class SurrogateEvaluator(Evaluator):

@@ -14,7 +14,9 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
+
+import numpy as np
 
 from . import textio
 
@@ -25,13 +27,9 @@ CONDENSENET_GROWTHS = (4, 8, 16, 24, 32)
 MACRO_OPS = ("conv3x3", "conv5x5", "sep_conv3x3", "sep_conv5x5",
              "avg_pool", "max_pool")
 MACRO_LAYERS = 12
-_INT_TYPE = frozenset((int,))
 # position of each macro layer's op slot in an action sequence; the layer's
 # skip slots, one per earlier layer, follow it
 _MACRO_OP_SLOTS = tuple(layer * (layer + 1) // 2 for layer in range(MACRO_LAYERS))
-_macro_op_actions = operator.itemgetter(*_MACRO_OP_SLOTS)
-# per macro layer: the slice of an action sequence that holds its skip slots
-_MACRO_SKIP_SLICES = tuple(slice(p + 1, p + 1 + layer) for layer, p in enumerate(_MACRO_OP_SLOTS))
 
 SPACE_KINDS = ("alexnet", "condensenet", "macro")
 
@@ -50,25 +48,37 @@ class DecisionSlot:
 
 
 class MacroTables(NamedTuple):
-    """Lookups that read and range-check actions, held by `build_space("macro")` alone."""
+    """What reads a block of macro action rows, built by `build_space("macro")`
+    alone. Layer l's skip code has bit k set for its skip from layer k; the
+    layer's sources are ``skips[2**l - 1 + code]``."""
 
-    ops: dict[int, str]  # op action -> op name
-    skips: tuple[dict[tuple[int, ...], tuple[int, ...]], ...]  # per layer: skip bits -> sources
+    arities: np.ndarray  # [slots] uint64: candidates per slot, for one range comparison
+    skip_bits: np.ndarray  # [slots] uint64: 2**k at a layer's skip from layer k, 0 at ops
+    layer_starts: np.ndarray  # [layers] uint64: 2**l - 1, where layer l's skips start
+    op_names: np.ndarray  # MACRO_OPS as objects, read by op action
+    skips: np.ndarray  # 4,095 sources tuples as objects, layer by layer
     suffixes: dict[tuple[int, ...], str]  # sources -> compact-form suffix: "" or "[1.3]"
 
 
 def _macro_tables() -> MacroTables:
-    """4,095 skip entries. Layer l's table doubles layer l - 1's: bits + (0,) keep
-    the same sources tuple, bits + (1,) add layer l - 1 (written l: labels are 1-based)."""
-    skips, suffixes = [{(): ()}], {(): ""}
+    """Layer l's 2**l skip entries double layer l - 1's: the lower half is
+    those same tuples, whose codes lack bit l - 1, and the upper half adds
+    layer l - 1 to each (written l: labels are 1-based)."""
+    skips, suffixes = [()], {(): ""}
     for layer in range(1, MACRO_LAYERS):
-        table, label = {}, f"{layer}]"
-        for bits, sources in skips[-1].items():
-            table[bits + (0,)] = sources
-            table[bits + (1,)] = wired = sources + (layer - 1,)
-            suffixes[wired] = (suffixes[sources][:-1] + "." if sources else "[") + label
-        skips.append(table)
-    return MacroTables(dict(enumerate(MACRO_OPS)), tuple(skips), suffixes)
+        lower, label = skips[-2 ** (layer - 1):], f"{layer}]"
+        wired = [sources + (layer - 1,) for sources in lower]
+        for sources, more in zip(lower, wired):
+            suffixes[more] = (suffixes[sources][:-1] + "." if sources else "[") + label
+        skips += lower + wired
+    arities, skip_bits = [], []  # slot by slot, in `build_space`'s layout
+    for layer in range(MACRO_LAYERS):
+        arities += [len(MACRO_OPS)] + [2] * layer
+        skip_bits += [0] + [2 ** k for k in range(layer)]
+    return MacroTables(np.array(arities, np.uint64), np.array(skip_bits, np.uint64),
+                       2 ** np.arange(MACRO_LAYERS, dtype=np.uint64) - 1,
+                       np.array(MACRO_OPS, object),
+                       np.fromiter(skips, object, len(skips)), suffixes)
 
 
 @dataclass(frozen=True)
@@ -214,24 +224,55 @@ def _from_checked(space: SearchSpace, cls: type, **fields) -> Architecture:
     return arch
 
 
-def decode(space: SearchSpace, actions: tuple[int, ...]) -> Architecture:
-    """Map an action sequence to the architecture it describes. On the shipped
-    macro space, ints are read through `MacroTables`; a failed lookup (out of
-    range, or a list's unhashable slices) goes to `validate_sequence`'s checks."""
+def decode(space: SearchSpace, actions: tuple[int, ...] | np.ndarray
+           ) -> Architecture | list[Architecture]:
+    """Map an action sequence to the architecture it describes, or each row of
+    a 2-D integer array of sequences to its architecture, as a list. A macro
+    block is range-checked in one comparison and read through `MacroTables`,
+    a single macro sequence as a one-row block after `validate_sequence`;
+    other spaces decode a block row by row. A sequence, or a block's first
+    row, that `validate_sequence` refuses raises its message."""
+    if isinstance(actions, np.ndarray):
+        return _decode_block(space, actions)
+    return _decode_sequence(space, actions)
+
+
+def _refuse(space: SearchSpace, block: np.ndarray) -> NoReturn:
+    """Raise `validate_sequence`'s error for the first row of ``block`` it
+    refuses (a 1-D block is one sequence, of numpy integers), else one that
+    names the form a block must take."""
+    for row in [block] if block.ndim == 1 else block.tolist() if block.ndim else ():
+        validate_sequence(space, row)
+    raise ValueError(f"actions must be a 2-D integer array of {len(space.arities)} "
+                     f"columns, got {block.dtype} of shape {block.shape}")
+
+
+def _decode_block(space: SearchSpace, block: np.ndarray) -> list[Architecture]:
+    if block.ndim != 2 or block.dtype.kind not in "iu" or block.shape[1] != len(space.arities):
+        _refuse(space, block)
     tables = space.macro_tables
-    if (tables is not None and len(actions) == len(space.arities)
-            and _INT_TYPE.issuperset(map(type, actions))):
-        try:
-            ops = tuple(map(tables.ops.__getitem__, _macro_op_actions(actions)))
-            skips = tuple(map(dict.__getitem__, tables.skips,
-                              map(actions.__getitem__, _MACRO_SKIP_SLICES)))
-        except (KeyError, TypeError):
-            pass
-        else:
-            return _from_checked(space, MacroArch, ops=ops, skips=skips)
+    if tables is None:
+        return [_decode_sequence(space, row) for row in block.tolist()]
+    unsigned = block.view(f"u{block.itemsize}")  # a negative entry reads as out of range
+    if (unsigned >= tables.arities).any():
+        _refuse(space, block)
+    ops = tables.op_names[block[:, _MACRO_OP_SLOTS]].tolist()
+    # per layer, the code whose bit k is its skip from layer k
+    codes = np.add.reduceat(unsigned * tables.skip_bits, _MACRO_OP_SLOTS, axis=1)
+    skips = tables.skips[codes + tables.layer_starts].tolist()
+    archs, new, set_field = [], object.__new__, object.__setattr__
+    for op_row, skip_row in zip(ops, skips):
+        arch = new(MacroArch)  # fields set as `_from_checked` sets them, valid by the tables
+        set_field(arch, "ops", tuple(op_row))
+        set_field(arch, "skips", tuple(skip_row))
+        archs.append(arch)
+    return archs
+
+
+def _decode_sequence(space: SearchSpace, actions: tuple[int, ...]) -> Architecture:
     validate_sequence(space, actions)
-    if space.kind == "macro":  # a list, or a hand-built space read in build_space's layout
-        return decode(build_space("macro"), tuple(actions))
+    if space.kind == "macro":  # a hand-built space too is read in build_space's layout
+        return _decode_block(build_space("macro"), np.array((actions,)))[0]
     chosen = [slot.candidates[a] for slot, a in zip(space.slots, actions)]
     if space.kind == "alexnet":
         return _from_checked(space, AlexNetArch,

@@ -16,7 +16,11 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 from archsearch import controller as ctl
+from archsearch import engine
+from archsearch.rewards import RewardSpec
 from archsearch.search_space import build_space
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -94,3 +98,30 @@ def test_traced_clip_counts_read_max_norm_from_the_update():
         finally:
             recorder.undo()
         assert (recorder.counts["clip_calls"], recorder.counts["clip_clipped"]) == (5, clipped)
+
+
+@pytest.mark.parametrize("command", ["search", "random", "sample"])
+def test_loop_clock_starts_in_every_timed_loop(command):
+    """The untimed benchmark run starts `iter_ms` at the first marker call
+    inside the command's engine function; a loop that calls none fails every
+    benchmark run with "the run never entered its loop"."""
+    spans = load_spans()
+    assert set(spans.TOP) == {"search", "random", "sample"}  # each one is a case here
+    cfg = engine.RunConfig(space_kind="macro", n_iterations=3,
+                           reward=RewardSpec(kind="mac_constraint", threshold=0.31))
+    state = ctl.create_controller(build_space("macro"), seed=5)
+    evaluator = engine.build_evaluator(cfg)
+    original = getattr(engine, spans.TOP[command])
+    clock = spans.LoopClock(command)
+    try:
+        if command == "search":
+            engine.run_search(cfg, controller=state, evaluator=evaluator)
+        elif command == "random":
+            engine.run_random(cfg, evaluator=evaluator)
+        else:
+            engine.sample_trained_controller(state, evaluator, n=3)
+    finally:
+        clock.undo()
+    assert getattr(engine, spans.TOP[command]) is original
+    assert clock.first_ns is not None
+    assert clock.top_start <= clock.first_ns <= clock.end_ns

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import os
 import re
 import subprocess
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archsearch import controller as ctl
-from archsearch.search_space import (AlexNetArch, CondenseNetArch, DecisionSlot, MACRO_OPS,
-                                     MacroArch, SearchSpace, arch_from_compact, arch_from_text,
-                                     arch_to_compact, arch_to_dict, build_space, decode,
-                                     validate_sequence)
+from archsearch.search_space import (AlexNetArch, CondenseNetArch, DecisionSlot, MACRO_LAYERS,
+                                     MACRO_OPS, MacroArch, SearchSpace, arch_from_compact,
+                                     arch_from_text, arch_to_compact, arch_to_dict, build_space,
+                                     decode, validate_sequence)
 
 from oracles import (arch_from_dict, arch_to_text, compact_reference, decode_reference, encode,
                      macro_arch_refusal)
@@ -338,6 +339,81 @@ class TestDecodeBuildsOnce:
         assert decode(copy, actions) == decode(shipped, actions)
 
 
+def spaces_of(kind):
+    """A shipped space, or for "hand-built macro" a copy of the macro space
+    without its tables, which decodes a block row by row."""
+    if kind == "hand-built macro":
+        return SearchSpace("macro", build_space("macro").slots)
+    return build_space(kind)
+
+
+SPACE_NAMES = ["alexnet", "condensenet", "macro", "hand-built macro"]
+
+
+class TestBlockDecode:
+    """`decode` on a 2-D integer array: one architecture per row, as the
+    sequence form gives it, or the sequence form's refusal of the first bad
+    row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_row_by_row_decode(self, data):
+        space = spaces_of(data.draw(st.sampled_from(SPACE_NAMES), label="space"))
+        k = data.draw(st.sampled_from([0, 1]) | st.integers(2, 40), label="rows")
+        rows = data.draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in space.arities)),
+                                  min_size=k, max_size=k), label="block")
+        dtype = data.draw(st.sampled_from([np.int64, np.int32, np.int8, np.uint8, np.uint64]),
+                          label="dtype")
+        order = data.draw(st.sampled_from("CF"), label="order")
+        block = np.array(rows, dtype=dtype, order=order).reshape(k, len(space.arities))
+        archs = decode(space, block)
+        assert archs == [decode(space, row) for row in rows]
+        if space is build_space(space.kind):
+            assert archs == [decode_reference(space, row) for row in rows]
+
+    @pytest.mark.parametrize("kind", SPACE_NAMES)
+    @pytest.mark.parametrize("case", ["out-of-range", "negative", "wrong-width", "float", "bool",
+                                      "1-d", "3-d"])
+    def test_refused_with_the_sequence_message_of_the_first_bad_row(self, kind, case):
+        space = spaces_of(kind)
+        width = len(space.arities)
+        block, bad_row = np.zeros((3, width), np.int64), 0
+        if case == "out-of-range":
+            block[1, -1] = space.arities[-1]
+            block[2, 0] = 99
+            bad_row = 1
+        elif case == "negative":
+            block[1, 3] = -1
+            block[2, 0] = -5
+            bad_row = 1
+        elif case == "wrong-width":
+            block = np.zeros((3, width + 1), np.int64)
+        elif case in ("float", "bool"):
+            block = block.astype(case)
+        elif case == "3-d":
+            block = np.zeros((2, width, 2), np.int64)
+        # the sequence form of the first bad row; a 1-D block is one
+        # sequence, of numpy integers
+        first = tuple(block[0]) if case == "1-d" else tuple(block[bad_row].tolist())
+        if case == "1-d":
+            block = block[0]
+        with pytest.raises(ValueError) as expected:
+            decode(space, first)
+        with pytest.raises(ValueError) as raised:
+            decode(space, block)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("kind", SPACE_NAMES)
+    def test_an_empty_block_is_refused_only_when_malformed(self, kind):
+        space = spaces_of(kind)
+        assert decode(space, np.zeros((0, len(space.arities)), np.int64)) == []
+        for block in (np.zeros((0, len(space.arities))), np.zeros((0, 1), np.int64)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"actions must be a 2-D integer array of {len(space.arities)} columns, "
+                    f"got {block.dtype} of shape {block.shape}")):
+                decode(space, block)
+
+
 class TestAgainstStraightLineOracles:
     """The table-driven `decode`, `validate_sequence`, `arch_to_compact` and
     `MacroArch` checks against the slot-by-slot forms in `oracles`."""
@@ -404,25 +480,34 @@ class TestAgainstStraightLineOracles:
             assert str(raised.value) == str(expected.value)
 
     def test_every_skip_table_entry_matches_the_oracles(self):
-        """Each of the 4,095 skip-table entries wires what the slot-by-slot
-        walk wires, its suffix is the straight compact form's, and a layer's
-        table reuses the previous layer's sources tuple for a trailing 0."""
+        """Each of the 4,095 skip codes (layer l's code has bit k set for its
+        skip from layer k) wires what the slot-by-slot walk wires, alone and in
+        one block, and its suffix is the straight compact form's. The lower
+        half of layer l's entries, the codes without bit l - 1, are layer
+        l - 1's tuple objects."""
         space = build_space("macro")
         tables = space.macro_tables
-        assert sum(map(len, tables.skips)) == 4095
-        for layer, table in enumerate(tables.skips):
+        assert tables.arities.tolist() == list(space.arities)
+        assert len(tables.skips) == 4095
+        rows, expected = [], []
+        for layer in range(MACRO_LAYERS):
             start = layer * (layer + 1) // 2 + 1  # the slot after the layer's op slot
-            for bits, sources in table.items():
+            entries = tables.skips[2 ** layer - 1:2 ** (layer + 1) - 1]
+            for code, sources in enumerate(entries):
                 actions = [0] * len(space.slots)
-                actions[start:start + layer] = bits
+                actions[start:start + layer] = [code >> k & 1 for k in range(layer)]
                 arch = decode_reference(space, tuple(actions))
                 assert sources == arch.skips[layer]
                 part = compact_reference(arch).split("+")[layer]
                 assert tables.suffixes[sources] == part[len(arch.ops[layer]):]
                 assert decode(space, tuple(actions)) == arch
                 assert arch_from_compact(arch_to_compact(arch)) == arch
-                if layer and not bits[-1]:
-                    assert sources is tables.skips[layer - 1][bits[:-1]]
+                rows.append(actions)
+                expected.append(arch)
+            if layer:
+                previous = tables.skips[2 ** (layer - 1) - 1:2 ** layer - 1]
+                assert all(map(operator.is_, entries[:2 ** (layer - 1)], previous))
+        assert decode(space, np.array(rows)) == expected
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
