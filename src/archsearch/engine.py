@@ -10,6 +10,7 @@ Runs are fully deterministic functions of their configuration.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -37,7 +38,6 @@ FRONT_HEADER = ("energy", "accuracy", "arch")
 STATS_HEADER = ("window", "start_iteration", "end_iteration", "satisfaction_rate")
 HISTOGRAM_HEADER = ("op", "count")
 LAYER_HISTOGRAM_HEADER = ("layer",) + MACRO_OPS
-_OP_COLUMN = {op: column for column, op in enumerate(MACRO_OPS)}
 SAMPLES_HEADER = ("arch", "accuracy", "energy", "peak_power", "mac_normalized")
 
 
@@ -195,6 +195,7 @@ def _run(cfg: RunConfig, sample: Callable[[int], tuple[np.ndarray, list[ctl.Roll
         results = evaluator.evaluate_many(archs)
         rewards = [compute_reward(cfg.reward, result) for result in results]
         norm = update(rollouts, rewards)
+        del rollouts  # freed before the next sample copies a record out of its scratch
         scored = zip(map(tuple, actions.tolist()), archs, results, rewards, strict=True)
         for i, (sampled, arch, result, reward) in enumerate(scored, start + 1):
             record = IterationRecord(iteration=i, actions=sampled, arch=arch, result=result,
@@ -237,9 +238,10 @@ def run_search(cfg: RunConfig, controller: ctl.ControllerState | None = None,
                   controller, evaluator)
     # each update checks only its gradient, so the last one's step is checked
     # here: as |h| <= 1 and the input is a column of w, the sum of |parameters|
-    # bounds every gate pre-activation and logit of the forward pass
+    # bounds every gate pre-activation and logit of the forward pass; the
+    # |parameters| go into the gradient workspace, which the next update rewrites
     with np.errstate(over="ignore"):
-        bound = np.abs(controller.params.flat).sum()
+        bound = np.abs(controller.params.flat, out=controller.grads.flat).sum()
     if not math.isfinite(bound):
         raise FloatingPointError(f"update {controller.revision} diverged: the parameters "
                                  "overflow the forward pass; "
@@ -307,13 +309,10 @@ def sample_trained_controller(state: ctl.ControllerState, evaluator: Evaluator,
 
 def histogram_of(archs: Iterable[MacroArch]) -> tuple[dict[str, int], list[list[int]]]:
     """Operation counts overall and per layer for a batch of macro archs."""
-    ops_count = {op: 0 for op in MACRO_OPS}
-    layer_count = [[0] * len(MACRO_OPS) for _ in range(MACRO_LAYERS)]
-    for arch in archs:
-        for layer, op in enumerate(arch.ops):
-            ops_count[op] += 1
-            layer_count[layer][_OP_COLUMN[op]] += 1
-    return ops_count, layer_count
+    layers = [Counter(column) for column in zip(*(arch.ops for arch in archs))]
+    layer_count = [[layer[op] for op in MACRO_OPS] for layer in layers] or [
+        [0] * len(MACRO_OPS) for _ in range(MACRO_LAYERS)]
+    return dict(zip(MACRO_OPS, map(sum, zip(*layer_count)))), layer_count
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +476,18 @@ def rebuild_front(rows: list[ResultRow], space: SearchSpace) -> ParetoFront:
     (actions of another space, an accuracy outside [0, 1]) raises
     ValueError naming its iteration.
     """
+    sequences = [row.actions for row in rows if row.energy is not None and row.actions]
+    try:  # one block; if it is refused, the loop decodes row by row to name the row
+        archs = iter(decode(space, np.array(sequences, dtype=np.int64))) if sequences else None
+    except (ValueError, OverflowError):
+        archs = None
     points = []
     for row in rows:
         if row.energy is None:
             continue
         try:
-            arch = decode(space, row.actions) if row.actions else None
+            arch = (None if not row.actions else next(archs) if archs
+                    else decode(space, row.actions))
             points.append(ParetoPoint(accuracy=row.accuracy, energy=row.energy,
                                       arch=arch, iteration=row.iteration))
         except ValueError as exc:

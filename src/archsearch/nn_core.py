@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 GATE_NAMES = ("i", "f", "o", "g")
+ADAM_CHUNK = 16384  # entries `adam_step` runs through per pass: its scratch's bound
 
 # 0-d operands for the per-step kernels: a ufunc converts a Python float
 # operand on every call, an array it takes as it is
@@ -425,9 +426,10 @@ def softmax_sample(scores: np.ndarray, u: float) -> int:
 class AdamState:
     """ADAM moment accumulators for a parameter buffer (ascent convention).
 
-    ``scratch`` holds the step's temporaries, two rows as long as the
-    buffer; `adam_step` allocates it on first use and overwrites it on
-    every step, so its contents carry nothing between steps.
+    ``scratch`` is one chunk of at most `ADAM_CHUNK` entries, the step's
+    only temporary besides the gradient buffer, which `adam_step` uses as
+    its workspace; it allocates the chunk on first use and overwrites it
+    on every step, so its contents carry nothing between steps.
     """
 
     lr: float
@@ -460,33 +462,40 @@ def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None
 
     Gradient ascent: callers pass reward gradients of params' layout
     (unchecked) and the update is added, so params move toward higher reward.
+    ``grads`` is the step's workspace: afterwards it holds the step that
+    was added to params.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     correct1 = 1.0 - b1 ** state.t
     correct2 = 1.0 - b2 ** state.t
-    g, m, v = grads.flat, state.m.flat, state.v.flat
-    if state.scratch is None or state.scratch.shape != (2, g.size):
-        state.scratch = np.empty((2, g.size))
-    s, d = state.scratch
-    # the same operations in the same order as
+    g, m, v, p = grads.flat, state.m.flat, state.v.flat, params.flat
+    scratch = state.scratch
+    if scratch is None or scratch.shape != (min(g.size, ADAM_CHUNK),):
+        scratch = state.scratch = np.empty(min(g.size, ADAM_CHUNK))
+    # chunk by chunk, the same operations in the same order as
     #   m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
     #   params += (lr * (m / c1)) / (sqrt(v / c2) + eps)
-    # computed into the scratch rows instead of fresh temporaries
-    m *= b1
-    np.multiply(1.0 - b1, g, out=s)
-    m += s
-    v *= b2
-    np.multiply(1.0 - b2, g, out=s)
-    s *= g
-    v += s
-    np.divide(m, correct1, out=s)
-    np.multiply(state.lr, s, out=s)
-    np.divide(v, correct2, out=d)
-    np.sqrt(d, out=d)
-    d += state.eps
-    s /= d
-    params.flat += s
+    # with the v term and the denominator in the scratch and the rest in g
+    # (a product rounds the same in either operand order)
+    for start in range(0, g.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        gc, mc, vc, pc = g[chunk], m[chunk], v[chunk], p[chunk]
+        d = scratch[:len(gc)]
+        np.multiply(gc, 1.0 - b2, d)
+        d *= gc
+        vc *= b2
+        vc += d
+        gc *= 1.0 - b1
+        mc *= b1
+        mc += gc
+        np.divide(mc, correct1, gc)
+        gc *= lr
+        np.divide(vc, correct2, d)
+        np.sqrt(d, d)
+        d += eps
+        gc /= d
+        pc += gc
 
 
 def clip_by_global_norm(flat: np.ndarray, *, blocks: tuple[np.ndarray, ...],

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archsearch import controller as ctl
-from archsearch.nn_core import GATE_NAMES, adam_step, clip_by_global_norm
+from archsearch.nn_core import ADAM_CHUNK, GATE_NAMES, adam_step, clip_by_global_norm
 from archsearch.search_space import DecisionSlot, SearchSpace, build_space
 
 from oracles import (central_diff_grads, log_prob_reference, max_rel_error,
@@ -421,6 +421,11 @@ class TestGradientWorkspace:
         other = ctl.create_controller(space, seed=5, hidden_dim=7)
         with pytest.raises(ValueError):
             ctl.policy_gradients(state, rollout, 0.7, out=other.params.like())
+
+    def test_adam_scratch_is_one_chunk(self):
+        state = ctl.create_controller(build_space("macro"), seed=5)
+        ctl.reinforce_update_batch(state, [ctl.sample_sequence(state)[1]], [0.4])
+        assert state.adam.scratch.size <= ADAM_CHUNK < state.params.flat.size
 
     def test_consecutive_batches_match_fresh_buffers(self):
         """Two batch-3 macro updates equal the same updates summed into new buffers."""

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from archsearch.evaluators import LOOKUP_HEADER, Evaluator
 from archsearch.pareto import front_of
 from archsearch.rewards import EvaluationResult, RewardSpec
 from archsearch.search_space import (CONDENSENET_GROWTHS, CONDENSENET_STAGES, MACRO_OPS,
-                                     CondenseNetArch, arch_from_compact, build_space)
+                                     CondenseNetArch, arch_from_compact, build_space, decode)
 
 from oracles import read_front_csv
 
@@ -299,6 +302,43 @@ class TestBatchWalk:
             start += size
         assert len({norm for _, _, norm in updates}) == len(updates)  # batches differ
 
+    @pytest.mark.parametrize("batch_n", [1, 3])
+    def test_no_rollout_outlives_its_update(self, batch_n, monkeypatch):
+        cfg = engine.RunConfig(space_kind="macro", n_iterations=2 * batch_n, seed=4,
+                               reward=RewardSpec(kind="mac_constraint", threshold=0.31),
+                               batch_n=batch_n)
+        sampled, alive = [], []
+        sample = engine.ctl.sample_sequence
+
+        def recorded(state):
+            if len(sampled) == batch_n:  # the second batch's first sample
+                alive.extend(ref() is not None for ref in sampled)
+            actions, rollout = sample(state)
+            sampled.append(weakref.ref(rollout))
+            return actions, rollout
+        monkeypatch.setattr(engine.ctl, "sample_sequence", recorded)
+        engine.run_search(cfg)
+        assert alive == [False] * batch_n
+
+
+class TestMemoryBudget:
+    """A macro search holds each parameter-sized array about once: its
+    traced peak stays within a multiple of the parameter buffer's bytes."""
+
+    @pytest.mark.parametrize("batch_n,n_iterations,budget", [(1, 3, 8.3), (3, 20, 10.8)])
+    def test_traced_peak(self, batch_n, n_iterations, budget):
+        cfg = engine.RunConfig(space_kind="macro", n_iterations=n_iterations, seed=1,
+                               reward=RewardSpec(kind="mac_constraint", threshold=0.31),
+                               batch_n=batch_n)
+        build_space("macro")  # built once per process, before tracing
+        tracemalloc.start()
+        try:
+            result = engine.run_search(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * result.controller.params.flat.nbytes
+
 
 class TestComputeStats:
     def make_records(self, flags):
@@ -345,6 +385,15 @@ class TestComputeStats:
         rows = result.stats.layer_histogram
         assert len(rows) == 12
         assert all(sum(row) == 20 for row in rows)
+        archs = [r.arch for r in result.records]
+        assert rows == [[sum(a.ops[layer] == op for a in archs) for op in MACRO_OPS]
+                        for layer in range(12)]
+        assert list(hist.items()) == [(op, sum(a.ops.count(op) for a in archs))
+                                      for op in MACRO_OPS]
+
+    def test_histograms_of_no_archs_are_zero(self):
+        assert engine.histogram_of([]) == ({op: 0 for op in MACRO_OPS},
+                                           [[0] * len(MACRO_OPS) for _ in range(12)])
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -411,6 +460,41 @@ class TestFileEmission:
         front = engine.rebuild_front(rows, build_space("condensenet"))
         assert [(p.accuracy, p.energy) for p in front.points] == \
                [(p.accuracy, p.energy) for p in result.front.points]
+
+    @staticmethod
+    def macro_rows(tmp_path):
+        cfg = engine.RunConfig(space_kind="macro", n_iterations=9, seed=3,
+                               reward=RewardSpec(kind="mac_constraint", threshold=0.31))
+        result = engine.run_random(cfg)
+        path = tmp_path / "results.csv"
+        engine.write_results_csv(path, result.records)
+        return result, engine.read_results_csv(path)
+
+    def test_rebuild_front_of_macro_rows_keeps_their_archs(self, tmp_path):
+        result, rows = self.macro_rows(tmp_path)
+        front = engine.rebuild_front(rows, build_space("macro"))
+        assert front.points == result.front.points
+
+    @pytest.mark.parametrize("bad", [(0, 6), (5, -1), (77, None), (3, 2**70)])
+    def test_rebuild_front_names_the_first_bad_macro_row(self, tmp_path, bad):
+        """One bad row in the middle of a macro block is refused as decoding
+        row by row refuses it: with its iteration and `decode`'s message."""
+        space = build_space("macro")
+        _, rows = self.macro_rows(tmp_path)
+        slot, value = bad
+        actions = list(rows[4].actions)
+        if value is None:
+            del actions[slot]  # a ragged row
+        else:
+            actions[slot] = value
+        with pytest.raises(ValueError) as refused:
+            decode(space, tuple(actions))
+        rows[4] = dataclasses.replace(rows[4], actions=tuple(actions))
+        rows[2] = dataclasses.replace(rows[2], actions=(9,), energy=None)  # skipped
+        rows[6] = dataclasses.replace(rows[6], actions=(7,) * 78)  # a later bad row
+        with pytest.raises(ValueError) as exc:
+            engine.rebuild_front(rows, space)
+        assert str(exc.value) == f"iteration 5: {refused.value}"
 
     def test_front_file_round_trip(self, tmp_path):
         result = engine.run_search(power_cfg(n_iterations=40))

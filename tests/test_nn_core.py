@@ -688,25 +688,39 @@ class TestAdam:
                 assert params[name][ix] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("scratch", ["fresh", "nan", "garbage"])
-    def test_bytes_do_not_depend_on_scratch(self, scratch):
+    @pytest.mark.parametrize("size", [17, 2 * nc.ADAM_CHUNK + 5])
+    def test_bytes_do_not_depend_on_scratch(self, scratch, size):
         rng = np.random.default_rng(21)
-        start = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        start = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=size - 12)}
         steps = [{name: rng.normal(size=p.shape) for name, p in start.items()}
                  for _ in range(3)]
         params, ref_params = buffer(**start), buffer(**start)
         state = nc.AdamState.for_params(params, lr=0.03)
         ref_state = nc.AdamState.for_params(ref_params, lr=0.03)
+        chunk = min(size, nc.ADAM_CHUNK)
         for grads in steps:
             if scratch == "nan":
-                state.scratch = np.full((2, params.flat.size), np.nan)
+                state.scratch = np.full(chunk, np.nan)
             elif scratch == "garbage":
-                state.scratch = rng.normal(scale=1e300, size=(2, params.flat.size))
+                state.scratch = rng.normal(scale=1e300, size=chunk)
             nc.adam_step(params, buffer(**grads), state)
             adam_step_reference(ref_params, buffer(**grads), ref_state)
             assert params.flat.tobytes() == ref_params.flat.tobytes()
             assert state.m.flat.tobytes() == ref_state.m.flat.tobytes()
             assert state.v.flat.tobytes() == ref_state.v.flat.tobytes()
         assert state.t == ref_state.t == 3
+
+    @pytest.mark.parametrize("size", [1, 300, nc.ADAM_CHUNK + 1, 4 * nc.ADAM_CHUNK + 7])
+    def test_gradient_buffer_is_left_holding_the_step(self, size):
+        rng = np.random.default_rng(size)
+        params = buffer(w=rng.normal(size=size))
+        state = nc.AdamState.for_params(params, lr=0.02)
+        for _ in range(4):
+            before = params.flat.copy()
+            grads = buffer(w=rng.normal(size=size))
+            nc.adam_step(params, grads, state)
+            assert params.flat.tobytes() == (before + grads.flat).tobytes()
+        assert state.scratch.size == min(size, nc.ADAM_CHUNK)
 
     def test_ascent_direction(self):
         params = buffer(w=np.array([0.0]))
