@@ -57,15 +57,6 @@ class Rollout(LstmRecord):
     revision: int
 
 
-class SlotHead(NamedTuple):
-    """One step of a rollout: its head and where its decision goes."""
-
-    head: str
-    w: np.ndarray  # the head's parameter views
-    b: np.ndarray
-    offset: int  # vocabulary offset: a choice's input token is offset + action
-
-
 class HeadSteps(NamedTuple):
     """The steps one head type decides, in order, and what they read."""
 
@@ -96,7 +87,6 @@ class ControllerState:
     grad_blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
     batch_grads: ParamBuffer | None = field(default=None, init=False, repr=False)
     # where each step and head type sits in a rollout, fixed by the space
-    slots: tuple[SlotHead, ...] = field(init=False, repr=False)
     heads: tuple[HeadSteps, ...] = field(init=False, repr=False)
     prob_starts: np.ndarray = field(init=False, repr=False)  # [T], into `Rollout.probs`
 
@@ -110,9 +100,6 @@ class ControllerState:
         self.grads = self.params.like()
         self.grad_blocks = param_blocks(self.grads)
         heads = [slot.head for slot in self.space.slots]
-        self.slots = tuple(
-            SlotHead(head, self.params[f"head.{head}.w"], self.params[f"head.{head}.b"], offset)
-            for head, offset in zip(heads, self.space.vocab_offsets))
         self.prob_starts, self.heads = np.empty(len(heads), dtype=int), ()
         for head, arity in self.space.head_types().items():
             steps = np.flatnonzero([h == head for h in heads])
@@ -138,22 +125,24 @@ class SampleScratch:
     """
 
     def __init__(self, state: ControllerState) -> None:
-        record = LstmRecord.empty(len(state.slots), state.hidden_dim)
+        space, params = state.space, state.params
+        record = LstmRecord.empty(len(space.slots), state.hidden_dim)
         self.gates, self.h, self.c, self.tanh_c = (
             record.gates, record.h, record.c, record.tanh_c)
         self.probs = np.empty(state.heads[-1].block.stop)
         # each step's input token less the previous action: -1 at step 0,
         # then the previous slot's vocabulary offset
-        self.token_bases = np.array((-1,) + state.space.vocab_offsets[:-1])
+        self.token_bases = np.array((-1,) + space.vocab_offsets[:-1])
         columns = list(state.lstm.w.T)  # w[:, token] for every token
         # per step: its head's w and b, the row its logits go to, the lstm
         # input column of each of its actions, the previous state and the
         # `forward_views` of its record rows
         self.steps = tuple(
-            (slot.w, slot.b, self.probs[start:start + len(slot.b)],
-             columns[slot.offset:slot.offset + len(slot.b)], self.h[t], self.c[t],
-             forward_views(self.gates[t], self.c[t + 1], self.tanh_c[t], self.h[t + 1]))
-            for t, (slot, start) in enumerate(zip(state.slots, state.prob_starts.tolist())))
+            (params[f"head.{slot.head}.w"], params[f"head.{slot.head}.b"],
+             self.probs[start:start + arity], columns[offset:offset + arity], self.h[t],
+             self.c[t], forward_views(self.gates[t], self.c[t + 1], self.tanh_c[t], self.h[t + 1]))
+            for t, (slot, arity, offset, start) in enumerate(zip(
+                space.slots, space.arities, space.vocab_offsets, state.prob_starts.tolist())))
 
 
 def create_controller(space: SearchSpace, seed: int, hidden_dim: int | None = None,

@@ -213,28 +213,19 @@ def validate_sequence(space: SearchSpace, actions: tuple[int, ...]) -> None:
             raise ValueError(f"action {a} out of range for slot {t} ({space.slots[t].name})")
 
 
-def _from_checked(space: SearchSpace, cls: type, **fields) -> Architecture:
-    """A ``cls`` holding ``fields``, set as its ``__init__`` sets them; only a
-    hand-built space's are checked, as a `build_space` space decodes valid ones."""
-    arch = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(arch, name, value)
-    if space is not build_space(space.kind):
-        arch.__post_init__()
-    return arch
-
-
 def decode(space: SearchSpace, actions: tuple[int, ...] | np.ndarray
            ) -> Architecture | list[Architecture]:
     """Map an action sequence to the architecture it describes, or each row of
-    a 2-D integer array of sequences to its architecture, as a list. A macro
-    block is range-checked in one comparison and read through `MacroTables`,
-    a single macro sequence as a one-row block after `validate_sequence`;
-    other spaces decode a block row by row. A sequence, or a block's first
-    row, that `validate_sequence` refuses raises its message."""
+    a 2-D integer array of sequences to its architecture, as a list. A
+    sequence passes `validate_sequence` and is read as a one-row block. A
+    block of any macro-kind space is range-checked in one comparison and read
+    through `build_space("macro")`'s `MacroTables`; other spaces check each
+    row with `validate_sequence` and build it with the class's checks, so the
+    first bad row raises the message either gives it."""
     if isinstance(actions, np.ndarray):
         return _decode_block(space, actions)
-    return _decode_sequence(space, actions)
+    validate_sequence(space, actions)
+    return _decode_block(space, np.array((actions,)))[0]
 
 
 def _refuse(space: SearchSpace, block: np.ndarray) -> NoReturn:
@@ -248,11 +239,23 @@ def _refuse(space: SearchSpace, block: np.ndarray) -> NoReturn:
 
 
 def _decode_block(space: SearchSpace, block: np.ndarray) -> list[Architecture]:
+    if space.kind == "macro":  # a hand-built space too is read in build_space's layout
+        space = build_space("macro")
     if block.ndim != 2 or block.dtype.kind not in "iu" or block.shape[1] != len(space.arities):
         _refuse(space, block)
     tables = space.macro_tables
     if tables is None:
-        return [_decode_sequence(space, row) for row in block.tolist()]
+        archs = []
+        for row in block.tolist():
+            validate_sequence(space, row)
+            chosen = [slot.candidates[a] for slot, a in zip(space.slots, row)]
+            if space.kind == "alexnet":
+                archs.append(AlexNetArch(layers=(tuple(chosen[0:3]), tuple(chosen[3:6]))))
+            elif space.kind == "condensenet":
+                archs.append(CondenseNetArch(tuple(chosen[0:3]), tuple(chosen[3:6])))
+            else:
+                raise ValueError(f"cannot decode space kind {space.kind!r}")
+        return archs
     unsigned = block.view(f"u{block.itemsize}")  # a negative entry reads as out of range
     if (unsigned >= tables.arities).any():
         _refuse(space, block)
@@ -262,25 +265,11 @@ def _decode_block(space: SearchSpace, block: np.ndarray) -> list[Architecture]:
     skips = tables.skips[codes + tables.layer_starts].tolist()
     archs, new, set_field = [], object.__new__, object.__setattr__
     for op_row, skip_row in zip(ops, skips):
-        arch = new(MacroArch)  # fields set as `_from_checked` sets them, valid by the tables
+        arch = new(MacroArch)  # fields set as __init__ sets them; the tables' are valid
         set_field(arch, "ops", tuple(op_row))
         set_field(arch, "skips", tuple(skip_row))
         archs.append(arch)
     return archs
-
-
-def _decode_sequence(space: SearchSpace, actions: tuple[int, ...]) -> Architecture:
-    validate_sequence(space, actions)
-    if space.kind == "macro":  # a hand-built space too is read in build_space's layout
-        return _decode_block(build_space("macro"), np.array((actions,)))[0]
-    chosen = [slot.candidates[a] for slot, a in zip(space.slots, actions)]
-    if space.kind == "alexnet":
-        return _from_checked(space, AlexNetArch,
-                             layers=(tuple(chosen[0:3]), tuple(chosen[3:6])))
-    if space.kind == "condensenet":
-        return _from_checked(space, CondenseNetArch, stages=tuple(chosen[0:3]),
-                             growths=tuple(chosen[3:6]))
-    raise ValueError(f"cannot decode space kind {space.kind!r}")
 
 
 # ---------------------------------------------------------------------------

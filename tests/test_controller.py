@@ -39,7 +39,7 @@ def gradients(state, rollout, scale):
 def step_probs(state, rollout, t):
     """Step t's row of the rollout's flat probabilities."""
     start = state.prob_starts[t]
-    return rollout.probs[start:start + len(state.slots[t].b)]
+    return rollout.probs[start:start + state.space.arities[t]]
 
 
 def rollout_log_prob(state, actions, rollout):
@@ -125,12 +125,12 @@ class TestRolloutForm:
             assert head.block == slice(start, start + len(head.steps) * arity)
             assert state.prob_starts[head.steps].tolist() == list(
                 range(head.block.start, head.block.stop, arity))
-            assert all(state.slots[t].head == head.head for t in head.steps)
+            assert all(state.space.slots[t].head == head.head for t in head.steps)
             start = head.block.stop
         _, rollout = ctl.sample_sequence(state)
         assert rollout.probs.shape == (start,)
         assert sorted(t for head in state.heads for t in head.steps) == list(
-            range(len(state.slots)))
+            range(len(state.space.slots)))
 
 
 def root_arrays(obj, found=None):

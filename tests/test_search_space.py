@@ -114,6 +114,12 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(space, (0, 0, 0))
 
+    def test_an_undecodable_kind_is_refused_in_both_forms(self):
+        space = SearchSpace("bandit", tuple(DecisionSlot(f"s{t}", "h", (0, 1)) for t in range(3)))
+        for actions in ((0, 1, 0), np.array([[0, 1, 0], [1, 1, 1]])):
+            with pytest.raises(ValueError, match="cannot decode space kind 'bandit'"):
+                decode(space, actions)
+
 
 class TestEncode:
     """`decode` against the straight-line encoding of `oracles.encode`."""
@@ -314,8 +320,9 @@ class TestSerialization:
 
 
 class TestDecodeBuildsOnce:
-    """`decode` builds a shipped space's architecture without re-running its
-    class's checks; every field it builds passes them."""
+    """`decode` builds a macro architecture from its tables without re-running
+    `MacroArch`'s checks, and the other kinds through their class's checks;
+    every field it builds passes them."""
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=action_sequences())
@@ -341,7 +348,7 @@ class TestDecodeBuildsOnce:
 
 def spaces_of(kind):
     """A shipped space, or for "hand-built macro" a copy of the macro space
-    without its tables, which decodes a block row by row."""
+    without its tables, which decodes as the shipped one does."""
     if kind == "hand-built macro":
         return SearchSpace("macro", build_space("macro").slots)
     return build_space(kind)
@@ -402,6 +409,23 @@ class TestBlockDecode:
         with pytest.raises(ValueError) as raised:
             decode(space, block)
         assert str(raised.value) == str(expected.value)
+
+    def test_a_hand_built_space_refuses_a_block_as_it_refuses_its_rows(self):
+        """Candidates (0, 1): a row of ones is a valid condensenet, a zero
+        fails the class's check and a 2 is out of range. The block raises the
+        message of its first bad row, as the sequence form raises it."""
+        space = SearchSpace("condensenet", tuple(
+            DecisionSlot(f"block{t}", "block", (0, 1)) for t in range(6)))
+        ones = CondenseNetArch(stages=(1, 1, 1), growths=(1, 1, 1))
+        assert decode(space, np.ones((2, 6), np.int64)) == [ones, ones]
+        for bad, message in [
+                ((1, 1, 1, 0, 1, 1), "condensenet growths must be a tuple of 3 positive ints, "
+                                     "got (0, 1, 1)"),
+                ((0,) * 6, "condensenet stages must be a tuple of 3 positive ints, got (0, 0, 0)"),
+                ((1, 1, 1, 1, 1, 2), "action 2 out of range for slot 5 (block5)")]:
+            for actions in (bad, np.array([(1,) * 6, bad, (0, 0, 0, 0, 0, 5)])):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    decode(space, actions)
 
     @pytest.mark.parametrize("kind", SPACE_NAMES)
     def test_an_empty_block_is_refused_only_when_malformed(self, kind):

@@ -5,7 +5,9 @@ function and class there is named somewhere else in the package or in the
 benchmark, which drives the program. Code that only tests call belongs in
 `tests/oracles.py`. The oracles in turn share no code with the package, so
 that a test comparing the two compares two separate routes to one answer.
-This reads bench/ and edits nothing there.
+An architecture is built without its class's checks in one place only, the
+macro table read, whose values are valid by construction. This reads bench/
+and edits nothing there.
 """
 
 import ast
@@ -64,3 +66,11 @@ def test_oracles_import_only_the_architecture_records():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("archsearch"):
             imported.update(alias.name for alias in node.names)
     assert imported == ORACLE_IMPORTS
+
+
+def test_only_the_macro_table_read_builds_without_the_checks():
+    unchecked = [(path.stem, node.name) for path in SRC for node in parse(path).body
+                 for sub in ast.walk(node)
+                 if isinstance(sub, ast.Attribute) and sub.attr == "__new__"
+                 and isinstance(sub.value, ast.Name) and sub.value.id == "object"]
+    assert unchecked == [("search_space", "_decode_block")]
